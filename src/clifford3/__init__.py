@@ -38,9 +38,7 @@ from .invariants import (
     BoundResult,
     BundleInvariants,
     Curve,
-    HalfInt,
     h0_hyperelliptic_power,
-    halves,
     serre_dual,
     twist_by_line,
     validate,
@@ -58,7 +56,6 @@ __all__ = [
     "FamilyAParams",
     "FamilyBParams",
     "FamilyCParams",
-    "HalfInt",
     "KrawtchoukQuery",
     "Rank3Query",
     "StepChoice",
@@ -74,7 +71,6 @@ __all__ = [
     "h0_rank2_bound",
     "h0_rank3_semistable_bound",
     "h0_rank3_unstable_bound",
-    "halves",
     "krawtchouk",
     "krawtchouk_oracle",
     "s2_lower_bound_track",

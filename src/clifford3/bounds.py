@@ -12,7 +12,7 @@ end of each formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     CongruenceViolation,
@@ -23,8 +23,29 @@ from .errors import (
     RankUnsupported,
     SlopeOutOfRange,
 )
-from .invariants import BoundResult, BundleInvariants, Curve, halves, serre_dual, validate
+from .invariants import BoundResult, BundleInvariants, Curve, serre_dual
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
+
+
+def _exact_tail(d: int, low: int, high: int, rr: int) -> BoundResult | None:
+    """The exact count outside the special range [low, high]: 0 below it,
+    the Riemann-Roch value ``rr`` above it, None inside.  The clamp of ``rr``
+    at 0 only engages for invariants no bundle can realize."""
+    if d < low:
+        return BoundResult(0, "VANISHING", exact=True)
+    if d > high:
+        return BoundResult(max(0, rr), "RR-EXACT", exact=True)
+    return None
+
+
+def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
+    """The degree (2d + s1)/3 of a minimal rank-2 quotient and the least
+    admissible s1f: ceil((2*s2 - s1)/3), raised to the quotient degree's
+    parity."""
+    s1, s2 = inv.s
+    deg_f = (2 * inv.degree + s1) // 3
+    least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
+    return deg_f, least + (least - deg_f) % 2
 
 
 @dataclass(frozen=True)
@@ -34,8 +55,9 @@ class Rank3Query:
     ``s1f`` is the first stability degree of a minimal-degree rank-2
     quotient, when the caller knows it.  It must match the parity of the
     quotient degree (2d + s1)/3 and, for semistable input, satisfy
-    3*s1f >= 2*s2 - s1.  Refinements are opt-in flags so that every reported
-    value is attributable.
+    3*s1f >= 2*s2 - s1.  For s2 < 0 <= s1 the unstable bound reads s1f as the
+    twisted dual's, and the dual's own query checks it.  Refinements are
+    opt-in flags so that every reported value is attributable.
     """
 
     curve: Curve
@@ -45,46 +67,36 @@ class Rank3Query:
     use_hyperelliptic_sharpening: bool = False
 
     def __post_init__(self):
-        validate(self.inv)
         if self.inv.rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
-        if self.s1f is not None:
-            d = self.inv.degree
-            s1, s2 = self.inv.s
-            deg_f = (2 * d + s1) // 3
-            if (self.s1f - deg_f) % 2 != 0:
-                raise CongruenceViolation(
-                    1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
-                )
-            if self.inv.semistable() and 3 * self.s1f < 2 * s2 - s1:
-                raise HypothesisFailed(
-                    f"s1f={self.s1f} is below the minimum (2*s2-s1)/3 forced by s2"
-                )
+        s1, s2 = self.inv.s
+        if self.s1f is None or s2 < 0 <= s1:
+            return
+        deg_f, least = _quotient_s1f(self.inv)
+        if (self.s1f - deg_f) % 2 != 0:
+            raise CongruenceViolation(
+                1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
+            )
+        if self.inv.semistable() and self.s1f < least:
+            raise HypothesisFailed(
+                f"s1f={self.s1f} is below the minimum (2*s2-s1)/3 forced by s2"
+            )
 
 
 def suggested_min_s1f(inv: BundleInvariants) -> int:
     """Smallest admissible s1f: at least (2*s2 - s1)/3, with the parity of
     the minimal quotient degree.  Offered as a hint, never substituted."""
-    validate(inv)
     if inv.rank != 3:
         raise RankUnsupported("s1f only makes sense for rank 3")
-    d = inv.degree
-    s1, s2 = inv.s
-    deg_f = (2 * d + s1) // 3
-    t = -((-(2 * s2 - s1)) // 3)  # ceil((2*s2 - s1)/3)
-    if (t - deg_f) % 2 != 0:
-        t += 1
-    return t
+    return _quotient_s1f(inv)[1]
 
 
 def h0_line_bound(c: Curve, d: int) -> BoundResult:
     """h^0 of a line bundle of degree d: exact 0 below degree 0, the Clifford
     bound floor(d/2)+1 in the special range, exact d+1-g above 2g-2."""
     g = c.genus
-    if d < 0:
-        return BoundResult(0, "VANISHING", exact=True)
-    if d > 2 * g - 2:
-        return BoundResult(d + 1 - g, "RR-EXACT", exact=True)
+    if (tail := _exact_tail(d, 0, 2 * g - 2, d + 1 - g)) is not None:
+        return tail
     return BoundResult(d // 2 + 1, "CLIFFORD-LINE")
 
 
@@ -95,29 +107,26 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
     s1 > 0, or to (d-s1)/2 + 1 + delta by the Krawtchouk refinement.
     """
-    if (d - s1) % 2 != 0:
-        raise CongruenceViolation(1, f"s1={s1} must have the parity of d={d}")
+    BundleInvariants(2, d, (s1,))  # checks the parity of s1
     if s1 < 0:
         raise NotSemistable(f"rank-2 bound needs s1 >= 0, got {s1}")
     g = c.genus
-    if d < s1:
-        return BoundResult(0, "VANISHING", exact=True)
-    if d > 4 * g - 4 - s1:
-        return BoundResult(d + 2 - 2 * g, "RR-EXACT", exact=True)
+    if (tail := _exact_tail(d, s1, 4 * g - 4 - s1, d + 2 - 2 * g)) is not None:
+        return tail
     half = (d - s1) // 2
-    best = BoundResult(half + 2, "RANK2-CLIFFORD")
+    candidates = [BoundResult(half + 2, "RANK2-CLIFFORD")]
     if c.hyperelliptic and s1 > 0:
-        cand = BoundResult(half + 1, "RANK2-HYP", assumptions=("hyperelliptic", "s1>0"))
-        if cand.value < best.value:
-            best = cand
+        candidates.append(
+            BoundResult(half + 1, "RANK2-HYP", assumptions=("hyperelliptic", "s1>0"))
+        )
     if use_delta and s1 <= g:
         delta = 1 if krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) == 0 else 0
-        cand = BoundResult(
-            half + 1 + delta, "RANK2-KRAWTCHOUK", assumptions=("krawtchouk-refinement",)
+        candidates.append(
+            BoundResult(
+                half + 1 + delta, "RANK2-KRAWTCHOUK", assumptions=("krawtchouk-refinement",)
+            )
         )
-        if cand.value < best.value:
-            best = cand
-    return best
+    return min(candidates, key=lambda r: r.value)
 
 
 def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
@@ -136,15 +145,12 @@ def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
     if s1 < 0 or s2 < 0:
         raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {inv.s}")
     g = q.curve.genus
-    if d < s1:
-        return BoundResult(0, "VANISHING", exact=True)
-    if d > 6 * g - 6 - s2:
-        # the clamp only engages for invariants no bundle can realize
-        return BoundResult(max(0, d + 3 - 3 * g), "RR-EXACT", exact=True)
+    if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
+        return tail
     if s2 > 2 * s1 and d < s2 - s1:
-        return BoundResult(halves(d - s1).floor() + 1, "RANK3-LINE-ONLY")
+        return BoundResult((d - s1) // 2 + 1, "RANK3-LINE-ONLY")
     if 2 * s2 < s1 and d > 6 * g - 6 - (s1 - s2):
-        return BoundResult(halves(d - s2).floor() + 1, "RANK3-LINE-ONLY-DUAL")
+        return BoundResult((d - s2) // 2 + 1, "RANK3-LINE-ONLY-DUAL")
     skew = max(2 * s2 - s1, 2 * s1 - s2)
     base = (3 * d - skew) // 6 + 3
     if (
@@ -188,26 +194,26 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
         raise HypothesisFailed(
             f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]"
         )
-    half = halves(d - q.s1f).floor()
-    best = BoundResult(half + 3, "RANK3-QUOTIENT", assumptions=(f"s1f={q.s1f}",))
+    half = (d - q.s1f) // 2
+    candidates = [BoundResult(half + 3, "RANK3-QUOTIENT", assumptions=(f"s1f={q.s1f}",))]
     if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and q.s1f > 0:
-        cand = BoundResult(
-            half + 2,
-            "RANK3-QUOTIENT-SHARP",
-            assumptions=(f"s1f={q.s1f}", "hyperelliptic", "s1f>0"),
+        candidates.append(
+            BoundResult(
+                half + 2,
+                "RANK3-QUOTIENT-SHARP",
+                assumptions=(f"s1f={q.s1f}", "hyperelliptic", "s1f>0"),
+            )
         )
-        if cand.value < best.value:
-            best = cand
     if q.use_delta and q.s1f <= g:
         delta = 1 if delta_vanishes(g, d, s1, q.s1f) else 0
-        cand = BoundResult(
-            half + 2 + delta,
-            "RANK3-QUOTIENT-KRAWTCHOUK",
-            assumptions=(f"s1f={q.s1f}", "krawtchouk-refinement"),
+        candidates.append(
+            BoundResult(
+                half + 2 + delta,
+                "RANK3-QUOTIENT-KRAWTCHOUK",
+                assumptions=(f"s1f={q.s1f}", "krawtchouk-refinement"),
+            )
         )
-        if cand.value < best.value:
-            best = cand
-    return best
+    return min(candidates, key=lambda r: r.value)
 
 
 def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
@@ -222,18 +228,14 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
     bounded, i.e. the dual when the reduction applies.
     """
     inv = q.inv
-    validate(inv)
     d = inv.degree
     s1, s2 = inv.s
     g = q.curve.genus
     if s1 >= 0 and s2 >= 0:
         raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {inv.s}")
     if s1 >= 0:
-        dual = serre_dual(q.curve, inv)
-        sub = h0_rank3_unstable_bound(
-            Rank3Query(q.curve, dual, q.s1f, q.use_delta, q.use_hyperelliptic_sharpening),
-            f_semistable,
-        )
+        dual = replace(q, inv=serre_dual(q.curve, inv))
+        sub = h0_rank3_unstable_bound(dual, f_semistable)
         return BoundResult(
             max(0, sub.value + d + 3 - 3 * g),
             sub.case,
@@ -243,7 +245,7 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
     if q.s1f is None:
         raise MissingS1F("unstable bound needs s1f")
     s1f = q.s1f
-    if 3 * s1f < 2 * s2 - s1:
+    if s1f < _quotient_s1f(inv)[1]:
         raise HypothesisFailed(
             f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2"
         )
@@ -251,10 +253,8 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
         raise HypothesisFailed("a semistable quotient has s1f >= 0")
     if not f_semistable and s1f >= 0:
         raise HypothesisFailed("an unstable quotient has s1f < 0")
-    if d < s1:
-        return BoundResult(0, "VANISHING", exact=True)
-    if d > 6 * g - 6 - s2:
-        return BoundResult(max(0, d + 3 - 3 * g), "RR-EXACT", exact=True)
+    if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
+        return tail
 
     # line part: subbundle of degree (d - s1)/3
     if d <= 6 * g - 6 + s1:

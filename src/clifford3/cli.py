@@ -1,8 +1,8 @@
 """Command-line surface: bounds, coefficient evaluation, transformation
 trajectories, sweep tables and the example suites.
 
-Results go to stdout as JSON or CSV; validation errors go to stderr as a
-JSON object with a stable ``code`` field and exit status 2.  The env var
+Results go to stdout as JSON or CSV; validation and usage errors go to stderr
+as a JSON object with a stable ``code`` field and exit status 2.  The env var
 ``CLIFFORD3_OUTPUT=json|csv`` overrides the per-command default format.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .bounds import (
     h0_rank3_unstable_bound,
 )
 from .elmtrans import ElmState, StepChoice, seed_state_lemma36, step
-from .errors import Clifford3Error
+from .errors import Clifford3Error, UsageError
 from .families import (
     FamilyAParams,
     FamilyBParams,
@@ -186,6 +186,8 @@ def cmd_examples(args) -> int:
         return 0
     if args.family is None:
         raise Clifford3Error("need --family or --suite")
+    if args.family == "unstable" and None in (args.dl, args.df, args.s1f):
+        raise Clifford3Error("family unstable needs --dl, --df and --s1f")
     if args.family == "a":
         report = family_a(FamilyAParams(args.genus, args.n, args.k))
     elif args.family == "b":
@@ -199,8 +201,15 @@ def cmd_examples(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises parse errors as the JSON error; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clifford3",
         description="Exact Clifford-type section bounds for rank-1/2/3 bundles on curves",
     )
@@ -263,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (Clifford3Error, ValueError) as exc:
         return _emit_error(exc)

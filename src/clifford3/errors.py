@@ -10,6 +10,10 @@ class Clifford3Error(Exception):
         return type(self).__name__
 
 
+class UsageError(Clifford3Error):
+    """The command line does not parse: a bad option or choice, a missing flag."""
+
+
 class RankUnsupported(Clifford3Error):
     """Only ranks 1, 2 and 3 are modeled."""
 

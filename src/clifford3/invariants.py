@@ -1,4 +1,4 @@
-"""Curves, bundle invariants and exact half-integer arithmetic.
+"""Curves, bundle invariants, Serre duality and line-bundle twists.
 
 Everything here is an immutable value; operations are pure functions.
 """
@@ -26,62 +26,14 @@ class Curve:
         return 2 * self.genus - 2
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact multiple of 1/2, stored as twice its value.
-
-    ``HalfInt(doubled=k)`` represents k/2.  Floor uses floor semantics for
-    any sign.
-    """
-
-    doubled: int
-
-    @classmethod
-    def whole(cls, v: int) -> "HalfInt":
-        return cls(2 * v)
-
-    def _coerce(self, other) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int):
-            return HalfInt.whole(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "HalfInt":
-        other = self._coerce(other)
-        return HalfInt(self.doubled + other.doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        other = self._coerce(other)
-        return HalfInt(self.doubled - other.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def floor(self) -> int:
-        return self.doubled // 2
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-
-def halves(doubled: int) -> HalfInt:
-    """The half-integer doubled/2."""
-    return HalfInt(doubled)
-
-
 @dataclass(frozen=True)
 class BundleInvariants:
     """Discrete invariants of a vector bundle: rank n in {1,2,3}, degree d and
     the stability degrees (s_1, ..., s_{n-1}).
 
     s_r is r*d minus n times the maximal degree of a rank-r subbundle, so
-    s_r == r*d (mod n) for any actual bundle.  Instances are plain records;
-    call :func:`validate` to check the congruences.
+    s_r == r*d (mod n) for any actual bundle.  Construction checks the rank
+    and these congruences through :func:`validate`.
     """
 
     rank: int
@@ -90,6 +42,7 @@ class BundleInvariants:
 
     def __post_init__(self):
         object.__setattr__(self, "s", tuple(self.s))
+        validate(self)
 
     def semistable(self) -> bool:
         return all(v >= 0 for v in self.s)
@@ -124,7 +77,6 @@ def serre_dual(c: Curve, inv: BundleInvariants) -> BundleInvariants:
     Degree maps to n(2g-2) - d and the stability degrees reverse; applying
     twice is the identity.
     """
-    validate(inv)
     return BundleInvariants(
         inv.rank,
         inv.rank * c.canonical_degree - inv.degree,
@@ -134,7 +86,6 @@ def serre_dual(c: Curve, inv: BundleInvariants) -> BundleInvariants:
 
 def twist_by_line(inv: BundleInvariants, a: int) -> BundleInvariants:
     """Invariants after tensoring with a line bundle of degree a."""
-    validate(inv)
     return BundleInvariants(inv.rank, inv.degree + inv.rank * a, inv.s)
 
 

@@ -225,6 +225,12 @@ class TestUnstableBound:
         via_dual = h0_rank3_unstable_bound(Rank3Query(c, dual, s1f=1), True)
         assert direct.value == max(0, via_dual.value + inv.degree + 3 - 3 * g)
         assert "serre-dual-reduction" in direct.assumptions
+        # s1f=3 is the dual's: its quotient degree (2*8-1)/3 = 5 is odd, while
+        # the input's (2*4+4)/3 = 4 is even
+        inv = BundleInvariants(3, 4, (4, -1))
+        r = h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=3), True)
+        assert r.value == 3 == max(0, 5 + 4 + 3 - 3 * g)
+        assert r.assumptions[-1] == "serre-dual-reduction"
 
     def test_vanishing_below_s1(self):
         r = h0_rank3_unstable_bound(rank3_query(3, -7, -4, 1, s1f=2), True)

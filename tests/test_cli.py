@@ -65,6 +65,23 @@ class TestBound:
         payload = json.loads(out)
         assert payload["value"] == 5 and payload["case"] == "UNSTABLE-SS-QUOTIENT"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--rank", "4", "--genus", "3", "--degree", "0"),
+            ("bound", "--rank", "2", "--degree", "0", "--s1", "0"),
+        ],
+    )
+    def test_usage_error_is_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "UsageError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--help"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
     def test_csv_output_via_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CLIFFORD3_OUTPUT", "csv")
         code, out, _ = run(
@@ -175,6 +192,11 @@ class TestExamples:
         assert code == 0
         payload = json.loads(out)
         assert payload["exact_h0"] == 7 and payload["sharp"] is True
+
+    def test_unstable_family_requires_its_flags(self, capsys):
+        code, out, err = run(capsys, "examples", "--family", "unstable", "--genus", "4")
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "Clifford3Error"
 
     def test_suite_csv(self, capsys):
         code, out, _ = run(capsys, "examples", "--suite", "--max-genus", "4")

@@ -35,6 +35,11 @@ class TestStep:
         assert step(st0, StepChoice((False,))).inv == BundleInvariants(2, 3, (1,))
         assert step(st0, StepChoice((True,))).inv == BundleInvariants(2, 3, (-1,))
 
+    def test_equal_states_hash_equal(self):
+        a, b = seed_state_lemma36(Curve(3), 3), seed_state_lemma36(Curve(3), 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, step(a, StepChoice.generic(3))}) == 2
+
     def test_choice_arity_checked(self):
         with pytest.raises(ValueError):
             step(ElmState(BundleInvariants(3, 3, (0, 0))), StepChoice((False,)))

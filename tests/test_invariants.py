@@ -5,9 +5,7 @@ from clifford3 import (
     BoundResult,
     BundleInvariants,
     Curve,
-    HalfInt,
     h0_hyperelliptic_power,
-    halves,
     serre_dual,
     twist_by_line,
     validate,
@@ -22,23 +20,6 @@ class TestCurve:
     def test_rejects_small_genus(self):
         with pytest.raises(ValueError):
             Curve(1)
-
-
-class TestHalfInt:
-    def test_floor_positive_and_negative(self):
-        assert halves(5).floor() == 2
-        assert halves(-5).floor() == -3
-        assert halves(4).floor() == 2
-
-    def test_arithmetic(self):
-        assert halves(3) + halves(1) == HalfInt.whole(2)
-        assert halves(3) - 1 == halves(1)
-        assert -halves(3) == halves(-3)
-
-    def test_ordering(self):
-        assert halves(3) < halves(4)
-        assert str(halves(3)) == "3/2"
-        assert str(halves(4)) == "2"
 
 
 class TestValidate:
