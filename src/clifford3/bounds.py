@@ -54,10 +54,10 @@ class Rank3Query:
 
     ``s1f`` is the first stability degree of a minimal-degree rank-2
     quotient, when the caller knows it.  It must match the parity of the
-    quotient degree (2d + s1)/3 and, for semistable input, satisfy
-    3*s1f >= 2*s2 - s1.  For s2 < 0 <= s1 the unstable bound reads s1f as the
-    twisted dual's, and the dual's own query checks it.  Refinements are
-    opt-in flags so that every reported value is attributable.
+    quotient degree (2d + s1)/3 and satisfy 3*s1f >= 2*s2 - s1.  For
+    s2 < 0 <= s1 the unstable bound reads s1f as the twisted dual's, and the
+    dual's own query checks it.  Refinements are opt-in flags so that every
+    reported value is attributable.
     """
 
     curve: Curve
@@ -77,7 +77,7 @@ class Rank3Query:
             raise CongruenceViolation(
                 1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
             )
-        if self.inv.semistable() and self.s1f < least:
+        if self.s1f < least:
             raise HypothesisFailed(
                 f"s1f={self.s1f} is below the minimum (2*s2-s1)/3 forced by s2"
             )
@@ -245,10 +245,6 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
     if q.s1f is None:
         raise MissingS1F("unstable bound needs s1f")
     s1f = q.s1f
-    if s1f < _quotient_s1f(inv)[1]:
-        raise HypothesisFailed(
-            f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2"
-        )
     if f_semistable and s1f < 0:
         raise HypothesisFailed("a semistable quotient has s1f >= 0")
     if not f_semistable and s1f >= 0:

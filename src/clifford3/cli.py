@@ -1,15 +1,16 @@
 """Command-line surface: bounds, coefficient evaluation, transformation
 trajectories, sweep tables and the example suites.
 
-Results go to stdout as JSON or CSV; validation and usage errors go to stderr
-as a JSON object with a stable ``code`` field and exit status 2.  The env var
-``CLIFFORD3_OUTPUT=json|csv`` overrides the per-command default format.
+Each command has one output format on stdout: JSON for ``bound`` and
+``examples --family``, JSON lines for ``elmtrans``, CSV for ``table`` and
+``examples --suite``, and a bare integer for ``krawtchouk``.  Validation and
+usage errors go to stderr as a JSON object with a stable ``code`` field and
+exit status 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bounds import (
@@ -35,23 +36,10 @@ from .invariants import BundleInvariants, Curve
 from .krawtchouk import KrawtchoukQuery, krawtchouk
 
 
-def _output_format(default: str) -> str:
-    fmt = os.environ.get("CLIFFORD3_OUTPUT", "").strip().lower()
-    return fmt if fmt in ("json", "csv") else default
-
-
 def _emit_error(exc: Exception) -> int:
     code = exc.code if isinstance(exc, Clifford3Error) else type(exc).__name__
     print(json.dumps({"code": code, "message": str(exc)}), file=sys.stderr)
     return 2
-
-
-def _bound_csv(result) -> str:
-    assumptions = ";".join(result.assumptions)
-    return (
-        "value,case,exact,assumptions\n"
-        f"{result.value},{result.case},{str(result.exact).lower()},{assumptions}"
-    )
 
 
 def cmd_bound(args) -> int:
@@ -73,14 +61,11 @@ def cmd_bound(args) -> int:
             use_delta=args.delta,
             use_hyperelliptic_sharpening=args.hyperelliptic,
         )
-        if args.unstable or args.s1 < 0 or args.s2 < 0:
+        if args.s1 < 0 or args.s2 < 0:
             result = h0_rank3_unstable_bound(q, f_semistable=args.f_semistable)
         else:
             result = h0_rank3_semistable_bound(q)
-    if _output_format("json") == "csv":
-        print(_bound_csv(result))
-    else:
-        print(json.dumps(result.to_dict()))
+    print(json.dumps(result.to_dict()))
     return 0
 
 
@@ -100,8 +85,7 @@ def _state_row(st: ElmState) -> dict:
 
 
 def cmd_elmtrans(args) -> int:
-    curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
-    state = seed_state_lemma36(curve, args.rank)
+    state = seed_state_lemma36(Curve(args.genus), args.rank)
     n_choices = args.rank - 1
     bits = args.choices or "0" * (args.steps * n_choices)
     if len(bits) != args.steps * n_choices or set(bits) - {"0", "1"}:
@@ -114,13 +98,8 @@ def cmd_elmtrans(args) -> int:
         chunk = bits[k * n_choices : (k + 1) * n_choices]
         state = step(state, StepChoice(tuple(c == "1" for c in chunk)))
         trajectory.append(state)
-    if _output_format("json") == "csv":
-        print("step,d," + ",".join(f"s{r}" for r in range(1, args.rank)))
-        for st in trajectory:
-            print(f"{st.step_count},{st.inv.degree}," + ",".join(map(str, st.inv.s)))
-    else:
-        for st in trajectory:
-            print(json.dumps(_state_row(st)))
+    for st in trajectory:
+        print(json.dumps(_state_row(st)))
     return 0
 
 
@@ -131,24 +110,15 @@ def cmd_table(args) -> int:
     d_max = args.d_max if args.d_max is not None else 6 * g - 6 - s2
     # only degrees matching the rank-3 congruence of s1 are swept
     start = d_min + ((s1 - d_min) % 3)
+    # every row is computed before any is printed, so an error leaves stdout empty
     rows = []
     for d in range(start, d_max + 1, 3):
         q = Rank3Query(curve, BundleInvariants(3, d, (s1, s2)))
         r = h0_rank3_semistable_bound(q)
         rows.append((d, r))
-    if _output_format("csv") == "json":
-        print(
-            json.dumps(
-                [
-                    {"d": d, "value": r.value, "case": r.case, "exact": r.exact}
-                    for d, r in rows
-                ]
-            )
-        )
-    else:
-        print("d,value,case,exact")
-        for d, r in rows:
-            print(f"{d},{r.value},{r.case},{str(r.exact).lower()}")
+    print("d,value,case,exact")
+    for d, r in rows:
+        print(f"{d},{r.value},{r.case},{str(r.exact).lower()}")
     return 0
 
 
@@ -158,31 +128,28 @@ _SUITE_COLUMNS = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
 def cmd_examples(args) -> int:
     if args.suite:
         reports = suite(args.max_genus)
-        if _output_format("csv") == "json":
-            print(json.dumps([r.to_dict() for r in reports]))
-        else:
-            print(_SUITE_COLUMNS)
-            for r in reports:
-                p = r.params
-                print(
-                    ",".join(
-                        str(x)
-                        for x in (
-                            r.family,
-                            r.curve.genus,
-                            p.get("n", ""),
-                            p.get("k", ""),
-                            p.get("m", ""),
-                            p.get("variant", ""),
-                            r.inv.degree,
-                            r.inv.s[0],
-                            r.inv.s[1],
-                            r.exact_h0,
-                            r.bound.value,
-                            str(r.sharp).lower(),
-                        )
+        print(_SUITE_COLUMNS)
+        for r in reports:
+            p = r.params
+            print(
+                ",".join(
+                    str(x)
+                    for x in (
+                        r.family,
+                        r.curve.genus,
+                        p.get("n", ""),
+                        p.get("k", ""),
+                        p.get("m", ""),
+                        p.get("variant", ""),
+                        r.inv.degree,
+                        r.inv.s[0],
+                        r.inv.s[1],
+                        r.exact_h0,
+                        r.bound.value,
+                        str(r.sharp).lower(),
                     )
                 )
+            )
         return 0
     if args.family is None:
         raise Clifford3Error("need --family or --suite")
@@ -224,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1f", type=int)
     p.add_argument("--hyperelliptic", action="store_true")
     p.add_argument("--delta", action="store_true", help="apply the Krawtchouk refinement")
-    p.add_argument("--unstable", action="store_true")
     p.add_argument("--f-semistable", action="store_true", dest="f_semistable")
     p.set_defaults(func=cmd_bound)
 
@@ -242,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--choices",
         help="0/1 string, one bit per (step, rank) pair; 1 hits a maximal subbundle",
     )
-    p.add_argument("--hyperelliptic", action="store_true")
     p.set_defaults(func=cmd_elmtrans)
 
     p = sub.add_parser("table", help="sweep d over the special range as CSV")

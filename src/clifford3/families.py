@@ -100,7 +100,6 @@ class ExampleReport:
     inv: BundleInvariants
     exact_h0: int
     bound: BoundResult
-    sharp: bool
     params: dict = field(default_factory=dict)
     slope: BoundResult | None = None
     notes: tuple[str, ...] = ()
@@ -110,8 +109,10 @@ class ExampleReport:
             raise ValueError(
                 f"exact h0 {self.exact_h0} exceeds the bound {self.bound.value}"
             )
-        if self.sharp != (self.exact_h0 == self.bound.value):
-            raise ValueError("sharp flag inconsistent with the values")
+
+    @property
+    def sharp(self) -> bool:
+        return self.exact_h0 == self.bound.value
 
     def to_dict(self) -> dict:
         out = {
@@ -156,7 +157,6 @@ def family_a(p: FamilyAParams) -> ExampleReport:
         inv,
         exact,
         bound,
-        exact == bound.value,
         params={"n": p.n, "k": p.k, "m": m},
         notes=("s1 = s2 = 0 and s1f = m are asserted by the construction",),
     )
@@ -178,7 +178,6 @@ def family_b(p: FamilyBParams) -> ExampleReport:
         inv,
         3,
         bound,
-        3 == bound.value,
         params={"m": p.m},
         notes=("s2 is a certified lower bound, sufficient for this bound",),
     )
@@ -216,7 +215,6 @@ def family_c(p: FamilyCParams) -> ExampleReport:
         inv,
         exact,
         bound,
-        exact == bound.value,
         params={"variant": p.variant, "k": p.k},
         slope=slope,
         notes=notes,
@@ -295,7 +293,6 @@ def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
         inv,
         exact,
         bound,
-        exact == bound.value,
         params={"dL": dL, "dF": dF, "s1F": s1F},
         notes=(f"E = {line_desc} + pencil^{a} + pencil^{b}",),
     )

@@ -30,17 +30,10 @@ class KrawtchoukQuery:
             raise ValueError(f"need n <= N, got n={self.n}, N={self.N}")
 
 
-def _binom(a: int, b: int) -> int:
-    # total version: 0 outside 0 <= b <= a
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def krawtchouk(q: KrawtchoukQuery) -> int:
     """Closed-form evaluation: sum_j (-1)^j C(n,j) C(N-n, r-j)."""
     return sum(
-        (-1) ** j * _binom(q.n, j) * _binom(q.N - q.n, q.r - j)
+        (-1) ** j * comb(q.n, j) * comb(q.N - q.n, q.r - j)
         for j in range(min(q.n, q.r) + 1)
     )
 

@@ -181,6 +181,11 @@ class TestProp21Bound:
         with pytest.raises(HypothesisFailed):
             h0_prop21_bound(rank3_query(4, 11, 5, 1, s1f=1))
 
+    def test_s1f_below_least_rejected_for_unstable_input(self):
+        # the least admissible s1f for d=-1, s=(-1, 1) is 1
+        with pytest.raises(HypothesisFailed):
+            h0_prop21_bound(rank3_query(3, -1, -1, 1, s1f=-3))
+
     def test_never_much_below_main_bound(self):
         # with the minimal admissible s1f, the quotient bound stays within 1
         # of the main semistable bound on the shared domain

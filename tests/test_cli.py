@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clifford3
 from clifford3.cli import main
 
 
@@ -70,6 +75,9 @@ class TestBound:
         [
             ("bound", "--rank", "4", "--genus", "3", "--degree", "0"),
             ("bound", "--rank", "2", "--degree", "0", "--s1", "0"),
+            ("bound", "--genus", "3", "--rank", "3", "--degree", "10",
+             "--s1", "1", "--s2", "2", "--unstable"),
+            ("elmtrans", "--rank", "3", "--genus", "3", "--steps", "1", "--hyperelliptic"),
         ],
     )
     def test_usage_error_is_json(self, capsys, argv):
@@ -82,17 +90,31 @@ class TestBound:
             main(["bound", "--help"])
         assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
-    def test_csv_output_via_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLIFFORD3_OUTPUT", "csv")
-        code, out, _ = run(
-            capsys,
+
+class TestModuleEntryPoint:
+    def _run(self, *argv):
+        # the child imports the same clifford3 as this test
+        src = str(Path(clifford3.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "clifford3", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_valid_bound(self):
+        proc = self._run(
             "bound", "--genus", "3", "--rank", "3", "--degree", "10",
             "--s1", "1", "--s2", "2",
         )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "value,case,exact,assumptions"
-        assert lines[1] == "7,RANK3-MAIN,false,"
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["value"] == 7
+
+    def test_usage_error(self):
+        proc = self._run("bound", "--rank", "4", "--genus", "3", "--degree", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["code"] == "UsageError"
 
 
 class TestKrawtchouk:
@@ -135,14 +157,6 @@ class TestElmtrans:
         )
         assert code == 2 and json.loads(err)["code"] == "Clifford3Error"
 
-    def test_csv_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLIFFORD3_OUTPUT", "csv")
-        code, out, _ = run(
-            capsys, "elmtrans", "--rank", "2", "--genus", "2", "--steps", "1"
-        )
-        assert code == 0
-        assert out.strip().splitlines() == ["step,d,s1", "0,2,0", "1,3,1"]
-
 
 class TestTable:
     def test_default_sweep(self, capsys):
@@ -164,13 +178,11 @@ class TestTable:
         assert code == 0
         assert out.strip().splitlines() == ["d,value,case,exact"]
 
-    def test_json_via_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLIFFORD3_OUTPUT", "json")
-        code, out, _ = run(capsys, "table", "--genus", "2", "--s1", "0", "--s2", "0")
-        assert code == 0
-        rows = json.loads(out)
-        assert [r["d"] for r in rows] == [0, 3, 6]
-        assert [r["value"] for r in rows] == [3, 4, 6]
+    def test_invalid_input_prints_no_rows(self, capsys):
+        code, out, err = run(capsys, "table", "--genus", "3", "--s1", "-1", "--s2", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "NotSemistable"
 
 
 class TestExamples:

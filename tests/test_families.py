@@ -53,18 +53,12 @@ class TestExampleReport:
     def test_rejects_exact_above_bound(self):
         with pytest.raises(ValueError):
             ExampleReport(
-                "a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 7, self._bound(6), False
-            )
-
-    def test_rejects_inconsistent_sharp_flag(self):
-        with pytest.raises(ValueError):
-            ExampleReport(
-                "a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 6, self._bound(6), False
+                "a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 7, self._bound(6)
             )
 
     def test_to_dict(self):
         r = ExampleReport(
-            "a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 5, self._bound(6), False
+            "a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 5, self._bound(6)
         )
         d = r.to_dict()
         assert d["genus"] == 3 and d["sharp"] is False and d["bound"]["value"] == 6
