@@ -216,15 +216,15 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     return min(candidates, key=lambda r: r.value)
 
 
-def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
+def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 of a non-semistable rank-3 bundle.
 
     When s1 >= 0 (so s2 < 0) the computation passes to the twisted dual and
     transfers back through the exact Euler characteristic.  With s1 < 0 the
     bundle is an extension of a rank-2 quotient F by its maximal line
-    subbundle; the value is the sum of the piecewise line-bundle bound and
-    the piecewise bound for F (three ranges when F is semistable, five when
-    it is unstable), each floored.  ``q.s1f`` refers to the bundle actually
+    subbundle; the value is the line bound plus the piecewise bound for F
+    (three ranges when F is semistable, i.e. s1f >= 0, five when it is
+    unstable), each floored.  ``q.s1f`` refers to the bundle actually
     bounded, i.e. the dual when the reduction applies.
     """
     inv = q.inv
@@ -235,7 +235,7 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
         raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {inv.s}")
     if s1 >= 0:
         dual = replace(q, inv=serre_dual(q.curve, inv))
-        sub = h0_rank3_unstable_bound(dual, f_semistable)
+        sub = h0_rank3_unstable_bound(dual)
         return BoundResult(
             max(0, sub.value + d + 3 - 3 * g),
             sub.case,
@@ -245,45 +245,31 @@ def h0_rank3_unstable_bound(q: Rank3Query, f_semistable: bool) -> BoundResult:
     if q.s1f is None:
         raise MissingS1F("unstable bound needs s1f")
     s1f = q.s1f
-    if f_semistable and s1f < 0:
-        raise HypothesisFailed("a semistable quotient has s1f >= 0")
-    if not f_semistable and s1f >= 0:
-        raise HypothesisFailed("an unstable quotient has s1f < 0")
     if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
         return tail
 
-    # line part: subbundle of degree (d - s1)/3
-    if d <= 6 * g - 6 + s1:
-        h0_l = (d - s1) // 6 + 1
-        l_branch = "clifford"
-    else:
-        h0_l = (d - s1) // 3 + 1 - g
-        l_branch = "riemann-roch"
+    # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
+    line = h0_line_bound(q.curve, (d - s1) // 3)
+    l_branch = "clifford" if line.case == "CLIFFORD-LINE" else "riemann-roch"
 
-    # quotient part, dispatched on doubled degree thresholds
-    if f_semistable:
-        case = "UNSTABLE-SS-QUOTIENT"
-        if 2 * d < 3 * s1f - s1:
-            h0_f, f_branch = 0, "vanishing"
-        elif 2 * d <= 12 * g - 12 - 3 * s1f - s1:
-            h0_f, f_branch = (d + s1 - s2) // 3 + 2, "clifford"
-        else:
-            h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
+    # quotient part, dispatched on doubled degree thresholds; the unstable
+    # sub-clifford range lies below the Riemann-Roch range for every g >= 2
+    case = "UNSTABLE-SS-QUOTIENT" if s1f >= 0 else "UNSTABLE-UNSTABLE-QUOTIENT"
+    if 2 * d < 3 * s1f - s1:
+        h0_f, f_branch = 0, "vanishing"
+    elif 2 * d > 12 * g - 12 - 3 * s1f - s1:
+        h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
+    elif s1f >= 0:
+        h0_f, f_branch = (d + s1 - s2) // 3 + 2, "clifford"
+    elif 2 * d < -(3 * s1f + s1):
+        h0_f, f_branch = (d + s1 - s2) // 6 + 1, "sub-clifford"
+    elif 2 * d <= 12 * g - 12 + 3 * s1f - s1:
+        h0_f, f_branch = (2 * d + s1) // 6 + 2, "clifford"
     else:
-        case = "UNSTABLE-UNSTABLE-QUOTIENT"
-        if 2 * d < 3 * s1f - s1:
-            h0_f, f_branch = 0, "vanishing"
-        elif 2 * d < -(3 * s1f + s1):
-            h0_f, f_branch = (d + s1 - s2) // 6 + 1, "sub-clifford"
-        elif 2 * d <= 12 * g - 12 + 3 * s1f - s1:
-            h0_f, f_branch = (2 * d + s1) // 6 + 2, "clifford"
-        elif 2 * d <= 12 * g - 12 - 3 * s1f - s1:
-            h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
-        else:
-            h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
+        h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
 
     return BoundResult(
-        max(0, h0_l + h0_f),
+        max(0, line.value + h0_f),
         case,
         assumptions=(f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
     )

@@ -21,7 +21,7 @@ from .bounds import (
     h0_rank3_unstable_bound,
 )
 from .elmtrans import ElmState, StepChoice, seed_state_lemma36, step
-from .errors import Clifford3Error, UsageError
+from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
     FamilyAParams,
     FamilyBParams,
@@ -62,7 +62,11 @@ def cmd_bound(args) -> int:
             use_hyperelliptic_sharpening=args.hyperelliptic,
         )
         if args.s1 < 0 or args.s2 < 0:
-            result = h0_rank3_unstable_bound(q, f_semistable=args.f_semistable)
+            result = h0_rank3_unstable_bound(q)
+            if args.f_semistable and args.s1f < 0:
+                raise HypothesisFailed("a semistable quotient has s1f >= 0")
+            if not args.f_semistable and args.s1f >= 0:
+                raise HypothesisFailed("an unstable quotient has s1f < 0")
         else:
             result = h0_rank3_semistable_bound(q)
     print(json.dumps(result.to_dict()))
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", type=int, required=True)
     p.add_argument("--d-min", type=int, dest="d_min")
     p.add_argument("--d-max", type=int, dest="d_max")
-    p.add_argument("--hyperelliptic", action="store_true")
+    p.add_argument("--hyperelliptic", action="store_true", help="rows are not sharpened")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("examples", help="example-family reports")

@@ -286,7 +286,7 @@ def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
     s2 = 2 * d - 3 * (dL + 2 * b)
     inv = BundleInvariants(3, d, (s1, s2))
     q = Rank3Query(c, inv, s1f=s1F)
-    bound = h0_rank3_unstable_bound(q, f_semistable=(s1F == 0))
+    bound = h0_rank3_unstable_bound(q)
     return ExampleReport(
         "unstable",
         c,

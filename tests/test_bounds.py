@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clifford3 import (
+    BoundResult,
     BundleInvariants,
     Curve,
     Rank3Query,
@@ -206,19 +207,22 @@ class TestProp21Bound:
                         assert quot.value >= main.value - 1
 
 
+SS, UU = "UNSTABLE-SS-QUOTIENT", "UNSTABLE-UNSTABLE-QUOTIENT"
+
+
 class TestUnstableBound:
     def test_semistable_quotient_value(self):
         q = rank3_query(4, 6, -3, 0, s1f=1)
-        r = h0_rank3_unstable_bound(q, f_semistable=True)
+        r = h0_rank3_unstable_bound(q)
         assert r.value == 5
 
     def test_rejects_semistable_input(self):
         with pytest.raises(NotUnstable):
-            h0_rank3_unstable_bound(rank3_query(3, 6, 0, 0, s1f=0), True)
+            h0_rank3_unstable_bound(rank3_query(3, 6, 0, 0, s1f=0))
 
     def test_requires_s1f(self):
         with pytest.raises(MissingS1F):
-            h0_rank3_unstable_bound(rank3_query(3, 4, -2, 2), True)
+            h0_rank3_unstable_bound(rank3_query(3, 4, -2, 2))
 
     def test_dual_reduction(self):
         g = 3
@@ -226,34 +230,54 @@ class TestUnstableBound:
         inv = BundleInvariants(3, 4, (1, -1))
         dual = serre_dual(c, inv)
         assert dual.s[0] < 0
-        direct = h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=1), True)
-        via_dual = h0_rank3_unstable_bound(Rank3Query(c, dual, s1f=1), True)
+        direct = h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=1))
+        via_dual = h0_rank3_unstable_bound(Rank3Query(c, dual, s1f=1))
         assert direct.value == max(0, via_dual.value + inv.degree + 3 - 3 * g)
         assert "serre-dual-reduction" in direct.assumptions
         # s1f=3 is the dual's: its quotient degree (2*8-1)/3 = 5 is odd, while
         # the input's (2*4+4)/3 = 4 is even
         inv = BundleInvariants(3, 4, (4, -1))
-        r = h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=3), True)
+        r = h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=3))
         assert r.value == 3 == max(0, 5 + 4 + 3 - 3 * g)
         assert r.assumptions[-1] == "serre-dual-reduction"
 
     def test_vanishing_below_s1(self):
-        r = h0_rank3_unstable_bound(rank3_query(3, -7, -4, 1, s1f=2), True)
+        r = h0_rank3_unstable_bound(rank3_query(3, -7, -4, 1, s1f=2))
         assert r.value == 0 and r.exact
-
-    def test_f_flag_consistency(self):
-        with pytest.raises(HypothesisFailed):
-            h0_rank3_unstable_bound(rank3_query(4, 6, -3, 0, s1f=1), f_semistable=False)
-        with pytest.raises(HypothesisFailed):
-            h0_rank3_unstable_bound(rank3_query(3, 6, -6, -6, s1f=-2), f_semistable=True)
 
     def test_unstable_quotient_value(self):
         # invariants of pencil^2 + (trivial + pencil) at genus 3: the line
         # part gives 3, the unstable quotient's mid-range bound gives 3,
         # matching the exact split count 3 + 1 + 2
         q = rank3_query(3, 6, -6, -6, s1f=-2)
-        r = h0_rank3_unstable_bound(q, f_semistable=False)
+        r = h0_rank3_unstable_bound(q)
         assert r.value == 6
+
+    # one input per reachable (case, line, quotient) combination
+    @pytest.mark.parametrize(
+        "case, g, d, s1, s2, s1f, value, line, quotient",
+        [
+            (SS, 2, 2, -4, -5, 0, 5, "clifford", "clifford"),
+            (SS, 3, 11, -1, -8, 3, 6, "clifford", "riemann-roch"),
+            (SS, 2, -6, -6, -6, 0, 1, "clifford", "vanishing"),
+            (SS, 2, 3, -6, -6, 0, 5, "riemann-roch", "clifford"),
+            (SS, 2, 9, -6, -6, 2, 6, "riemann-roch", "riemann-roch"),
+            (SS, 2, 3, -6, -6, 2, 2, "riemann-roch", "vanishing"),
+            (UU, 2, 3, -3, -6, -1, 4, "clifford", "clifford"),
+            (UU, 2, 5, -1, -5, -3, 5, "clifford", "mixed"),
+            (UU, 2, 0, -6, -6, -2, 3, "clifford", "sub-clifford"),
+            (UU, 2, -6, -6, -6, -2, 1, "clifford", "vanishing"),
+            (UU, 2, 6, -6, -6, -2, 6, "riemann-roch", "clifford"),
+            (UU, 2, 9, -6, -6, -2, 7, "riemann-roch", "mixed"),
+            (UU, 2, 12, -3, -6, -1, 9, "riemann-roch", "riemann-roch"),
+            (UU, 2, 3, -6, -6, -2, 3, "riemann-roch", "sub-clifford"),
+        ],
+    )
+    def test_every_branch(self, case, g, d, s1, s2, s1f, value, line, quotient):
+        r = h0_rank3_unstable_bound(rank3_query(g, d, s1, s2, s1f=s1f))
+        assert r == BoundResult(
+            value, case, assumptions=(f"s1f={s1f}", f"line:{line}", f"quotient:{quotient}")
+        )
 
 
 class TestSlopeBound:

@@ -73,6 +73,23 @@ class TestBound:
     @pytest.mark.parametrize(
         "argv",
         [
+            # s1f >= 0 without --f-semistable
+            ("bound", "--rank", "3", "--genus", "4", "--degree", "6",
+             "--s1", "-3", "--s2", "0", "--s1f", "1"),
+            # s1f < 0 with --f-semistable
+            ("bound", "--rank", "3", "--genus", "3", "--degree", "6",
+             "--s1", "-6", "--s2", "-6", "--s1f", "-2", "--f-semistable"),
+        ],
+    )
+    def test_f_semistable_flag_must_match_s1f(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == "HypothesisFailed"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("bound", "--rank", "4", "--genus", "3", "--degree", "0"),
             ("bound", "--rank", "2", "--degree", "0", "--s1", "0"),
             ("bound", "--genus", "3", "--rank", "3", "--degree", "10",
