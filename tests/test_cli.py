@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import clifford3
+from clifford3 import cli
 from clifford3.cli import main
 
 
@@ -108,20 +109,22 @@ class TestBound:
         assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
-class TestModuleEntryPoint:
-    def _run(self, *argv):
-        # the child imports the same clifford3 as this test
-        src = str(Path(clifford3.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "clifford3", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+def run_module(*argv):
+    """``python -m clifford3 argv`` in a fresh interpreter."""
+    # the child imports the same clifford3 as this test
+    src = str(Path(clifford3.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "clifford3", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
+
+class TestModuleEntryPoint:
     def test_valid_bound(self):
-        proc = self._run(
+        proc = run_module(
             "bound", "--genus", "3", "--rank", "3", "--degree", "10",
             "--s1", "1", "--s2", "2",
         )
@@ -129,9 +132,69 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["value"] == 7
 
     def test_usage_error(self):
-        proc = self._run("bound", "--rank", "4", "--genus", "3", "--degree", "0")
+        proc = run_module("bound", "--rank", "4", "--genus", "3", "--degree", "0")
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["code"] == "UsageError"
+
+
+class TestParserReuse:
+    RANK3 = (
+        "bound", "--genus", "3", "--rank", "3", "--degree", "9", "--s1", "0", "--s2", "0",
+    )
+    SEQUENCE = [
+        RANK3 + ("--s1f", "0", "--delta", "--hyperelliptic"),
+        RANK3,  # the flags of the previous command must not carry over
+        ("bound", "--rank", "4", "--genus", "3", "--degree", "0"),
+        ("--help",),
+        ("examples", "--family", "unstable", "--genus", "4"),
+        ("table", "--genus", "3", "--s1", "1", "--s2", "2"),
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        # help text is wrapped to the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.SEQUENCE:
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
+            out, err = capsys.readouterr()
+            proc = run_module(*argv)
+            assert (status, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        main(["krawtchouk", "2", "2", "4"])
+        monkeypatch.setattr(cli, "cmd_krawtchouk", lambda args: 7)
+        assert main(["krawtchouk", "2", "2", "4"]) == 7
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("krawtchouk", "0", "0", str(cli.MAX_KRAWTCHOUK_N + 1)),
+            ("elmtrans", "--rank", "3", "--genus", "3",
+             "--steps", str(cli.MAX_ELMTRANS_STEPS + 1)),
+            ("examples", "--suite", "--max-genus", str(cli.MAX_SUITE_GENUS + 1)),
+        ],
+    )
+    def test_above_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "UsageError"
+
+    def test_at_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "krawtchouk", "0", "0", str(cli.MAX_KRAWTCHOUK_N))
+        assert code == 0 and out == "1\n"
+        code, out, _ = run(
+            capsys,
+            "elmtrans", "--rank", "2", "--genus", "3",
+            "--steps", str(cli.MAX_ELMTRANS_STEPS),
+        )
+        assert code == 0 and len(out.splitlines()) == cli.MAX_ELMTRANS_STEPS + 1
 
 
 class TestKrawtchouk:

@@ -45,6 +45,17 @@ class TestClosedForm:
                 )
                 assert total == 0
 
+    def test_n_equals_half_of_N(self):
+        # (1-z)^g (1+z)^g = (1-z^2)^g, checked past the oracle's N <= 64
+        from math import comb
+
+        cases = [(r, g) for g in range(2, 81) for r in range(2 * g + 1)]
+        for g in (128, 256):
+            cases += [(r, g) for r in (*range(0, 2 * g + 1, 7), g, 2 * g - 1, 2 * g)]
+        for r, g in cases:
+            want = 0 if r % 2 else (-1) ** (r // 2) * comb(g, r // 2)
+            assert krawtchouk(KrawtchoukQuery(r, g, 2 * g)) == want, (r, g)
+
     def test_rejects_bad_query(self):
         with pytest.raises(ValueError):
             KrawtchoukQuery(0, 5, 4)
