@@ -13,6 +13,7 @@ end of each formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .errors import (
     CongruenceViolation,
@@ -38,6 +39,13 @@ def _exact_tail(d: int, low: int, high: int, rr: int) -> BoundResult | None:
     return None
 
 
+def _best(candidates: list[tuple[int, str, tuple[str, ...]]]) -> BoundResult:
+    """The BoundResult of the least ``(value, case, assumptions)`` candidate;
+    of equal values the first listed wins."""
+    value, case, assumptions = min(candidates, key=itemgetter(0))
+    return BoundResult(value, case, assumptions=assumptions)
+
+
 def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
     """The degree (2d + s1)/3 of a minimal rank-2 quotient and the least
     admissible s1f: ceil((2*s2 - s1)/3), raised to the quotient degree's
@@ -48,7 +56,7 @@ def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
     return deg_f, least + (least - deg_f) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rank3Query:
     """A rank-3 bound request.
 
@@ -114,19 +122,15 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     if (tail := _exact_tail(d, s1, 4 * g - 4 - s1, d + 2 - 2 * g)) is not None:
         return tail
     half = (d - s1) // 2
-    candidates = [BoundResult(half + 2, "RANK2-CLIFFORD")]
+    candidates = [(half + 2, "RANK2-CLIFFORD", ())]
     if c.hyperelliptic and s1 > 0:
-        candidates.append(
-            BoundResult(half + 1, "RANK2-HYP", assumptions=("hyperelliptic", "s1>0"))
-        )
+        candidates.append((half + 1, "RANK2-HYP", ("hyperelliptic", "s1>0")))
     if use_delta and s1 <= g:
         delta = 1 if krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) == 0 else 0
         candidates.append(
-            BoundResult(
-                half + 1 + delta, "RANK2-KRAWTCHOUK", assumptions=("krawtchouk-refinement",)
-            )
+            (half + 1 + delta, "RANK2-KRAWTCHOUK", ("krawtchouk-refinement",))
         )
-    return min(candidates, key=lambda r: r.value)
+    return _best(candidates)
 
 
 def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
@@ -195,25 +199,22 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
             f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]"
         )
     half = (d - q.s1f) // 2
-    candidates = [BoundResult(half + 3, "RANK3-QUOTIENT", assumptions=(f"s1f={q.s1f}",))]
+    s1f_note = f"s1f={q.s1f}"
+    candidates = [(half + 3, "RANK3-QUOTIENT", (s1f_note,))]
     if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and q.s1f > 0:
         candidates.append(
-            BoundResult(
-                half + 2,
-                "RANK3-QUOTIENT-SHARP",
-                assumptions=(f"s1f={q.s1f}", "hyperelliptic", "s1f>0"),
-            )
+            (half + 2, "RANK3-QUOTIENT-SHARP", (s1f_note, "hyperelliptic", "s1f>0"))
         )
     if q.use_delta and q.s1f <= g:
         delta = 1 if delta_vanishes(g, d, s1, q.s1f) else 0
         candidates.append(
-            BoundResult(
+            (
                 half + 2 + delta,
                 "RANK3-QUOTIENT-KRAWTCHOUK",
-                assumptions=(f"s1f={q.s1f}", "krawtchouk-refinement"),
+                (s1f_note, "krawtchouk-refinement"),
             )
         )
-    return min(candidates, key=lambda r: r.value)
+    return _best(candidates)
 
 
 def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:

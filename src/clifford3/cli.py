@@ -8,11 +8,14 @@ usage errors go to stderr as a JSON object with a stable ``code`` field and
 exit status 2.
 
 ``main`` may be called any number of times in one process: the parser is
-built on the first call and reused after it.  Three inputs are capped,
+built on the first call and reused after it.  Six inputs are capped,
 because their cost grows without bound: ``krawtchouk`` N at
-MAX_KRAWTCHOUK_N, ``elmtrans --steps`` at MAX_ELMTRANS_STEPS and
-``examples --suite --max-genus`` at MAX_SUITE_GENUS.  A value above its
-cap is the JSON ``UsageError``, reported before any work is done.
+MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at MAX_DELTA_GENUS,
+``elmtrans --steps`` at MAX_ELMTRANS_STEPS, ``elmtrans --genus`` at
+MAX_ELMTRANS_GENUS, the number of degrees ``table`` sweeps at
+MAX_TABLE_ROWS and ``examples --suite --max-genus`` at MAX_SUITE_GENUS.
+A value above its cap is the JSON ``UsageError``, reported before any
+work is done.
 """
 from __future__ import annotations
 
@@ -44,9 +47,15 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 
 # Largest accepted inputs, with the slowest command each allows on a
 # 2-core Xeon host: a coefficient at N = 4096 in 0.9 s (r = n = N), a
-# 10,000-step trajectory in 0.15 s, the suite to genus 100 in 2.4 s.
+# 10,000-step trajectory in 0.15 s (1.5 s and 7.7 MB of output at genus
+# 1,000), a 100,000-row table in 1.0 s, the suite to genus 100 in 2.4 s.
+# The refinement of ``bound --delta`` evaluates coefficients with
+# N <= 4g - 2, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
 MAX_KRAWTCHOUK_N = 4096
+MAX_DELTA_GENUS = MAX_KRAWTCHOUK_N // 4
 MAX_ELMTRANS_STEPS = 10_000
+MAX_ELMTRANS_GENUS = 1_000
+MAX_TABLE_ROWS = 100_000
 MAX_SUITE_GENUS = 100
 
 _parser = None  # built by the first build_parser() call
@@ -64,6 +73,8 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 
 def cmd_bound(args) -> int:
+    if args.delta:
+        _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
     curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
     if args.rank == 1:
         result = h0_line_bound(curve, args.degree)
@@ -112,6 +123,7 @@ def _state_row(st: ElmState) -> dict:
 
 def cmd_elmtrans(args) -> int:
     _check_cap("--steps", args.steps, MAX_ELMTRANS_STEPS)
+    _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
     state = seed_state_lemma36(Curve(args.genus), args.rank)
     n_choices = args.rank - 1
     bits = args.choices or "0" * (args.steps * n_choices)
@@ -131,15 +143,16 @@ def cmd_elmtrans(args) -> int:
 
 
 def cmd_table(args) -> int:
-    curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
     g, s1, s2 = args.genus, args.s1, args.s2
     d_min = args.d_min if args.d_min is not None else s1
     d_max = args.d_max if args.d_max is not None else 6 * g - 6 - s2
     # only degrees matching the rank-3 congruence of s1 are swept
-    start = d_min + ((s1 - d_min) % 3)
+    degrees = range(d_min + ((s1 - d_min) % 3), d_max + 1, 3)
+    _check_cap("the number of swept degrees", len(degrees), MAX_TABLE_ROWS)
+    curve = Curve(g, hyperelliptic=args.hyperelliptic)
     # every row is computed before any is printed, so an error leaves stdout empty
     rows = []
-    for d in range(start, d_max + 1, 3):
+    for d in degrees:
         q = Rank3Query(curve, BundleInvariants(3, d, (s1, s2)))
         r = h0_rank3_semistable_bound(q)
         rows.append((d, r))
@@ -155,29 +168,16 @@ _SUITE_COLUMNS = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
 def cmd_examples(args) -> int:
     if args.suite:
         _check_cap("--max-genus", args.max_genus, MAX_SUITE_GENUS)
-        reports = suite(args.max_genus)
-        print(_SUITE_COLUMNS)
-        for r in reports:
+        lines = [_SUITE_COLUMNS]
+        for r in suite(args.max_genus):
             p = r.params
-            print(
-                ",".join(
-                    str(x)
-                    for x in (
-                        r.family,
-                        r.curve.genus,
-                        p.get("n", ""),
-                        p.get("k", ""),
-                        p.get("m", ""),
-                        p.get("variant", ""),
-                        r.inv.degree,
-                        r.inv.s[0],
-                        r.inv.s[1],
-                        r.exact_h0,
-                        r.bound.value,
-                        str(r.sharp).lower(),
-                    )
-                )
+            s1, s2 = r.inv.s
+            lines.append(
+                f"{r.family},{r.curve.genus},{p.get('n', '')},{p.get('k', '')},"
+                f"{p.get('m', '')},{p.get('variant', '')},{r.inv.degree},{s1},{s2},"
+                f"{r.exact_h0},{r.bound.value},{str(r.sharp).lower()}"
             )
+        sys.stdout.write("\n".join(lines) + "\n")
         return 0
     if args.family is None:
         raise Clifford3Error("need --family or --suite")

@@ -14,7 +14,7 @@ from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepChoice:
     """Per-rank choice for one transformation step: ``hits_maximal[r-1]`` is
     True when the chosen line lies in the fibre of a maximal rank-r
@@ -31,7 +31,7 @@ class StepChoice:
         return cls((False,) * (rank - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElmState:
     """Bundle invariants plus dimension bookkeeping for subbundle families.
 

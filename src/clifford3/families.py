@@ -27,7 +27,7 @@ from .errors import ParamsOutOfRange, UnrealizableF
 from .invariants import BoundResult, BundleInvariants, Curve, h0_hyperelliptic_power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyAParams:
     """Parameters for the family with both stability degrees zero: the sum of
     a pencil power and a twisted rank-2 bundle with s1 = 4n+2."""
@@ -54,7 +54,7 @@ class FamilyAParams:
         return 4 * self.n + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyBParams:
     """Parameters for the stable family: m general transformations of the
     split rank-3 seed, m even with 2 <= m <= g (m = 1 also allowed at g = 2)."""
@@ -73,7 +73,7 @@ class FamilyBParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyCParams:
     """Parameters for the twisted one- and two-step transformation families."""
 
@@ -90,7 +90,7 @@ class FamilyCParams:
             raise ParamsOutOfRange(f"k must lie in [0, {self.g - 2}], got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleReport:
     """A constructed bundle, its exact section count, the applicable bound and
     whether the bound is attained."""

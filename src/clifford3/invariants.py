@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import CongruenceViolation, OutOfModeledRange, RankUnsupported
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Curve:
     """A smooth projective curve of genus >= 2, known only through its genus
     and whether it carries a degree-2 pencil (hyperelliptic)."""
@@ -26,7 +26,7 @@ class Curve:
         return 2 * self.genus - 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleInvariants:
     """Discrete invariants of a vector bundle: rank n in {1,2,3}, degree d and
     the stability degrees (s_1, ..., s_{n-1}).
@@ -41,7 +41,8 @@ class BundleInvariants:
     s: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
+        if type(self.s) is not tuple:
+            object.__setattr__(self, "s", tuple(self.s))
         validate(self)
 
     def semistable(self) -> bool:
@@ -112,7 +113,7 @@ def h0_hyperelliptic_power(c: Curve, a: int, extra_general_point: bool = False) 
     return 2 * a + 1 - g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """An upper bound on h^0 together with its provenance.
 
@@ -129,7 +130,8 @@ class BoundResult:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError(f"bound value must be nonnegative, got {self.value}")
-        object.__setattr__(self, "assumptions", tuple(self.assumptions))
+        if type(self.assumptions) is not tuple:
+            object.__setattr__(self, "assumptions", tuple(self.assumptions))
 
     def to_dict(self) -> dict:
         return {

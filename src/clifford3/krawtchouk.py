@@ -15,7 +15,7 @@ from .errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
 ORACLE_MAX_N = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KrawtchoukQuery:
     """Coefficient index r and generating-function exponents n <= N."""
 

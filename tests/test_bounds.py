@@ -83,6 +83,20 @@ class TestRank2Bound:
         assert h0_rank2_bound(Curve(3), 4, 0).value == 4
         assert h0_rank2_bound(Curve(3), 4, 0, use_delta=True).value == 4
 
+    def test_tie_keeps_the_first_candidate(self):
+        # g=3, d=1, s1=1: the Krawtchouk coefficient is nonzero, so the
+        # Krawtchouk candidate ties with the hyperelliptic one at 1
+        kraw = BoundResult(1, "RANK2-KRAWTCHOUK", assumptions=("krawtchouk-refinement",))
+        assert h0_rank2_bound(Curve(3), 1, 1, use_delta=True) == kraw
+        assert h0_rank2_bound(Curve(3, True), 1, 1, use_delta=True) == BoundResult(
+            1, "RANK2-HYP", assumptions=("hyperelliptic", "s1>0")
+        )
+        # g=3, d=0, s1=0: the coefficient vanishes and the Krawtchouk
+        # candidate ties with the Clifford one at 2
+        assert h0_rank2_bound(Curve(3), 0, 0, use_delta=True) == BoundResult(
+            2, "RANK2-CLIFFORD"
+        )
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_plateau_nondecreasing(self, g):
         c = Curve(g)
@@ -169,6 +183,24 @@ class TestProp21Bound:
         q = rank3_query(4, 5, 2, 1, s1f=2, hyperelliptic=True,
                         use_hyperelliptic_sharpening=True)
         assert h0_prop21_bound(q).value == 3
+
+    def test_tie_keeps_the_first_candidate(self):
+        both = dict(s1f=2, use_delta=True, use_hyperelliptic_sharpening=True)
+        # g=3, d=3: the coefficient is nonzero, so the Krawtchouk candidate
+        # ties with the hyperelliptic one at 2
+        assert h0_prop21_bound(rank3_query(3, 3, 0, 0, **both)) == BoundResult(
+            2, "RANK3-QUOTIENT-KRAWTCHOUK", assumptions=("s1f=2", "krawtchouk-refinement")
+        )
+        assert h0_prop21_bound(
+            rank3_query(3, 3, 0, 0, hyperelliptic=True, **both)
+        ) == BoundResult(
+            2, "RANK3-QUOTIENT-SHARP", assumptions=("s1f=2", "hyperelliptic", "s1f>0")
+        )
+        # g=3, d=6: the coefficient vanishes and the Krawtchouk candidate
+        # ties with the plain quotient bound at 5
+        assert h0_prop21_bound(rank3_query(3, 6, 0, 0, **both)) == BoundResult(
+            5, "RANK3-QUOTIENT", assumptions=("s1f=2",)
+        )
 
     def test_requires_s1f(self):
         with pytest.raises(MissingS1F):

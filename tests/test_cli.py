@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,12 @@ class TestCaps:
             ("elmtrans", "--rank", "3", "--genus", "3",
              "--steps", str(cli.MAX_ELMTRANS_STEPS + 1)),
             ("examples", "--suite", "--max-genus", str(cli.MAX_SUITE_GENUS + 1)),
+            ("bound", "--rank", "2", "--genus", str(cli.MAX_DELTA_GENUS + 1),
+             "--degree", "0", "--s1", "0", "--delta"),
+            ("elmtrans", "--rank", "2", "--genus", str(cli.MAX_ELMTRANS_GENUS + 1),
+             "--steps", "1"),
+            ("table", "--genus", "3", "--s1", "0", "--s2", "0",
+             "--d-min", str(-3 * cli.MAX_TABLE_ROWS), "--d-max", "0"),
         ],
     )
     def test_above_cap_is_usage_error(self, capsys, argv):
@@ -195,6 +202,32 @@ class TestCaps:
             "--steps", str(cli.MAX_ELMTRANS_STEPS),
         )
         assert code == 0 and len(out.splitlines()) == cli.MAX_ELMTRANS_STEPS + 1
+
+    def test_delta_at_genus_cap_runs(self, capsys):
+        # K_r(g, 2g) with r = g even is nonzero, so the refinement applies
+        g = cli.MAX_DELTA_GENUS
+        code, out, _ = run(
+            capsys,
+            "bound", "--rank", "2", "--genus", str(g), "--degree", str(2 * g - 2),
+            "--s1", "0", "--delta",
+        )
+        assert code == 0 and json.loads(out)["case"] == "RANK2-KRAWTCHOUK"
+
+    def test_elmtrans_at_genus_cap_runs(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "elmtrans", "--rank", "2", "--genus", str(cli.MAX_ELMTRANS_GENUS),
+            "--steps", "1",
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+
+    def test_table_at_row_cap_runs(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "table", "--genus", "3", "--s1", "0", "--s2", "0",
+            "--d-min", str(-3 * cli.MAX_TABLE_ROWS + 3), "--d-max", "0",
+        )
+        assert code == 0 and len(out.splitlines()) == cli.MAX_TABLE_ROWS + 1
 
 
 class TestKrawtchouk:
@@ -297,6 +330,15 @@ class TestExamples:
         assert lines[0] == "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
         assert len(lines) > 5
         assert all(line.count(",") == 11 for line in lines)
+
+    def test_suite_bytes(self, capsys):
+        # the whole stdout to genus 12: any change to a row, its format or
+        # the row order changes the digest
+        code, out, _ = run(capsys, "examples", "--suite", "--max-genus", "12")
+        assert code == 0 and len(out.splitlines()) == 274
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "004d9b1a66c22ade1ed29a144eb402c5f9e5c96ab92a5e45715f80770b53c554"
+        )
 
     def test_requires_family_or_suite(self, capsys):
         code, _, err = run(capsys, "examples")

@@ -1,0 +1,84 @@
+"""The engine's frozen value records: immutable, compared and hashed by
+value, without a per-instance ``__dict__``."""
+import dataclasses
+
+import pytest
+
+from clifford3 import (
+    BoundResult,
+    BundleInvariants,
+    Curve,
+    ElmState,
+    ExampleReport,
+    FamilyAParams,
+    FamilyBParams,
+    FamilyCParams,
+    KrawtchoukQuery,
+    Rank3Query,
+    StepChoice,
+    family_a,
+    seed_state_lemma36,
+)
+
+
+def _inv():
+    return BundleInvariants(3, 6, (0, 0))
+
+
+# a builder of equal, separately built instances of each record, and a
+# field of it to assign to
+RECORDS = [
+    (lambda: Curve(4, True), "genus"),
+    (_inv, "degree"),
+    (lambda: BoundResult(3, "RANK3-MAIN", assumptions=["x"]), "value"),
+    (lambda: Rank3Query(Curve(4), _inv(), s1f=2, use_delta=True), "s1f"),
+    (lambda: family_a(FamilyAParams(5, 0, 1)), "exact_h0"),
+    (lambda: FamilyAParams(5, 0, 1), "k"),
+    (lambda: FamilyBParams(4, 2), "m"),
+    (lambda: FamilyCParams(4, "E2", 1), "variant"),
+    (lambda: KrawtchoukQuery(2, 3, 6), "r"),
+    (lambda: StepChoice([True, False]), "hits_maximal"),
+    (lambda: seed_state_lemma36(Curve(3), 3), "step_count"),
+]
+IDS = [f"{build().__class__.__name__}.{name}" for build, name in RECORDS]
+
+
+@pytest.mark.parametrize("build, name", RECORDS, ids=IDS)
+def test_frozen(build, name):
+    rec = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, name, getattr(rec, name))
+
+
+@pytest.mark.parametrize("build, name", RECORDS, ids=IDS)
+def test_equal_values_compare_and_hash_equal(build, name):
+    a, b = build(), build()
+    assert a is not b and a == b
+    if isinstance(a, ExampleReport):
+        return  # its params dict makes it unhashable
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("build, name", RECORDS, ids=IDS)
+def test_slotted(build, name):
+    assert not hasattr(build(), "__dict__")
+
+
+def test_sequences_become_tuples():
+    assert BundleInvariants(3, 6, [0, 0]).s == (0, 0)
+    assert BoundResult(3, "X", assumptions=["a", "b"]).assumptions == ("a", "b")
+    assert StepChoice([True]).hits_maximal == (True,)
+
+
+def test_replace_on_rank3_query():
+    q = Rank3Query(Curve(4), BundleInvariants(3, 6, (0, 0)), s1f=2)
+    dual = dataclasses.replace(q, inv=BundleInvariants(3, 12, (0, 0)))
+    assert dual.inv.degree == 12 and dual.s1f == 2 and dual.curve == q.curve
+    assert q.inv.degree == 6
+
+
+def test_elm_state_hashes_without_its_dict():
+    st = seed_state_lemma36(Curve(3), 3)
+    other = ElmState(st.inv, {(1, 0): 99}, st.step_count)
+    assert st != other and hash(st) == hash(other)
+    assert {st: 1}[seed_state_lemma36(Curve(3), 3)] == 1
