@@ -4,6 +4,7 @@ transformation calculus and sharpness witnesses on hyperelliptic curves."""
 
 from .bounds import (
     Rank3Query,
+    bound,
     h0_line_bound,
     h0_prop21_bound,
     h0_rank2_bound,
@@ -41,7 +42,6 @@ from .invariants import (
     h0_hyperelliptic_power,
     serre_dual,
     twist_by_line,
-    validate,
 )
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk, krawtchouk_oracle
 
@@ -59,6 +59,7 @@ __all__ = [
     "KrawtchoukQuery",
     "Rank3Query",
     "StepChoice",
+    "bound",
     "certified_ranks",
     "delta_vanishes",
     "family_a",
@@ -84,5 +85,4 @@ __all__ = [
     "suite",
     "twist_by_line",
     "unstable_sharpness",
-    "validate",
 ]

@@ -5,7 +5,8 @@ Clifford-type upper bounds everywhere else: the classical line-bundle bound,
 the rank-2 bound with its hyperelliptic and Krawtchouk refinements, the
 rank-3 semistable bound in stability-degree form, the rank-3 bound through a
 minimal-degree rank-2 quotient, the unstable-rank-3 bounds, and the slope
-bound for stable bundles of small slope.
+bound for stable bundles of small slope.  :func:`bound` is the one place
+that picks the bound for given invariants.
 
 All arithmetic is exact; half-integer quantities are floored once, at the
 end of each formula.
@@ -274,6 +275,31 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
         case,
         assumptions=(f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
     )
+
+
+def bound(
+    curve: Curve, inv: BundleInvariants, *, s1f: int | None = None, delta: bool = False
+) -> BoundResult:
+    """The bound for ``inv``: the line bound at rank 1, the rank-2 bound at
+    rank 2, and at rank 3 the unstable bound when s1 < 0 or s2 < 0, else the
+    semistable bound.  ``delta`` turns on the Krawtchouk refinements, ``s1f``
+    is read at rank 3 only, and hyperelliptic sharpening follows
+    ``curve.hyperelliptic``."""
+    if inv.rank == 1:
+        return h0_line_bound(curve, inv.degree)
+    if inv.rank == 2:
+        return h0_rank2_bound(curve, inv.degree, inv.s[0], use_delta=delta)
+    q = Rank3Query(
+        curve,
+        inv,
+        s1f=s1f,
+        use_delta=delta,
+        use_hyperelliptic_sharpening=curve.hyperelliptic,
+    )
+    s1, s2 = inv.s
+    if s1 < 0 or s2 < 0:
+        return h0_rank3_unstable_bound(q)
+    return h0_rank3_semistable_bound(q)
 
 
 def slope_bound(g: int, d: int) -> BoundResult:

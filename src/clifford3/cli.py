@@ -23,13 +23,7 @@ import argparse
 import json
 import sys
 
-from .bounds import (
-    Rank3Query,
-    h0_line_bound,
-    h0_rank2_bound,
-    h0_rank3_semistable_bound,
-    h0_rank3_unstable_bound,
-)
+from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
 from .elmtrans import ElmState, StepChoice, seed_state_lemma36, step
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
@@ -76,31 +70,17 @@ def cmd_bound(args) -> int:
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
     curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
-    if args.rank == 1:
-        result = h0_line_bound(curve, args.degree)
-    elif args.rank == 2:
-        if args.s1 is None:
-            raise Clifford3Error("rank 2 needs --s1")
-        result = h0_rank2_bound(curve, args.degree, args.s1, use_delta=args.delta)
-    else:
-        if args.s1 is None or args.s2 is None:
-            raise Clifford3Error("rank 3 needs --s1 and --s2")
-        inv = BundleInvariants(3, args.degree, (args.s1, args.s2))
-        q = Rank3Query(
-            curve,
-            inv,
-            s1f=args.s1f,
-            use_delta=args.delta,
-            use_hyperelliptic_sharpening=args.hyperelliptic,
-        )
-        if args.s1 < 0 or args.s2 < 0:
-            result = h0_rank3_unstable_bound(q)
-            if args.f_semistable and args.s1f < 0:
-                raise HypothesisFailed("a semistable quotient has s1f >= 0")
-            if not args.f_semistable and args.s1f >= 0:
-                raise HypothesisFailed("an unstable quotient has s1f < 0")
-        else:
-            result = h0_rank3_semistable_bound(q)
+    s = (args.s1, args.s2)[: args.rank - 1]
+    if None in s:
+        flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
+        raise Clifford3Error(f"rank {args.rank} needs {flags}")
+    inv = BundleInvariants(args.rank, args.degree, s)
+    result = bound(curve, inv, s1f=args.s1f, delta=args.delta)
+    if not inv.semistable():
+        if args.f_semistable and args.s1f < 0:
+            raise HypothesisFailed("a semistable quotient has s1f >= 0")
+        if not args.f_semistable and args.s1f >= 0:
+            raise HypothesisFailed("an unstable quotient has s1f < 0")
     print(json.dumps(result.to_dict()))
     return 0
 
@@ -170,7 +150,7 @@ def cmd_examples(args) -> int:
         _check_cap("--max-genus", args.max_genus, MAX_SUITE_GENUS)
         lines = [_SUITE_COLUMNS]
         for r in suite(args.max_genus):
-            p = r.params
+            p = dict(r.params)
             s1, s2 = r.inv.s
             lines.append(
                 f"{r.family},{r.curve.genus},{p.get('n', '')},{p.get('k', '')},"

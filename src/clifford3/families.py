@@ -12,16 +12,9 @@ invariants module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bounds import (
-    Rank3Query,
-    h0_prop21_bound,
-    h0_rank2_bound,
-    h0_rank3_semistable_bound,
-    h0_rank3_unstable_bound,
-    slope_bound,
-)
+from .bounds import Rank3Query, bound, h0_prop21_bound, h0_rank2_bound, slope_bound
 from .elmtrans import s2_lower_bound_track
 from .errors import ParamsOutOfRange, UnrealizableF
 from .invariants import BoundResult, BundleInvariants, Curve, h0_hyperelliptic_power
@@ -93,14 +86,15 @@ class FamilyCParams:
 @dataclass(frozen=True, slots=True)
 class ExampleReport:
     """A constructed bundle, its exact section count, the applicable bound and
-    whether the bound is attained."""
+    whether the bound is attained.  ``params`` are the family's parameters as
+    (name, value) pairs, so that the record hashes."""
 
     family: str
     curve: Curve
     inv: BundleInvariants
     exact_h0: int
     bound: BoundResult
-    params: dict = field(default_factory=dict)
+    params: tuple[tuple[str, int | str], ...] = ()
     slope: BoundResult | None = None
     notes: tuple[str, ...] = ()
 
@@ -150,14 +144,13 @@ def family_a(p: FamilyAParams) -> ExampleReport:
         )
     exact = h0_hyperelliptic_power(curve, p.n + p.k + 1) + low
     q = Rank3Query(curve, inv, s1f=m, use_hyperelliptic_sharpening=True)
-    bound = h0_prop21_bound(q)
     return ExampleReport(
         "a",
         curve,
         inv,
         exact,
-        bound,
-        params={"n": p.n, "k": p.k, "m": m},
+        h0_prop21_bound(q),
+        params=(("n", p.n), ("k", p.k), ("m", m)),
         notes=("s1 = s2 = 0 and s1f = m are asserted by the construction",),
     )
 
@@ -171,14 +164,13 @@ def family_b(p: FamilyBParams) -> ExampleReport:
     s2 = s2_lower_bound_track(p.m)
     inv = BundleInvariants(3, d, (p.m, s2))
     q = Rank3Query(curve, inv, s1f=p.m, use_hyperelliptic_sharpening=True)
-    bound = h0_prop21_bound(q)  # raises HypothesisFailed when the window fails
     return ExampleReport(
         "b",
         curve,
         inv,
         3,
-        bound,
-        params={"m": p.m},
+        h0_prop21_bound(q),  # raises HypothesisFailed when the window fails
+        params=(("m", p.m),),
         notes=("s2 is a certified lower bound, sufficient for this bound",),
     )
 
@@ -207,15 +199,13 @@ def family_c(p: FamilyCParams) -> ExampleReport:
                     "at genus 2 a stable bundle of degree 5 with h0 = 4 exists; "
                     "its invariants are forced to (2, 1)",
                 )
-    q = Rank3Query(curve, inv, use_hyperelliptic_sharpening=True)
-    bound = h0_rank3_semistable_bound(q)
     return ExampleReport(
         "c",
         curve,
         inv,
         exact,
-        bound,
-        params={"variant": p.variant, "k": p.k},
+        bound(curve, inv),
+        params=(("variant", p.variant), ("k", p.k)),
         slope=slope,
         notes=notes,
     )
@@ -235,12 +225,7 @@ def stable_pairs_for_degree5_genus2() -> list[tuple[int, int]]:
                 continue
             if not s1 <= d <= 6 * g - 6 - s2:
                 continue
-            q = Rank3Query(
-                curve,
-                BundleInvariants(3, d, (s1, s2)),
-                use_hyperelliptic_sharpening=True,
-            )
-            if h0_rank3_semistable_bound(q).value >= target:
+            if bound(curve, BundleInvariants(3, d, (s1, s2))).value >= target:
                 out.append((s1, s2))
     return out
 
@@ -285,15 +270,13 @@ def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
     s1 = d - 3 * dL
     s2 = 2 * d - 3 * (dL + 2 * b)
     inv = BundleInvariants(3, d, (s1, s2))
-    q = Rank3Query(c, inv, s1f=s1F)
-    bound = h0_rank3_unstable_bound(q)
     return ExampleReport(
         "unstable",
         c,
         inv,
         exact,
-        bound,
-        params={"dL": dL, "dF": dF, "s1F": s1F},
+        bound(c, inv, s1f=s1F),
+        params=(("dL", dL), ("dF", dF), ("s1F", s1F)),
         notes=(f"E = {line_desc} + pencil^{a} + pencil^{b}",),
     )
 

@@ -33,7 +33,9 @@ class BundleInvariants:
 
     s_r is r*d minus n times the maximal degree of a rank-r subbundle, so
     s_r == r*d (mod n) for any actual bundle.  Construction checks the rank
-    and these congruences through :func:`validate`.
+    and these congruences, raising RankUnsupported or CongruenceViolation.
+    Geometric existence of a bundle with these invariants is *not* checked;
+    results downstream are conditional on existence.
     """
 
     rank: int
@@ -43,33 +45,23 @@ class BundleInvariants:
     def __post_init__(self):
         if type(self.s) is not tuple:
             object.__setattr__(self, "s", tuple(self.s))
-        validate(self)
+        if self.rank not in (1, 2, 3):
+            raise RankUnsupported(f"rank {self.rank} not supported")
+        if len(self.s) != self.rank - 1:
+            raise RankUnsupported(
+                f"rank {self.rank} needs {self.rank - 1} stability degrees, got {len(self.s)}"
+            )
+        for r, sr in enumerate(self.s, start=1):
+            if (sr - r * self.degree) % self.rank != 0:
+                raise CongruenceViolation(
+                    r, f"s_{r}={sr} is not congruent to {r}*d={r * self.degree} mod {self.rank}"
+                )
 
     def semistable(self) -> bool:
         return all(v >= 0 for v in self.s)
 
     def stable(self) -> bool:
         return all(v > 0 for v in self.s)
-
-
-def validate(inv: BundleInvariants) -> None:
-    """Check rank support and the congruences s_r == r*d (mod n).
-
-    Raises RankUnsupported or CongruenceViolation.  Geometric existence of a
-    bundle with these invariants is *not* checked; results downstream are
-    conditional on existence.
-    """
-    if inv.rank not in (1, 2, 3):
-        raise RankUnsupported(f"rank {inv.rank} not supported")
-    if len(inv.s) != inv.rank - 1:
-        raise RankUnsupported(
-            f"rank {inv.rank} needs {inv.rank - 1} stability degrees, got {len(inv.s)}"
-        )
-    for r, sr in enumerate(inv.s, start=1):
-        if (sr - r * inv.degree) % inv.rank != 0:
-            raise CongruenceViolation(
-                r, f"s_{r}={sr} is not congruent to {r}*d={r * inv.degree} mod {inv.rank}"
-            )
 
 
 def serre_dual(c: Curve, inv: BundleInvariants) -> BundleInvariants:

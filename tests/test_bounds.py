@@ -6,6 +6,7 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     Rank3Query,
+    bound,
     h0_line_bound,
     h0_prop21_bound,
     h0_rank2_bound,
@@ -310,6 +311,85 @@ class TestUnstableBound:
         assert r == BoundResult(
             value, case, assumptions=(f"s1f={s1f}", f"line:{line}", f"quotient:{quotient}")
         )
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestBound:
+    """``bound`` equals the per-rank function, with hyperelliptic sharpening
+    exactly on a hyperelliptic curve, and raises what it raises."""
+
+    def test_examples(self):
+        r = bound(Curve(3, hyperelliptic=True), BundleInvariants(3, 10, (1, 2)))
+        assert (r.value, r.case) == (6, "RANK3-MAIN-SHARP")
+        # s1 < 0
+        r = bound(Curve(4), BundleInvariants(3, 6, (-3, 0)), s1f=1)
+        assert r == h0_rank3_unstable_bound(rank3_query(4, 6, -3, 0, s1f=1))
+        assert (r.value, r.case) == (5, "UNSTABLE-SS-QUOTIENT")
+        # s2 < 0 <= s1: s1f is the twisted dual's, and no sharpening applies
+        r = bound(Curve(3, hyperelliptic=True), BundleInvariants(3, 4, (4, -1)), s1f=3)
+        assert r == h0_rank3_unstable_bound(rank3_query(3, 4, 4, -1, s1f=3))
+        assert r.value == 3 and r.assumptions[-1] == "serre-dual-reduction"
+
+    @given(
+        g=st.integers(2, 6),
+        hyper=st.booleans(),
+        d=st.integers(-8, 40),
+        s1f=st.one_of(st.none(), st.integers(-7, 7)),
+        delta=st.booleans(),
+    )
+    def test_rank1(self, g, hyper, d, s1f, delta):
+        c = Curve(g, hyper)
+        r = bound(c, BundleInvariants(1, d), s1f=s1f, delta=delta)
+        assert r == h0_line_bound(c, d)
+
+    @given(
+        g=st.integers(2, 6),
+        hyper=st.booleans(),
+        d=st.integers(-8, 30),
+        s1=st.integers(-8, 14),
+        s1f=st.one_of(st.none(), st.integers(-7, 7)),
+        delta=st.booleans(),
+    )
+    def test_rank2(self, g, hyper, d, s1, s1f, delta):
+        c = Curve(g, hyper)
+        expected = _outcome(h0_rank2_bound, c, d, s1, use_delta=delta)
+        actual = _outcome(
+            lambda: bound(c, BundleInvariants(2, d, (s1,)), s1f=s1f, delta=delta)
+        )
+        assert actual == expected
+
+    @pytest.mark.parametrize(
+        "s1_range, s2_range, expected_bound",
+        [
+            ((0, 2), (0, 2), h0_rank3_semistable_bound),
+            ((-2, -1), (-2, 2), h0_rank3_unstable_bound),  # s1 < 0
+            ((0, 2), (-2, -1), h0_rank3_unstable_bound),  # s2 < 0 <= s1
+        ],
+        ids=["semistable", "s1<0", "s2<0<=s1"],
+    )
+    @given(data=st.data(), g=st.integers(2, 6), hyper=st.booleans(), delta=st.booleans())
+    @settings(max_examples=300)
+    def test_rank3(self, s1_range, s2_range, expected_bound, data, g, hyper, delta):
+        # s_r in [lo*g, hi*g], where hi = -1 stands for -1 itself; s2 is moved
+        # away from 0 to the residue of 2*s1 mod 3, keeping its sign
+        (lo1, hi1), (lo2, hi2) = s1_range, s2_range
+        s1 = data.draw(st.integers(lo1 * g, hi1 * g if hi1 >= 0 else -1))
+        s2 = data.draw(st.integers(lo2 * g, hi2 * g if hi2 >= 0 else -1))
+        s2 += (2 * s1 - s2) % 3 if s2 >= 0 else -((s2 - 2 * s1) % 3)
+        d = s1 + 3 * data.draw(st.integers(-g, 2 * g + 1))
+        s1f = data.draw(st.one_of(st.none(), st.integers(-g - 1, g + 1)))
+        c = Curve(g, hyper)
+        inv = BundleInvariants(3, d, (s1, s2))
+        q_args = dict(s1f=s1f, use_delta=delta, use_hyperelliptic_sharpening=hyper)
+        expected = _outcome(lambda: expected_bound(Rank3Query(c, inv, **q_args)))
+        assert _outcome(bound, c, inv, s1f=s1f, delta=delta) == expected
 
 
 class TestSlopeBound:

@@ -1,11 +1,14 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clifford3
 from clifford3 import cli
@@ -349,3 +352,91 @@ class TestExamples:
             capsys, "examples", "--family", "b", "--genus", "3", "--m", "1"
         )
         assert code == 2 and json.loads(err)["code"] == "ParamsOutOfRange"
+
+
+# Values for every int flag and positional: small ints, including negative
+# ones, and values far above every cap.  The flags whose cost grows with the
+# value stay small.
+WILD_INT = st.one_of(st.integers(-10, 40), st.sampled_from([-(10**6), 10**6]))
+SMALL_INT = {
+    "max_genus": st.integers(-3, 12),
+    "N": st.integers(-3, 200),
+    "steps": st.integers(-3, 50),
+}
+
+
+def _action_args(action):
+    """One drawn occurrence of a parser action: absent, bare or with a value."""
+    flag = tuple(action.option_strings[:1])
+    if action.nargs == 0:  # a switch
+        return st.sampled_from([(), flag])
+    if action.choices is not None:
+        values = st.sampled_from([*map(str, action.choices), "9"])
+    elif action.type is int:
+        values = SMALL_INT.get(action.dest, WILD_INT).map(str)
+    else:
+        values = st.text("012", max_size=120)
+    given_ = values.map(lambda v: flag + (v,))
+    # required flags and positionals are mostly given, optional ones half the
+    # time, so that about half the argvs parse; a bare flag never parses
+    if action.required:
+        shapes = [given_] * 18 + [st.just(()), st.just(flag)]
+    else:
+        shapes = [given_] * 4 + [st.just(())] * 4 + [st.just(flag)]
+    return st.sampled_from(shapes).flatmap(lambda shape: shape)
+
+
+def _commands():
+    """The built parser's subcommand parsers, by name."""
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def _argvs():
+    per_command = [
+        st.tuples(
+            st.just((name,)),
+            *(_action_args(a) for a in sub._actions if a.dest != "help"),
+        )
+        for name, sub in _commands().items()
+    ]
+    return st.one_of(per_command).map(lambda parts: [x for part in parts for x in part])
+
+
+@st.composite
+def _bound_argvs(draw):
+    """``bound`` argvs whose invariants meet the congruences, so that most of
+    them reach the bound and the checks after it; any --s* flag may be
+    missing."""
+    rank, g = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    s1, s2 = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    s2 -= (s2 - 2 * s1) % 3
+    s1f = draw(st.integers(-9, 9))
+    d = s1 + rank * draw(st.integers(-4, 12))
+    argv = ["bound", "--genus", str(g), "--rank", str(rank), "--degree", str(d)]
+    for flag, value, odds in [("--s1", s1, 4), ("--s2", s2, 4), ("--s1f", s1f, 1)]:
+        if draw(st.integers(0, odds)):  # present odds times in odds + 1
+            argv += [flag, str(value)]
+    for flag in ("--hyperelliptic", "--delta", "--f-semistable"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+class TestNoTraceback:
+    def test_every_command_is_drawn(self):
+        assert set(_commands()) == {"bound", "krawtchouk", "elmtrans", "table", "examples"}
+
+    @given(argv=st.one_of(_argvs(), _bound_argvs()))
+    @settings(max_examples=400, deadline=None)
+    def test_status_0_or_one_json_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            return
+        assert code == 2 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        payload = json.loads(err)
+        assert set(payload) == {"code", "message"}

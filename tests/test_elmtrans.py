@@ -64,7 +64,7 @@ class TestStep:
     def test_congruence_preserved_along_any_walk(self, bits):
         state = ElmState(BundleInvariants(3, 3, (0, 0)))
         for b in bits:
-            state = step(state, StepChoice(b))  # validate() runs inside
+            state = step(state, StepChoice(b))  # BundleInvariants validates inside
             d = state.inv.degree
             assert (state.inv.s[0] - d) % 3 == 0
             assert (state.inv.s[1] - 2 * d) % 3 == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from clifford3 import (
     BoundResult,
@@ -69,6 +70,8 @@ class TestFamilyA:
         r = family_a(FamilyAParams(5, 0, 2))
         assert r.exact_h0 == 10 and r.bound.value == 10 and r.sharp
         assert r.inv == BundleInvariants(3, 18, (0, 0))
+        assert r.params == (("n", 0), ("k", 2), ("m", 2))
+        assert r.to_dict()["params"] == {"n": 0, "k": 2, "m": 2}
 
     def test_sharp_across_small_genus(self):
         for g in range(3, 9):
@@ -164,7 +167,7 @@ class TestUnstableSharpness:
 
 class TestSuite:
     def test_reports_are_valid_and_family_a_sharp(self):
-        reports = suite(5)
+        reports = suite(40)
         assert reports
         families = {r.family for r in reports}
         assert families == {"a", "b", "c"}
@@ -172,3 +175,17 @@ class TestSuite:
             assert r.exact_h0 <= r.bound.value
             if r.family in ("a", "b"):
                 assert r.sharp
+
+
+class TestUnstableWithinBound:
+    @given(data=st.data(), g=st.integers(2, 40))
+    def test_split_sums_to_genus_40(self, data, g):
+        # drawn as acceptance criterion 8 draws them: pencil^e + pencil^a +
+        # pencil^b with a <= b <= e < g and the line summand dominant
+        b = data.draw(st.integers(0, g - 1))
+        a = data.draw(st.integers(0, b))
+        e_lo = b + 1 if a == b else b
+        assume(e_lo <= g - 1)
+        e = data.draw(st.integers(e_lo, g - 1))
+        r = unstable_sharpness(Curve(g, True), 2 * e, 2 * a + 2 * b, 2 * a - 2 * b)
+        assert r.exact_h0 <= r.bound.value

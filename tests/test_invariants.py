@@ -8,7 +8,6 @@ from clifford3 import (
     h0_hyperelliptic_power,
     serre_dual,
     twist_by_line,
-    validate,
 )
 from clifford3.errors import CongruenceViolation, OutOfModeledRange, RankUnsupported
 
@@ -23,24 +22,26 @@ class TestCurve:
 
 
 class TestValidate:
+    """Construction validates the rank and the congruences."""
+
     def test_accepts_valid_rank3(self):
-        validate(BundleInvariants(3, 5, (2, 1)))
+        BundleInvariants(3, 5, (2, 1))
 
     def test_rejects_congruence_violation(self):
         with pytest.raises(CongruenceViolation) as exc:
-            validate(BundleInvariants(3, 5, (1, 1)))
+            BundleInvariants(3, 5, (1, 1))
         assert exc.value.r == 1
 
     def test_accepts_rank1(self):
-        validate(BundleInvariants(1, 7, ()))
+        BundleInvariants(1, 7, ())
 
     def test_rejects_rank4(self):
         with pytest.raises(RankUnsupported):
-            validate(BundleInvariants(4, 0, (0, 0, 0)))
+            BundleInvariants(4, 0, (0, 0, 0))
 
     def test_rejects_wrong_s_length(self):
         with pytest.raises(RankUnsupported):
-            validate(BundleInvariants(3, 0, (0,)))
+            BundleInvariants(3, 0, (0,))
 
     def test_semistable_and_stable(self):
         assert BundleInvariants(3, 5, (2, 1)).stable()
@@ -69,8 +70,7 @@ class TestSerreDual:
             return
         c = Curve(g)
         inv = BundleInvariants(3, d, (s1, s2))
-        dual = serre_dual(c, inv)
-        validate(dual)
+        dual = serre_dual(c, inv)  # the constructor checks the congruences
         assert serre_dual(c, dual) == inv
 
     def test_rank2_involution(self):
