@@ -31,8 +31,10 @@ from .families import (
     family_a,
     family_b,
     family_c,
+    genus_reports,
     stable_pairs_for_degree5_genus2,
     suite,
+    suite_blocks,
     unstable_sharpness,
 )
 from .invariants import (
@@ -66,6 +68,7 @@ __all__ = [
     "family_b",
     "family_c",
     "generic_sequence",
+    "genus_reports",
     "h0_hyperelliptic_power",
     "h0_line_bound",
     "h0_prop21_bound",
@@ -83,6 +86,7 @@ __all__ = [
     "step",
     "suggested_min_s1f",
     "suite",
+    "suite_blocks",
     "twist_by_line",
     "unstable_sharpness",
 ]

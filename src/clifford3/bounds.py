@@ -25,7 +25,13 @@ from .errors import (
     RankUnsupported,
     SlopeOutOfRange,
 )
-from .invariants import BoundResult, BundleInvariants, Curve, serre_dual
+from .invariants import (
+    BoundResult,
+    BundleInvariants,
+    Curve,
+    _congruence_violation,
+    serre_dual,
+)
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
 
 
@@ -116,7 +122,8 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
     s1 > 0, or to (d-s1)/2 + 1 + delta by the Krawtchouk refinement.
     """
-    BundleInvariants(2, d, (s1,))  # checks the parity of s1
+    if (s1 - d) % 2 != 0:
+        raise _congruence_violation(2, d, 1, s1)
     if s1 < 0:
         raise NotSemistable(f"rank-2 bound needs s1 >= 0, got {s1}")
     g = c.genus

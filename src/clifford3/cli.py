@@ -15,13 +15,16 @@ MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at MAX_DELTA_GENUS,
 MAX_ELMTRANS_GENUS, the number of degrees ``table`` sweeps at
 MAX_TABLE_ROWS and ``examples --suite --max-genus`` at MAX_SUITE_GENUS.
 A value above its cap is the JSON ``UsageError``, reported before any
-work is done.
+work is done.  The CSV text of each (family, genus) block of the suite is
+built once per process and cached; the --max-genus cap bounds that cache at
+3 * (MAX_SUITE_GENUS - 1) blocks, about 2.5 MB.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
 from .elmtrans import ElmState, StepChoice, seed_state_lemma36, step
@@ -33,7 +36,9 @@ from .families import (
     family_a,
     family_b,
     family_c,
-    suite,
+    genus_reports,
+    suite,  # noqa: F401  (bench/test_bench.py traces it as clifford3.cli.suite)
+    suite_blocks,
     unstable_sharpness,
 )
 from .invariants import BundleInvariants, Curve
@@ -67,6 +72,12 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 
 def cmd_bound(args) -> int:
+    # each flag with the least rank that reads it
+    for flag, value, least in (
+        ("--s1", args.s1, 2), ("--s2", args.s2, 3), ("--s1f", args.s1f, 3)
+    ):
+        if value is not None and args.rank < least:
+            raise UsageError(f"{flag} is not read at rank {args.rank}")
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
     curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
@@ -145,19 +156,27 @@ def cmd_table(args) -> int:
 _SUITE_COLUMNS = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
 
 
+@lru_cache(maxsize=None)
+def _suite_block(family: str, g: int) -> str:
+    """The suite's CSV rows of one family at one genus, one line each.  The
+    text is cached, not the reports: the --max-genus cap bounds the keys."""
+    rows = []
+    for r in genus_reports(family, g):
+        p = dict(r.params)
+        s1, s2 = r.inv.s
+        rows.append(
+            f"{r.family},{g},{p.get('n', '')},{p.get('k', '')},"
+            f"{p.get('m', '')},{p.get('variant', '')},{r.inv.degree},{s1},{s2},"
+            f"{r.exact_h0},{r.bound.value},{str(r.sharp).lower()}\n"
+        )
+    return "".join(rows)
+
+
 def cmd_examples(args) -> int:
     if args.suite:
         _check_cap("--max-genus", args.max_genus, MAX_SUITE_GENUS)
-        lines = [_SUITE_COLUMNS]
-        for r in suite(args.max_genus):
-            p = dict(r.params)
-            s1, s2 = r.inv.s
-            lines.append(
-                f"{r.family},{r.curve.genus},{p.get('n', '')},{p.get('k', '')},"
-                f"{p.get('m', '')},{p.get('variant', '')},{r.inv.degree},{s1},{s2},"
-                f"{r.exact_h0},{r.bound.value},{str(r.sharp).lower()}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+        blocks = [_suite_block(f, g) for f, g in suite_blocks(args.max_genus)]
+        sys.stdout.write(_SUITE_COLUMNS + "\n" + "".join(blocks))
         return 0
     if args.family is None:
         raise Clifford3Error("need --family or --suite")

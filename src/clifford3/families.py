@@ -281,19 +281,33 @@ def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
     )
 
 
+def genus_reports(family: str, g: int) -> list[ExampleReport]:
+    """Every valid report of family "a", "b" or "c" at genus g (g >= 2), in
+    suite order.  Family "a" needs genus >= 3 and is empty at g = 2."""
+    if family == "a":
+        return [
+            family_a(FamilyAParams(g, n, k))
+            for n in range((g - 2) // 4 + 1)
+            for k in range(g - 2 - (4 * n + 2) // 2 + 1)
+        ]
+    if family == "b":
+        ms = [1] if g == 2 else range(2, g + 1, 2)
+        return [family_b(FamilyBParams(g, m)) for m in ms]
+    if family == "c":
+        return [
+            family_c(FamilyCParams(g, variant, k))
+            for variant in ("E1", "E2")
+            for k in range(g - 1)
+        ]
+    raise ParamsOutOfRange(f"family must be a, b or c, got {family!r}")
+
+
+def suite_blocks(max_genus: int) -> list[tuple[str, int]]:
+    """The (family, genus) blocks of ``suite(max_genus)`` in suite order:
+    family "a", then "b", then "c", each genus by genus from 2."""
+    return [(family, g) for family in "abc" for g in range(2, max_genus + 1)]
+
+
 def suite(max_genus: int) -> list[ExampleReport]:
     """All valid family reports up to the given genus."""
-    reports: list[ExampleReport] = []
-    for g in range(3, max_genus + 1):
-        for n in range((g - 2) // 4 + 1):
-            for k in range(g - 2 - (4 * n + 2) // 2 + 1):
-                reports.append(family_a(FamilyAParams(g, n, k)))
-    for g in range(2, max_genus + 1):
-        ms = [1] if g == 2 else list(range(2, g + 1, 2))
-        for m in ms:
-            reports.append(family_b(FamilyBParams(g, m)))
-    for g in range(2, max_genus + 1):
-        for variant in ("E1", "E2"):
-            for k in range(g - 1):
-                reports.append(family_c(FamilyCParams(g, variant, k)))
-    return reports
+    return [r for f, g in suite_blocks(max_genus) for r in genus_reports(f, g)]

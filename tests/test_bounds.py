@@ -62,6 +62,17 @@ class TestRank2Bound:
         with pytest.raises(CongruenceViolation):
             h0_rank2_bound(Curve(3), 10, 1)
 
+    def test_congruence_error_matches_the_invariants(self):
+        # the bound and the record raise the same error for an odd s1
+        message = "s_1=1 is not congruent to 1*d=10 mod 2"
+        for call in (
+            lambda: h0_rank2_bound(Curve(3), 10, 1),
+            lambda: BundleInvariants(2, 10, (1,)),
+        ):
+            with pytest.raises(CongruenceViolation) as info:
+                call()
+            assert info.value.r == 1 and str(info.value) == message
+
     def test_semistability_checked(self):
         with pytest.raises(NotSemistable):
             h0_rank2_bound(Curve(3), 10, -2)

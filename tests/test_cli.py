@@ -107,6 +107,25 @@ class TestBound:
         assert code == 2 and out == ""
         assert json.loads(err)["code"] == "UsageError"
 
+    @pytest.mark.parametrize(
+        "rank, flags",
+        [
+            ("1", ("--s1", "7")),
+            ("1", ("--s2", "0")),
+            ("1", ("--s1f", "3")),
+            ("2", ("--s1", "0", "--s2", "0")),
+            ("2", ("--s1", "0", "--s1f", "0")),
+        ],
+    )
+    def test_flag_its_rank_does_not_read(self, capsys, rank, flags):
+        code, out, err = run(
+            capsys, "bound", "--genus", "3", "--rank", rank, "--degree", "4", *flags
+        )
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["code"] == "UsageError"
+        assert payload["message"] == f"{flags[-2]} is not read at rank {rank}"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--help"])
@@ -334,14 +353,36 @@ class TestExamples:
         assert len(lines) > 5
         assert all(line.count(",") == 11 for line in lines)
 
+    SUITE_12_SHA256 = "004d9b1a66c22ade1ed29a144eb402c5f9e5c96ab92a5e45715f80770b53c554"
+
     def test_suite_bytes(self, capsys):
         # the whole stdout to genus 12: any change to a row, its format or
         # the row order changes the digest
         code, out, _ = run(capsys, "examples", "--suite", "--max-genus", "12")
         assert code == 0 and len(out.splitlines()) == 274
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "004d9b1a66c22ade1ed29a144eb402c5f9e5c96ab92a5e45715f80770b53c554"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SUITE_12_SHA256
+
+    def test_suite_reuses_blocks_across_max_genera(self, capsys):
+        # one process, the larger run first, so the later ones read cached blocks
+        outs = {}
+        for max_genus in ("30", "12", "20", "12"):
+            code, out, err = run(capsys, "examples", "--suite", "--max-genus", max_genus)
+            assert code == 0 and err == ""
+            outs.setdefault(max_genus, []).append(out)
+        for out in outs["12"]:
+            assert hashlib.sha256(out.encode()).hexdigest() == self.SUITE_12_SHA256
+        proc = run_module("examples", "--suite", "--max-genus", "20")
+        assert proc.returncode == 0 and outs["20"] == [proc.stdout]
+
+    def test_suite_cache_holds_one_block_per_family_and_genus(self, capsys):
+        cli._suite_block.cache_clear()
+        g = 12
+        run(capsys, "examples", "--suite", "--max-genus", str(g))
+        info = cli._suite_block.cache_info()
+        assert info.currsize <= 3 * (g - 1)
+        run(capsys, "examples", "--suite", "--max-genus", "8")
+        after = cli._suite_block.cache_info()
+        assert after.currsize == info.currsize and after.hits == info.hits + 3 * 7
 
     def test_requires_family_or_suite(self, capsys):
         code, _, err = run(capsys, "examples")

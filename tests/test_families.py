@@ -12,6 +12,7 @@ from clifford3 import (
     family_a,
     family_b,
     family_c,
+    genus_reports,
     stable_pairs_for_degree5_genus2,
     suite,
     unstable_sharpness,
@@ -175,6 +176,24 @@ class TestSuite:
             assert r.exact_h0 <= r.bound.value
             if r.family in ("a", "b"):
                 assert r.sharp
+
+    @pytest.mark.parametrize("max_genus", range(-1, 13))
+    def test_suite_is_the_genus_blocks_in_order(self, max_genus):
+        assert suite(max_genus) == [
+            r
+            for f in "abc"
+            for g in range(2, max_genus + 1)
+            for r in genus_reports(f, g)
+        ]
+
+    def test_genus_reports_of_one_genus(self):
+        assert genus_reports("a", 2) == []
+        assert [r.params for r in genus_reports("b", 2)] == [(("m", 1),)]
+        for family in "abc":
+            assert {r.curve.genus for r in genus_reports(family, 7)} == {7}
+            assert {r.family for r in genus_reports(family, 7)} == {family}
+        with pytest.raises(ParamsOutOfRange):
+            genus_reports("unstable", 5)
 
 
 class TestUnstableWithinBound:
