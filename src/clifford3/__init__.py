@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .elmtrans import (
     ElmState,
-    StepChoice,
     certified_ranks,
     generic_sequence,
     s2_lower_bound_track,
@@ -60,7 +59,6 @@ __all__ = [
     "FamilyCParams",
     "KrawtchoukQuery",
     "Rank3Query",
-    "StepChoice",
     "bound",
     "certified_ranks",
     "delta_vanishes",

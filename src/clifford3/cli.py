@@ -5,7 +5,11 @@ Each command has one output format on stdout: JSON for ``bound`` and
 ``examples --family``, JSON lines for ``elmtrans``, CSV for ``table`` and
 ``examples --suite``, and a bare integer for ``krawtchouk``.  Validation and
 usage errors go to stderr as a JSON object with a stable ``code`` field and
-exit status 2.
+exit status 2.  ``bound`` rejects a flag its rank does not read (``--s1``
+and ``--delta`` at rank 1; ``--s2``, ``--s1f`` and ``--f-semistable`` at
+ranks 1 and 2) and ``--f-semistable`` on semistable input, before any bound
+is computed.  Each ``elmtrans`` line writes the state's dimension bounds as
+an object keyed "r,i" in (r, i) order.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and reused after it.  Six inputs are capped,
@@ -27,7 +31,7 @@ import sys
 from functools import lru_cache
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
-from .elmtrans import ElmState, StepChoice, seed_state_lemma36, step
+from .elmtrans import ElmState, seed_state_lemma36, step
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
     FamilyAParams,
@@ -72,11 +76,15 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 
 def cmd_bound(args) -> int:
-    # each flag with the least rank that reads it
-    for flag, value, least in (
-        ("--s1", args.s1, 2), ("--s2", args.s2, 3), ("--s1f", args.s1f, 3)
+    # each flag, whether it was given, and the least rank that reads it
+    for flag, given, least in (
+        ("--s1", args.s1 is not None, 2),
+        ("--s2", args.s2 is not None, 3),
+        ("--s1f", args.s1f is not None, 3),
+        ("--delta", args.delta, 2),
+        ("--f-semistable", args.f_semistable, 3),
     ):
-        if value is not None and args.rank < least:
+        if given and args.rank < least:
             raise UsageError(f"{flag} is not read at rank {args.rank}")
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
@@ -86,6 +94,8 @@ def cmd_bound(args) -> int:
         flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
         raise Clifford3Error(f"rank {args.rank} needs {flags}")
     inv = BundleInvariants(args.rank, args.degree, s)
+    if args.f_semistable and inv.semistable():
+        raise UsageError("--f-semistable is not read on semistable input")
     result = bound(curve, inv, s1f=args.s1f, delta=args.delta)
     if not inv.semistable():
         if args.f_semistable and args.s1f < 0:
@@ -108,7 +118,9 @@ def _state_row(st: ElmState) -> dict:
         "rank": st.inv.rank,
         "d": st.inv.degree,
         "s": list(st.inv.s),
-        "sb_dim_upper": {f"{r},{i}": v for (r, i), v in sorted(st.sb_dim_upper.items())},
+        "sb_dim_upper": {
+            f"{r},{i}": v for r, b in enumerate(st.sb_dim_upper, 1) for i, v in enumerate(b)
+        },
     }
 
 
@@ -126,7 +138,7 @@ def cmd_elmtrans(args) -> int:
     trajectory = [state]
     for k in range(args.steps):
         chunk = bits[k * n_choices : (k + 1) * n_choices]
-        state = step(state, StepChoice(tuple(c == "1" for c in chunk)))
+        state = step(state, tuple(c == "1" for c in chunk))
         trajectory.append(state)
     for st in trajectory:
         print(json.dumps(_state_row(st)))

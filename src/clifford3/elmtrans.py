@@ -2,79 +2,74 @@
 
 A single transformation raises the degree by 1 and moves each stability
 degree s_r by exactly -(n-r) or +r, depending on whether the chosen line in
-the fibre lies in a maximal rank-r subbundle.  Families of rank-r subbundles
-of degree (maximal - i) are tracked only through integer upper bounds on
-their dimension; an absent entry means the bound is unknown.
+the fibre lies in a maximal rank-r subbundle.  A step's choice is a tuple of
+n-1 bools, one per rank r = 1..n-1, True on a hit.  Families of rank-r
+subbundles of degree (maximal - i) are tracked only through integer upper
+bounds on their dimension, one tuple per rank holding the bounds for
+i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve
 
 
 @dataclass(frozen=True, slots=True)
-class StepChoice:
-    """Per-rank choice for one transformation step: ``hits_maximal[r-1]`` is
-    True when the chosen line lies in the fibre of a maximal rank-r
-    subbundle."""
-
-    hits_maximal: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "hits_maximal", tuple(self.hits_maximal))
-
-    @classmethod
-    def generic(cls, rank: int) -> "StepChoice":
-        """The all-miss choice modeling a general line."""
-        return cls((False,) * (rank - 1))
-
-
-@dataclass(frozen=True, slots=True)
 class ElmState:
     """Bundle invariants plus dimension bookkeeping for subbundle families.
 
-    ``sb_dim_upper`` maps (r, i) to an upper bound on the dimension of the
-    family of rank-r subbundles of degree (maximal - i); keys that are
-    absent carry no information.  States are treated as immutable; steps
-    return fresh states.  The hash leaves the mapping out, so equal states
-    still hash equal.
+    ``sb_dim_upper[r-1][i]`` is an upper bound on the dimension of the
+    family of rank-r subbundles of degree (maximal - i).  Only the bounds
+    for i = 0, 1, ... up to the first unknown one are kept, and a rank
+    without a tuple has none.  The state is an immutable value: the
+    bookkeeping is part of its equality and hash, and steps return fresh
+    states.
     """
 
     inv: BundleInvariants
-    sb_dim_upper: dict[tuple[int, int], int] = field(default_factory=dict, hash=False)
+    sb_dim_upper: tuple[tuple[int, ...], ...] = ()
     step_count: int = 0
 
     def upper(self, r: int, i: int) -> int | None:
-        return self.sb_dim_upper.get((r, i))
+        bounds = _bounds(self, r)
+        return bounds[i] if 0 <= i < len(bounds) else None
 
 
-def step(st: ElmState, ch: StepChoice) -> ElmState:
-    """Apply one elementary transformation with the given per-rank choices.
+def _bounds(st: ElmState, r: int) -> tuple[int, ...]:
+    return st.sb_dim_upper[r - 1] if 0 < r <= len(st.sb_dim_upper) else ()
+
+
+def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
+    """Apply one elementary transformation; ``hits[r-1]`` is True when the
+    chosen line lies in the fibre of a maximal rank-r subbundle.
 
     Degree rises by 1.  On a miss, s_r gains r and the dimension bound for
     (r, i) becomes max(old(r, i), old(r, i+1) - (n-r)), since containing the
-    chosen line imposes n-r conditions; on a hit, s_r drops by n-r and the
-    bounds for that rank become unknown (there is no rule for that branch).
+    chosen line imposes n-r conditions, so a rank's tuple loses its last
+    entry; on a hit, s_r drops by n-r and the bounds for that rank become
+    unknown (there is no rule for that branch).  The result has one tuple
+    per rank 1..n-1.
     """
     n = st.inv.rank
-    if len(ch.hits_maximal) != n - 1:
+    if len(hits) != n - 1:
         raise ValueError(f"need {n - 1} choices for rank {n}")
     new_s = []
-    new_sb: dict[tuple[int, int], int] = {}
+    new_sb = []
     for r in range(1, n):
         sr = st.inv.s[r - 1]
-        if ch.hits_maximal[r - 1]:
+        if hits[r - 1]:
             new_s.append(sr - (n - r))
+            new_sb.append(())
         else:
             new_s.append(sr + r)
-            i = 0
-            while st.upper(r, i) is not None and st.upper(r, i + 1) is not None:
-                new_sb[(r, i)] = max(st.upper(r, i), st.upper(r, i + 1) - (n - r))
-                i += 1
+            b = _bounds(st, r)
+            # a list gives tuple() the exact length; a generator makes it shrink
+            # a larger tuple, which fills CPython's tuple free lists (~4 MB)
+            new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
     new_inv = BundleInvariants(n, st.inv.degree + 1, tuple(new_s))
-    return ElmState(new_inv, new_sb, st.step_count + 1)
+    return ElmState(new_inv, tuple(new_sb), st.step_count + 1)
 
 
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:
@@ -83,18 +78,13 @@ def certified_ranks(start: ElmState, m: int) -> frozenset[int]:
     n = start.inv.rank
     good = set()
     for r in range(1, n):
-        ok = True
-        for i in range(m):
-            u = start.upper(r, i)
-            if u is None or u >= (i + 1) * (n - r):
-                ok = False
-                break
-        if ok:
+        b = _bounds(start, r)
+        if all(i < len(b) and b[i] < (i + 1) * (n - r) for i in range(m)):
             good.add(r)
     return frozenset(good)
 
 
-def generic_sequence(c: Curve, start: ElmState, m: int) -> ElmState:
+def generic_sequence(start: ElmState, m: int) -> ElmState:
     """m general transformations: the m-fold composition of :func:`step`
     with the all-miss choice.
 
@@ -112,21 +102,22 @@ def generic_sequence(c: Curve, start: ElmState, m: int) -> ElmState:
         raise HypothesisUnverifiable(
             f"no rank has dimension bounds certifying {m} generic steps"
         )
+    misses = (False,) * (start.inv.rank - 1)
     state = start
     for _ in range(m):
-        state = step(state, StepChoice.generic(start.inv.rank))
+        state = step(state, misses)
     return state
 
 
 def seed_state_lemma36(c: Curve, n: int) -> ElmState:
     """Start state for the split bundle with n general degree-1 line-bundle
     summands: degree n, all s_r = 0, and line-subbundle family dimensions
-    (i+1)(n-1) - 1 for i = 0, ..., g-1."""
+    (i+1)(n-1) - 1 for i = 0, ..., g-1 (no rank-2 bounds at n = 3)."""
     if n not in (2, 3):
         raise RankUnsupported("seed defined for ranks 2 and 3")
     inv = BundleInvariants(n, n, (0,) * (n - 1))
-    sb = {(1, i): (i + 1) * (n - 1) - 1 for i in range(c.genus)}
-    return ElmState(inv, sb)
+    lines = tuple([(i + 1) * (n - 1) - 1 for i in range(c.genus)])  # exact length, see step
+    return ElmState(inv, (lines,) + ((),) * (n - 2))
 
 
 def seed_state_rank3_extended(c: Curve) -> ElmState:
@@ -134,10 +125,7 @@ def seed_state_rank3_extended(c: Curve) -> ElmState:
     coordinate planes give dimension 0 in degree 2, and the degree-1
     rank-2 subbundles form a 2-dimensional family."""
     base = seed_state_lemma36(c, 3)
-    sb = dict(base.sb_dim_upper)
-    sb[(2, 0)] = 0
-    sb[(2, 1)] = 2
-    return ElmState(base.inv, sb)
+    return ElmState(base.inv, (base.sb_dim_upper[0], (0, 2)))
 
 
 def s2_lower_bound_track(m: int) -> int:

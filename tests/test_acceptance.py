@@ -13,7 +13,6 @@ from clifford3 import (
     Curve,
     KrawtchoukQuery,
     Rank3Query,
-    StepChoice,
     family_a,
     family_c,
     FamilyAParams,
@@ -158,23 +157,23 @@ def test_criterion_6_transformation_calculus():
     for g in range(2, 7):
         c = Curve(g)
         for m in range(1, g + 1):
-            out = generic_sequence(c, seed_state_lemma36(c, 3), m)
+            out = generic_sequence(seed_state_lemma36(c, 3), m)
             if out.inv.s[0] != m or out.inv.degree != 3 + m:
                 ok = False
                 details.append(f"generic g={g} m={m}")
     # the tracked lower bound matches the one- and two-step witnesses
     c = Curve(6)
-    st1 = step(seed_state_rank3_extended(c), StepChoice.generic(3))
+    st1 = step(seed_state_rank3_extended(c), (False, False))
     if st1.inv.s != (1, 2) or s2_lower_bound_track(1) != 2:
         ok = False
         details.append("one-step witness")
-    st2 = step(st1, StepChoice((False, True)))
+    st2 = step(st1, (False, True))
     if st2.inv.s != (2, 1):
         ok = False
         details.append("two-step witness")
     # exhaustive choice walks never violate the congruence invariants
     walks = 0
-    choices = [StepChoice(b) for b in itertools.product((False, True), repeat=2)]
+    choices = list(itertools.product((False, True), repeat=2))
     frontier = [seed_state_rank3_extended(c)]
     for _ in range(6):
         frontier = [step(state, ch) for state in frontier for ch in choices]

@@ -115,6 +115,9 @@ class TestBound:
             ("1", ("--s1f", "3")),
             ("2", ("--s1", "0", "--s2", "0")),
             ("2", ("--s1", "0", "--s1f", "0")),
+            ("1", ("--delta",)),
+            ("1", ("--f-semistable",)),
+            ("2", ("--s1", "0", "--f-semistable")),
         ],
     )
     def test_flag_its_rank_does_not_read(self, capsys, rank, flags):
@@ -122,9 +125,23 @@ class TestBound:
             capsys, "bound", "--genus", "3", "--rank", rank, "--degree", "4", *flags
         )
         assert code == 2 and out == ""
+        assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["code"] == "UsageError"
-        assert payload["message"] == f"{flags[-2]} is not read at rank {rank}"
+        rejected = [f for f in flags if f.startswith("--")][-1]
+        assert payload["message"] == f"{rejected} is not read at rank {rank}"
+
+    def test_f_semistable_rejected_on_semistable_input(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bound", "--genus", "3", "--rank", "3", "--degree", "10",
+            "--s1", "1", "--s2", "2", "--f-semistable",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "code": "UsageError",
+            "message": "--f-semistable is not read on semistable input",
+        }
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -284,6 +301,23 @@ class TestElmtrans:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[-1]["s"] == [2, 1]
 
+    # three trajectories printed by one process, pinned byte for byte
+    PINNED_SHA256 = "8506f9de8ec42434e149eb1d72e97831ee39321bdbc7681e3617a3f0b4b2b3b6"
+
+    def test_trajectory_bytes(self, capsys):
+        out = ""
+        for argv in (
+            ("--rank", "3", "--genus", "6", "--steps", "12",
+             "--choices", "000110010000011100000010"),
+            ("--rank", "2", "--genus", "5", "--steps", "8", "--choices", "00101000"),
+            ("--rank", "3", "--genus", "4", "--steps", "5"),
+        ):
+            code, text, err = run(capsys, "elmtrans", *argv)
+            assert code == 0 and err == ""
+            out += text
+        assert len(out.splitlines()) == 28
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
     def test_choices_length_checked(self, capsys):
         code, _, err = run(
             capsys,
@@ -339,6 +373,21 @@ class TestExamples:
         assert code == 0
         payload = json.loads(out)
         assert payload["exact_h0"] == 7 and payload["sharp"] is True
+
+    def test_family_c_carries_its_slope_bound(self, capsys):
+        code, out, err = run(
+            capsys, "examples", "--family", "c", "--genus", "3", "--variant", "E2", "--k", "0"
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            '{"family": "c", "genus": 3, "params": {"variant": "E2", "k": 0}, '
+            '"rank": 3, "degree": 5, "s": [2, 1], "exact_h0": 3, '
+            '"bound": {"value": 4, "case": "RANK3-MAIN-SHARP", "exact": false, '
+            '"assumptions": ["hyperelliptic-sharpening"]}, "sharp": false, '
+            '"notes": ["slope bound certifies h0 <= 3 for any stable bundle"], '
+            '"slope_bound": {"value": 3, "case": "SLOPE", "exact": false, '
+            '"assumptions": ["stable"]}}\n'
+        )
 
     def test_unstable_family_requires_its_flags(self, capsys):
         code, out, err = run(capsys, "examples", "--family", "unstable", "--genus", "4")

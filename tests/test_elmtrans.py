@@ -7,7 +7,6 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     ElmState,
-    StepChoice,
     certified_ranks,
     generic_sequence,
     s2_lower_bound_track,
@@ -21,42 +20,40 @@ from clifford3.errors import HypothesisUnverifiable, RankUnsupported
 class TestStep:
     def test_miss_raises_each_sr(self):
         st0 = ElmState(BundleInvariants(3, 3, (0, 0)))
-        st1 = step(st0, StepChoice((False, False)))
+        st1 = step(st0, (False, False))
         assert st1.inv == BundleInvariants(3, 4, (1, 2))
         assert st1.step_count == 1
 
     def test_hit_lowers_sr(self):
         st0 = ElmState(BundleInvariants(3, 4, (1, 2)))
-        st1 = step(st0, StepChoice((False, True)))
+        st1 = step(st0, (False, True))
         assert st1.inv == BundleInvariants(3, 5, (2, 1))
 
     def test_rank2_step(self):
         st0 = ElmState(BundleInvariants(2, 2, (0,)))
-        assert step(st0, StepChoice((False,))).inv == BundleInvariants(2, 3, (1,))
-        assert step(st0, StepChoice((True,))).inv == BundleInvariants(2, 3, (-1,))
+        assert step(st0, (False,)).inv == BundleInvariants(2, 3, (1,))
+        assert step(st0, (True,)).inv == BundleInvariants(2, 3, (-1,))
 
     def test_equal_states_hash_equal(self):
         a, b = seed_state_lemma36(Curve(3), 3), seed_state_lemma36(Curve(3), 3)
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, step(a, StepChoice.generic(3))}) == 2
+        assert len({a, b, step(a, (False, False))}) == 2
 
     def test_choice_arity_checked(self):
         with pytest.raises(ValueError):
-            step(ElmState(BundleInvariants(3, 3, (0, 0))), StepChoice((False,)))
+            step(ElmState(BundleInvariants(3, 3, (0, 0))), (False,))
 
     def test_miss_updates_dimension_bounds(self):
-        st0 = ElmState(
-            BundleInvariants(3, 3, (0, 0)), {(2, 0): 0, (2, 1): 2, (2, 2): 2}
-        )
-        st1 = step(st0, StepChoice((False, False)))
+        st0 = ElmState(BundleInvariants(3, 3, (0, 0)), ((), (0, 2, 2)))
+        st1 = step(st0, (False, False))
         # containing the chosen line imposes n-r = 1 condition
         assert st1.upper(2, 0) == max(0, 2 - 1) == 1
         assert st1.upper(2, 1) == max(2, 2 - 1) == 2
         assert st1.upper(2, 2) is None  # no (2, 3) information to push down
 
     def test_hit_forgets_dimension_bounds(self):
-        st0 = ElmState(BundleInvariants(3, 3, (0, 0)), {(2, 0): 0, (2, 1): 2})
-        st1 = step(st0, StepChoice((False, True)))
+        st0 = ElmState(BundleInvariants(3, 3, (0, 0)), ((), (0, 2)))
+        st1 = step(st0, (False, True))
         assert st1.upper(2, 0) is None and st1.upper(2, 1) is None
 
     @settings(max_examples=100)
@@ -64,7 +61,7 @@ class TestStep:
     def test_congruence_preserved_along_any_walk(self, bits):
         state = ElmState(BundleInvariants(3, 3, (0, 0)))
         for b in bits:
-            state = step(state, StepChoice(b))  # BundleInvariants validates inside
+            state = step(state, b)  # BundleInvariants validates inside
             d = state.inv.degree
             assert (state.inv.s[0] - d) % 3 == 0
             assert (state.inv.s[1] - 2 * d) % 3 == 0
@@ -116,23 +113,23 @@ class TestGenericSequence:
     def test_s1_equals_m(self, g):
         c = Curve(g)
         for m in range(1, g + 1):
-            out = generic_sequence(c, seed_state_lemma36(c, 3), m)
+            out = generic_sequence(seed_state_lemma36(c, 3), m)
             assert out.inv.s[0] == m
             assert out.inv.degree == 3 + m
 
     def test_m_zero_is_identity(self):
         c = Curve(3)
         st0 = seed_state_lemma36(c, 3)
-        assert generic_sequence(c, st0, 0) is st0
+        assert generic_sequence(st0, 0) is st0
 
     def test_uncertified_m_raises(self):
         c = Curve(3)
         with pytest.raises(HypothesisUnverifiable):
-            generic_sequence(c, seed_state_lemma36(c, 3), c.genus + 1)
+            generic_sequence(seed_state_lemma36(c, 3), c.genus + 1)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            generic_sequence(Curve(3), seed_state_lemma36(Curve(3), 3), -1)
+            generic_sequence(seed_state_lemma36(Curve(3), 3), -1)
 
 
 class TestS2Track:
@@ -160,17 +157,17 @@ class TestTwoStepBookkeeping:
         # step hitting a maximal rank-2 subbundle brings it down to 1
         c = Curve(3)
         st0 = seed_state_rank3_extended(c)
-        st1 = step(st0, StepChoice.generic(3))
+        st1 = step(st0, (False, False))
         assert st1.inv.s == (1, 2)
         assert st1.inv.s[1] == s2_lower_bound_track(1)
-        st2 = step(st1, StepChoice((False, True)))
+        st2 = step(st1, (False, True))
         assert st2.inv.s == (2, 1)
 
     def test_exhaustive_walks_preserve_congruence(self):
         # every choice walk of length <= 4 from the extended seed keeps the
         # stability degrees in their congruence classes
         c = Curve(6)
-        choices = [StepChoice(b) for b in itertools.product((False, True), repeat=2)]
+        choices = list(itertools.product((False, True), repeat=2))
         frontier = [seed_state_rank3_extended(c)]
         for _ in range(4):
             frontier = [step(state, ch) for state in frontier for ch in choices]

@@ -14,7 +14,6 @@ from clifford3 import (
     FamilyCParams,
     KrawtchoukQuery,
     Rank3Query,
-    StepChoice,
     family_a,
     seed_state_lemma36,
 )
@@ -36,7 +35,6 @@ RECORDS = [
     (lambda: FamilyBParams(4, 2), "m"),
     (lambda: FamilyCParams(4, "E2", 1), "variant"),
     (lambda: KrawtchoukQuery(2, 3, 6), "r"),
-    (lambda: StepChoice([True, False]), "hits_maximal"),
     (lambda: seed_state_lemma36(Curve(3), 3), "step_count"),
 ]
 IDS = [f"{build().__class__.__name__}.{name}" for build, name in RECORDS]
@@ -64,7 +62,6 @@ def test_slotted(build, name):
 def test_sequences_become_tuples():
     assert BundleInvariants(3, 6, [0, 0]).s == (0, 0)
     assert BoundResult(3, "X", assumptions=["a", "b"]).assumptions == ("a", "b")
-    assert StepChoice([True]).hits_maximal == (True,)
 
 
 def test_replace_on_rank3_query():
@@ -74,8 +71,12 @@ def test_replace_on_rank3_query():
     assert q.inv.degree == 6
 
 
-def test_elm_state_hashes_without_its_dict():
+def test_elm_state_bookkeeping_is_part_of_the_value():
     st = seed_state_lemma36(Curve(3), 3)
-    other = ElmState(st.inv, {(1, 0): 99}, st.step_count)
-    assert st != other and hash(st) == hash(other)
+    with pytest.raises(TypeError):
+        st.sb_dim_upper[0] = (99,)
+    with pytest.raises(TypeError):
+        st.sb_dim_upper[0][0] = 99
+    other = ElmState(st.inv, ((99,), ()), st.step_count)
+    assert st != other
     assert {st: 1}[seed_state_lemma36(Curve(3), 3)] == 1
