@@ -24,9 +24,6 @@ from .elmtrans import (
 )
 from .families import (
     ExampleReport,
-    FamilyAParams,
-    FamilyBParams,
-    FamilyCParams,
     family_a,
     family_b,
     family_c,
@@ -54,9 +51,6 @@ __all__ = [
     "Curve",
     "ElmState",
     "ExampleReport",
-    "FamilyAParams",
-    "FamilyBParams",
-    "FamilyCParams",
     "KrawtchoukQuery",
     "Rank3Query",
     "bound",

@@ -34,9 +34,6 @@ from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
 from .elmtrans import ElmState, seed_state_lemma36, step
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
-    FamilyAParams,
-    FamilyBParams,
-    FamilyCParams,
     family_a,
     family_b,
     family_c,
@@ -195,14 +192,13 @@ def cmd_examples(args) -> int:
     if args.family == "unstable" and None in (args.dl, args.df, args.s1f):
         raise Clifford3Error("family unstable needs --dl, --df and --s1f")
     if args.family == "a":
-        report = family_a(FamilyAParams(args.genus, args.n, args.k))
+        report = family_a(args.genus, args.n, args.k)
     elif args.family == "b":
-        report = family_b(FamilyBParams(args.genus, args.m))
+        report = family_b(args.genus, args.m)
     elif args.family == "c":
-        report = family_c(FamilyCParams(args.genus, args.variant, args.k))
+        report = family_c(args.genus, args.variant, args.k)
     else:
-        curve = Curve(args.genus, hyperelliptic=True)
-        report = unstable_sharpness(curve, args.dl, args.df, args.s1f)
+        report = unstable_sharpness(args.genus, args.dl, args.df, args.s1f)
     print(json.dumps(report.to_dict()))
     return 0
 

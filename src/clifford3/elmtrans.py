@@ -20,25 +20,28 @@ from .invariants import BundleInvariants, Curve
 class ElmState:
     """Bundle invariants plus dimension bookkeeping for subbundle families.
 
+    ``sb_dim_upper`` holds one tuple per rank r = 1..n-1, and
     ``sb_dim_upper[r-1][i]`` is an upper bound on the dimension of the
     family of rank-r subbundles of degree (maximal - i).  Only the bounds
-    for i = 0, 1, ... up to the first unknown one are kept, and a rank
-    without a tuple has none.  The state is an immutable value: the
-    bookkeeping is part of its equality and hash, and steps return fresh
-    states.
+    for i = 0, 1, ... up to the first unknown one are kept, so a rank with
+    no known bound has the empty tuple.  The state is an immutable value:
+    the bookkeeping is part of its equality and hash, and steps return
+    fresh states.
     """
 
     inv: BundleInvariants
-    sb_dim_upper: tuple[tuple[int, ...], ...] = ()
+    sb_dim_upper: tuple[tuple[int, ...], ...]
     step_count: int = 0
 
+    def __post_init__(self):
+        if len(self.sb_dim_upper) != self.inv.rank - 1:
+            raise ValueError(
+                f"need {self.inv.rank - 1} bound tuples for rank {self.inv.rank}"
+            )
+
     def upper(self, r: int, i: int) -> int | None:
-        bounds = _bounds(self, r)
+        bounds = self.sb_dim_upper[r - 1] if 0 < r < self.inv.rank else ()
         return bounds[i] if 0 <= i < len(bounds) else None
-
-
-def _bounds(st: ElmState, r: int) -> tuple[int, ...]:
-    return st.sb_dim_upper[r - 1] if 0 < r <= len(st.sb_dim_upper) else ()
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
@@ -64,7 +67,7 @@ def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
             new_sb.append(())
         else:
             new_s.append(sr + r)
-            b = _bounds(st, r)
+            b = st.sb_dim_upper[r - 1]
             # a list gives tuple() the exact length; a generator makes it shrink
             # a larger tuple, which fills CPython's tuple free lists (~4 MB)
             new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
@@ -75,10 +78,12 @@ def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:
     """Ranks r whose recorded dimension bounds verify the genericity
     hypotheses dim < (i+1)(n-r) for i = 0, ..., m-1."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     n = start.inv.rank
     good = set()
     for r in range(1, n):
-        b = _bounds(start, r)
+        b = start.sb_dim_upper[r - 1]
         if all(i < len(b) and b[i] < (i + 1) * (n - r) for i in range(m)):
             good.add(r)
     return frozenset(good)
@@ -94,8 +99,6 @@ def generic_sequence(start: ElmState, m: int) -> ElmState:
     all-miss choice, but their values carry no guarantee (use
     :func:`certified_ranks` to tell them apart).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if m == 0:
         return start
     if not certified_ranks(start, m):

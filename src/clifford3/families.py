@@ -5,6 +5,12 @@ general points and general elementary transformations, with their exact
 section counts, the applicable bound and a sharpness verdict; plus direct
 sums witnessing the unstable bounds.
 
+Each constructor takes plain values and builds the hyperelliptic curve
+``Curve(g, hyperelliptic=True)`` of the given genus itself:
+``family_a(g, n, k)``, ``family_b(g, m)`` and ``family_c(g, variant, k)``
+check their ranges first (``ParamsOutOfRange``), while
+``unstable_sharpness(g, dL, dF, s1F)`` builds its curve before its checks.
+
 The stability degrees of the constructed bundles are asserted data of the
 constructions (there is no general direct-sum calculus for them); the exact
 section counts come only from the two hyperelliptic formulas of the
@@ -18,69 +24,6 @@ from .bounds import Rank3Query, bound, h0_prop21_bound, h0_rank2_bound, slope_bo
 from .elmtrans import s2_lower_bound_track
 from .errors import ParamsOutOfRange, UnrealizableF
 from .invariants import BoundResult, BundleInvariants, Curve, h0_hyperelliptic_power
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyAParams:
-    """Parameters for the family with both stability degrees zero: the sum of
-    a pencil power and a twisted rank-2 bundle with s1 = 4n+2."""
-
-    g: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.g < 3:
-            raise ParamsOutOfRange("this family needs genus >= 3")
-        if self.n < 0:
-            raise ParamsOutOfRange("n must be nonnegative")
-        m = 4 * self.n + 2
-        if m > self.g:
-            raise ParamsOutOfRange(f"needs 4n+2 <= g, got {m} > {self.g}")
-        if not 0 <= self.k <= self.g - 2 - m // 2:
-            raise ParamsOutOfRange(
-                f"k must lie in [0, {self.g - 2 - m // 2}], got {self.k}"
-            )
-
-    @property
-    def m(self) -> int:
-        return 4 * self.n + 2
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyBParams:
-    """Parameters for the stable family: m general transformations of the
-    split rank-3 seed, m even with 2 <= m <= g (m = 1 also allowed at g = 2)."""
-
-    g: int
-    m: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ParamsOutOfRange("genus must be >= 2")
-        if self.g == 2 and self.m == 1:
-            return
-        if self.m % 2 != 0 or not 2 <= self.m <= self.g:
-            raise ParamsOutOfRange(
-                f"m must be even with 2 <= m <= g (or m=1 at g=2), got m={self.m}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyCParams:
-    """Parameters for the twisted one- and two-step transformation families."""
-
-    g: int
-    variant: str  # "E1" or "E2"
-    k: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ParamsOutOfRange("genus must be >= 2")
-        if self.variant not in ("E1", "E2"):
-            raise ParamsOutOfRange(f"variant must be E1 or E2, got {self.variant}")
-        if not 0 <= self.k <= self.g - 2:
-            raise ParamsOutOfRange(f"k must lie in [0, {self.g - 2}], got {self.k}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,23 +69,32 @@ class ExampleReport:
         return out
 
 
-def family_a(p: FamilyAParams) -> ExampleReport:
+def family_a(g: int, n: int, k: int) -> ExampleReport:
     """Sum of the (n+k+1)-st pencil power and a twisted rank-2 bundle with
-    s1 = m = 4n+2: both stability degrees vanish and the quotient bound with
-    hyperelliptic sharpening is attained."""
-    curve = Curve(p.g, hyperelliptic=True)
-    m = p.m
-    d = 6 * (p.n + p.k + 1)
-    inv = BundleInvariants(3, d, (0, 0))
+    s1 = m = 4n+2, on the hyperelliptic curve of genus g: both stability
+    degrees vanish and the quotient bound with hyperelliptic sharpening is
+    attained.  Needs g >= 3, n >= 0, 4n+2 <= g and 0 <= k <= g-2-m/2, checked
+    in that order."""
+    if g < 3:
+        raise ParamsOutOfRange("this family needs genus >= 3")
+    if n < 0:
+        raise ParamsOutOfRange("n must be nonnegative")
+    m = 4 * n + 2
+    if m > g:
+        raise ParamsOutOfRange(f"needs 4n+2 <= g, got {m} > {g}")
+    if not 0 <= k <= g - 2 - m // 2:
+        raise ParamsOutOfRange(f"k must lie in [0, {g - 2 - m // 2}], got {k}")
+    curve = Curve(g, hyperelliptic=True)
+    inv = BundleInvariants(3, 6 * (n + k + 1), (0, 0))
     # rank-2 summand: degree m+4k+2, s1 = m; exact count pinned by matching
     # lower (two twisted point bundles) and upper (rank-2 bound) estimates
-    low = 2 * (p.k + 1)
-    up = h0_rank2_bound(curve, m + 4 * p.k + 2, m).value
+    low = 2 * (k + 1)
+    up = h0_rank2_bound(curve, m + 4 * k + 2, m).value
     if low != up:
         raise ParamsOutOfRange(
             f"rank-2 summand count not pinned: lower {low}, upper {up}"
         )
-    exact = h0_hyperelliptic_power(curve, p.n + p.k + 1) + low
+    exact = h0_hyperelliptic_power(curve, n + k + 1) + low
     q = Rank3Query(curve, inv, s1f=m, use_hyperelliptic_sharpening=True)
     return ExampleReport(
         "a",
@@ -150,47 +102,61 @@ def family_a(p: FamilyAParams) -> ExampleReport:
         inv,
         exact,
         h0_prop21_bound(q),
-        params=(("n", p.n), ("k", p.k), ("m", m)),
+        params=(("n", n), ("k", k), ("m", m)),
         notes=("s1 = s2 = 0 and s1f = m are asserted by the construction",),
     )
 
 
-def family_b(p: FamilyBParams) -> ExampleReport:
-    """m general transformations of the split rank-3 seed: degree 3+m,
-    s1 = m, s2 at least the certified lower bound; exactly 3 sections, and
-    the quotient bound with hyperelliptic sharpening gives exactly 3."""
-    curve = Curve(p.g, hyperelliptic=True)
-    d = 3 + p.m
-    s2 = s2_lower_bound_track(p.m)
-    inv = BundleInvariants(3, d, (p.m, s2))
-    q = Rank3Query(curve, inv, s1f=p.m, use_hyperelliptic_sharpening=True)
+def family_b(g: int, m: int) -> ExampleReport:
+    """m general transformations of the split rank-3 seed on the
+    hyperelliptic curve of genus g: degree 3+m, s1 = m, s2 at least the
+    certified lower bound; exactly 3 sections, and the quotient bound with
+    hyperelliptic sharpening gives exactly 3.  Needs g >= 2 and m even with
+    2 <= m <= g; m = 1 is also allowed at g = 2."""
+    if g < 2:
+        raise ParamsOutOfRange("genus must be >= 2")
+    if not (g == 2 and m == 1) and (m % 2 != 0 or not 2 <= m <= g):
+        raise ParamsOutOfRange(
+            f"m must be even with 2 <= m <= g (or m=1 at g=2), got m={m}"
+        )
+    curve = Curve(g, hyperelliptic=True)
+    inv = BundleInvariants(3, 3 + m, (m, s2_lower_bound_track(m)))
+    q = Rank3Query(curve, inv, s1f=m, use_hyperelliptic_sharpening=True)
     return ExampleReport(
         "b",
         curve,
         inv,
         3,
         h0_prop21_bound(q),  # raises HypothesisFailed when the window fails
-        params=(("m", p.m),),
+        params=(("m", m),),
         notes=("s2 is a certified lower bound, sufficient for this bound",),
     )
 
 
-def family_c(p: FamilyCParams) -> ExampleReport:
-    """Twists of the one-step (E1) and two-step (E2) transformations of the
-    split seed.  E1 attains the sharpened main bound at 3k+3; E2 falls short
+def family_c(g: int, variant: str, k: int) -> ExampleReport:
+    """Twists by the k-th pencil power of the one-step ("E1") and two-step
+    ("E2") transformations of the split seed, on the hyperelliptic curve of
+    genus g.  E1 attains the sharpened main bound at 3k+3; E2 falls short
     of it by exactly 1, and at k = 0 the slope bound certifies that for
-    genus >= 3 while at genus 2 the bound 4 is attainable."""
-    curve = Curve(p.g, hyperelliptic=True)
-    exact = 3 * (p.k + 1)  # three twisted point-bundle summands
+    genus >= 3 while at genus 2 the bound 4 is attainable.  Needs g >= 2,
+    variant "E1" or "E2" and 0 <= k <= g-2, checked in that order."""
+    if g < 2:
+        raise ParamsOutOfRange("genus must be >= 2")
+    if variant not in ("E1", "E2"):
+        raise ParamsOutOfRange(f"variant must be E1 or E2, got {variant}")
+    if not 0 <= k <= g - 2:
+        raise ParamsOutOfRange(f"k must lie in [0, {g - 2}], got {k}")
+    curve = Curve(g, hyperelliptic=True)
+    exact = 3 * (k + 1)  # three twisted point-bundle summands
     slope = None
     notes: tuple[str, ...] = ()
-    if p.variant == "E1":
-        inv = BundleInvariants(3, 6 * p.k + 4, (1, 2))
+    if variant == "E1":
+        inv = BundleInvariants(3, 6 * k + 4, (1, 2))
     else:
-        inv = BundleInvariants(3, 6 * p.k + 5, (2, 1))
-        if p.k == 0:
-            slope = slope_bound(p.g, 5)
-            if p.g >= 3:
+        inv = BundleInvariants(3, 6 * k + 5, (2, 1))
+        if k == 0:
+            slope = slope_bound(g, 5)
+            if g >= 3:
                 notes = (
                     f"slope bound certifies h0 <= {slope.value} for any stable bundle",
                 )
@@ -205,7 +171,7 @@ def family_c(p: FamilyCParams) -> ExampleReport:
         inv,
         exact,
         bound(curve, inv),
-        params=(("variant", p.variant), ("k", p.k)),
+        params=(("variant", variant), ("k", k)),
         slope=slope,
         notes=notes,
     )
@@ -230,16 +196,16 @@ def stable_pairs_for_degree5_genus2() -> list[tuple[int, int]]:
     return out
 
 
-def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
+def unstable_sharpness(g: int, dL: int, dF: int, s1F: int) -> ExampleReport:
     """Direct sum of a dominant line bundle of degree dL and a rank-2 sum of
-    pencil powers realizing (dF, s1F), with its exact section count against
-    the unstable bound.
+    pencil powers realizing (dF, s1F), on the hyperelliptic curve of genus g,
+    with its exact section count against the unstable bound.  The curve is
+    built first, so g < 2 is the ValueError of ``Curve``.
 
     dL even gives a pure pencil power; dL odd falls back to a power twisted
     by a general point (only available for (dL-1)/2 <= g-2).
     """
-    if not c.hyperelliptic:
-        raise ParamsOutOfRange("unstable witnesses live on hyperelliptic curves")
+    c = Curve(g, hyperelliptic=True)
     d = dL + dF
     if 3 * dL <= d:
         raise ParamsOutOfRange("line summand must strictly dominate: need 3*dL > dL+dF")
@@ -253,7 +219,6 @@ def unstable_sharpness(c: Curve, dL: int, dF: int, s1F: int) -> ExampleReport:
         raise UnrealizableF(f"degree {dF} too small for s1 {s1F}")
     if dL < 2 * b:
         raise ParamsOutOfRange("line summand must dominate both pencil factors")
-    g = c.genus
     if dL % 2 == 0:
         h0_line = h0_hyperelliptic_power(c, dL // 2)
         line_desc = f"pencil^{dL // 2}"
@@ -286,16 +251,16 @@ def genus_reports(family: str, g: int) -> list[ExampleReport]:
     suite order.  Family "a" needs genus >= 3 and is empty at g = 2."""
     if family == "a":
         return [
-            family_a(FamilyAParams(g, n, k))
+            family_a(g, n, k)
             for n in range((g - 2) // 4 + 1)
             for k in range(g - 2 - (4 * n + 2) // 2 + 1)
         ]
     if family == "b":
         ms = [1] if g == 2 else range(2, g + 1, 2)
-        return [family_b(FamilyBParams(g, m)) for m in ms]
+        return [family_b(g, m) for m in ms]
     if family == "c":
         return [
-            family_c(FamilyCParams(g, variant, k))
+            family_c(g, variant, k)
             for variant in ("E1", "E2")
             for k in range(g - 1)
         ]

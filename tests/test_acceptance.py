@@ -15,8 +15,6 @@ from clifford3 import (
     Rank3Query,
     family_a,
     family_c,
-    FamilyAParams,
-    FamilyCParams,
     generic_sequence,
     h0_rank2_bound,
     h0_rank3_semistable_bound,
@@ -118,7 +116,7 @@ def test_criterion_4_family_a_sharpness():
     for g in range(3, 9):
         for n in range((g - 2) // 4 + 1):
             for k in range(g - 2 - (4 * n + 2) // 2 + 1):
-                r = family_a(FamilyAParams(g, n, k))
+                r = family_a(g, n, k)
                 if not (r.sharp and r.exact_h0 == n + 3 * k + 4):
                     ok = False
                 cases += 1
@@ -131,15 +129,15 @@ def test_criterion_5_family_c_values():
     details = []
     for g in range(2, 9):
         for k in range(g - 1):
-            r1 = family_c(FamilyCParams(g, "E1", k))
+            r1 = family_c(g, "E1", k)
             if not (r1.sharp and r1.exact_h0 == 3 * k + 3):
                 ok = False
                 details.append(f"E1 g={g} k={k}")
-            r2 = family_c(FamilyCParams(g, "E2", k))
+            r2 = family_c(g, "E2", k)
             if r2.bound.value - r2.exact_h0 != 1:
                 ok = False
                 details.append(f"E2 g={g} k={k}")
-    slope = family_c(FamilyCParams(3, "E2", 0)).slope
+    slope = family_c(3, "E2", 0).slope
     if slope is None or slope.value != 3:
         ok = False
         details.append("slope certificate")
@@ -221,9 +219,8 @@ def test_criterion_8_unstable_split_sharpness():
         if e_lo > g - 1:
             continue
         e = rng.randint(e_lo, g - 1)
-        c = Curve(g, hyperelliptic=True)
         # report construction asserts exact <= bound internally
-        r = unstable_sharpness(c, 2 * e, 2 * a + 2 * b, 2 * a - 2 * b)
+        r = unstable_sharpness(g, 2 * e, 2 * a + 2 * b, 2 * a - 2 * b)
         if not (r.exact_h0 <= r.bound.value and r.sharp):
             ok = False
         checked += 1

@@ -394,6 +394,31 @@ class TestExamples:
         assert code == 2 and out == ""
         assert json.loads(err)["code"] == "Clifford3Error"
 
+    # twelve single-family runs printed by one process, reports and errors
+    # alike, pinned byte for byte
+    FAMILY_SHA256 = "b1aff0b159fa6e78260238bd8c9c50dbed93876b7155c3d07dd8de03ad4fdbbb"
+
+    def test_family_bytes(self, capsys):
+        out = ""
+        for argv in (
+            "--family a --genus 7 --n 1 --k 0",
+            "--family a --genus 5 --n -1 --k 99",
+            "--family a --genus 2",
+            "--family b --genus 6 --m 4",
+            "--family b --genus 2 --m 1",
+            "--family b --genus 2 --m 2",
+            "--family b --genus 4 --m 3",
+            "--family c --genus 4 --variant E2 --k 0",
+            "--family c --genus 1 --variant E1 --k 5",
+            "--family unstable --genus 4 --dl 5 --df 2 --s1f -2",
+            "--family unstable --genus 3 --dl 2 --df 4 --s1f 0",
+            "--family unstable --genus 1 --dl 2 --df 4 --s1f 0",
+        ):
+            code, text, err = run(capsys, "examples", *argv.split())
+            out += f"{code}\n{text}{err}"
+        assert len(out.splitlines()) == 24
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FAMILY_SHA256
+
     def test_suite_csv(self, capsys):
         code, out, _ = run(capsys, "examples", "--suite", "--max-genus", "4")
         assert code == 0

@@ -19,18 +19,18 @@ from clifford3.errors import HypothesisUnverifiable, RankUnsupported
 
 class TestStep:
     def test_miss_raises_each_sr(self):
-        st0 = ElmState(BundleInvariants(3, 3, (0, 0)))
+        st0 = ElmState(BundleInvariants(3, 3, (0, 0)), ((), ()))
         st1 = step(st0, (False, False))
         assert st1.inv == BundleInvariants(3, 4, (1, 2))
         assert st1.step_count == 1
 
     def test_hit_lowers_sr(self):
-        st0 = ElmState(BundleInvariants(3, 4, (1, 2)))
+        st0 = ElmState(BundleInvariants(3, 4, (1, 2)), ((), ()))
         st1 = step(st0, (False, True))
         assert st1.inv == BundleInvariants(3, 5, (2, 1))
 
     def test_rank2_step(self):
-        st0 = ElmState(BundleInvariants(2, 2, (0,)))
+        st0 = ElmState(BundleInvariants(2, 2, (0,)), ((),))
         assert step(st0, (False,)).inv == BundleInvariants(2, 3, (1,))
         assert step(st0, (True,)).inv == BundleInvariants(2, 3, (-1,))
 
@@ -41,7 +41,7 @@ class TestStep:
 
     def test_choice_arity_checked(self):
         with pytest.raises(ValueError):
-            step(ElmState(BundleInvariants(3, 3, (0, 0))), (False,))
+            step(ElmState(BundleInvariants(3, 3, (0, 0)), ((), ())), (False,))
 
     def test_miss_updates_dimension_bounds(self):
         st0 = ElmState(BundleInvariants(3, 3, (0, 0)), ((), (0, 2, 2)))
@@ -59,7 +59,7 @@ class TestStep:
     @settings(max_examples=100)
     @given(bits=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=8))
     def test_congruence_preserved_along_any_walk(self, bits):
-        state = ElmState(BundleInvariants(3, 3, (0, 0)))
+        state = ElmState(BundleInvariants(3, 3, (0, 0)), ((), ()))
         for b in bits:
             state = step(state, b)  # BundleInvariants validates inside
             d = state.inv.degree

@@ -6,9 +6,6 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     ExampleReport,
-    FamilyAParams,
-    FamilyBParams,
-    FamilyCParams,
     family_a,
     family_b,
     family_c,
@@ -22,30 +19,30 @@ from clifford3.errors import HypothesisFailed, ParamsOutOfRange, UnrealizableF
 
 class TestParams:
     def test_family_a_ranges(self):
-        FamilyAParams(5, 0, 2)
+        family_a(5, 0, 2)
         with pytest.raises(ParamsOutOfRange):
-            FamilyAParams(2, 0, 0)  # genus too small
+            family_a(2, 0, 0)  # genus too small
         with pytest.raises(ParamsOutOfRange):
-            FamilyAParams(5, 1, 0)  # 4n+2 = 6 > g
+            family_a(5, 1, 0)  # 4n+2 = 6 > g
         with pytest.raises(ParamsOutOfRange):
-            FamilyAParams(5, 0, 3)  # k beyond g-2-m/2
+            family_a(5, 0, 3)  # k beyond g-2-m/2
 
     def test_family_b_ranges(self):
-        FamilyBParams(4, 2)
-        FamilyBParams(2, 1)  # the one odd value allowed, at genus 2
+        family_b(4, 2)
+        family_b(2, 1)  # the one odd value allowed, at genus 2
         with pytest.raises(ParamsOutOfRange):
-            FamilyBParams(4, 3)
+            family_b(4, 3)
         with pytest.raises(ParamsOutOfRange):
-            FamilyBParams(4, 6)
+            family_b(4, 6)
         with pytest.raises(ParamsOutOfRange):
-            FamilyBParams(3, 1)
+            family_b(3, 1)
 
     def test_family_c_ranges(self):
-        FamilyCParams(3, "E1", 0)
+        family_c(3, "E1", 0)
         with pytest.raises(ParamsOutOfRange):
-            FamilyCParams(3, "E3", 0)
+            family_c(3, "E3", 0)
         with pytest.raises(ParamsOutOfRange):
-            FamilyCParams(3, "E1", 2)
+            family_c(3, "E1", 2)
 
 
 class TestExampleReport:
@@ -68,7 +65,7 @@ class TestExampleReport:
 
 class TestFamilyA:
     def test_known_value(self):
-        r = family_a(FamilyAParams(5, 0, 2))
+        r = family_a(5, 0, 2)
         assert r.exact_h0 == 10 and r.bound.value == 10 and r.sharp
         assert r.inv == BundleInvariants(3, 18, (0, 0))
         assert r.params == (("n", 0), ("k", 2), ("m", 2))
@@ -78,47 +75,47 @@ class TestFamilyA:
         for g in range(3, 9):
             for n in range((g - 2) // 4 + 1):
                 for k in range(g - 2 - (4 * n + 2) // 2 + 1):
-                    r = family_a(FamilyAParams(g, n, k))
+                    r = family_a(g, n, k)
                     assert r.sharp
                     assert r.exact_h0 == n + 3 * k + 4
 
 
 class TestFamilyB:
     def test_even_m(self):
-        r = family_b(FamilyBParams(4, 2))
+        r = family_b(4, 2)
         assert r.exact_h0 == 3 and r.sharp
         assert r.inv == BundleInvariants(3, 5, (2, 1))
 
     def test_genus2_m1(self):
-        r = family_b(FamilyBParams(2, 1))
+        r = family_b(2, 1)
         assert r.exact_h0 == 3 and r.sharp
         assert r.inv == BundleInvariants(3, 4, (1, 2))
 
     def test_genus2_m2_fails_the_window(self):
         with pytest.raises(HypothesisFailed):
-            family_b(FamilyBParams(2, 2))
+            family_b(2, 2)
 
 
 class TestFamilyC:
     def test_e1_sharp(self):
-        r = family_c(FamilyCParams(3, "E1", 0))
+        r = family_c(3, "E1", 0)
         assert r.exact_h0 == 3 and r.bound.value == 3 and r.sharp
-        r = family_c(FamilyCParams(3, "E1", 1))
+        r = family_c(3, "E1", 1)
         assert r.exact_h0 == 6 and r.sharp
 
     def test_e2_gap_one(self):
         for g in (3, 4, 5):
             for k in range(g - 1):
-                r = family_c(FamilyCParams(g, "E2", k))
+                r = family_c(g, "E2", k)
                 assert r.bound.value - r.exact_h0 == 1 and not r.sharp
 
     def test_e2_slope_certificate_at_k0(self):
-        r = family_c(FamilyCParams(3, "E2", 0))
+        r = family_c(3, "E2", 0)
         assert r.slope is not None and r.slope.value == 3
         assert r.slope.value == r.exact_h0  # the gap to the main bound is real
 
     def test_e2_genus2_note(self):
-        r = family_c(FamilyCParams(2, "E2", 0))
+        r = family_c(2, "E2", 0)
         assert r.slope is not None and r.slope.value == 4
         assert any("genus 2" in n for n in r.notes)
 
@@ -129,41 +126,36 @@ class TestFamilyC:
 class TestUnstableSharpness:
     def test_unstable_quotient_witness(self):
         # pencil^2 + pencil^0 + pencil^1 at genus 3
-        r = unstable_sharpness(Curve(3, True), 4, 2, -2)
+        r = unstable_sharpness(3, 4, 2, -2)
         assert r.exact_h0 == 6 and r.sharp
         assert r.inv == BundleInvariants(3, 6, (-6, -6))
 
     def test_semistable_quotient_witness(self):
         # pencil^2 + pencil^1 + pencil^1 at genus 3
-        r = unstable_sharpness(Curve(3, True), 4, 4, 0)
+        r = unstable_sharpness(3, 4, 4, 0)
         assert r.exact_h0 == 7 and r.sharp
         assert r.inv == BundleInvariants(3, 8, (-4, -2))
 
     def test_odd_line_degree_uses_a_general_point(self):
-        r = unstable_sharpness(Curve(4, True), 5, 2, -2)
+        r = unstable_sharpness(4, 5, 2, -2)
         assert r.exact_h0 == 6 and r.sharp
         assert any("point" in n for n in r.notes)
 
     def test_odd_line_degree_out_of_modeled_range(self):
         with pytest.raises(UnrealizableF):
-            unstable_sharpness(Curve(2, True), 3, 0, 0)
+            unstable_sharpness(2, 3, 0, 0)
 
     def test_unrealizable_f(self):
-        c = Curve(3, True)
         with pytest.raises(UnrealizableF):
-            unstable_sharpness(c, 6, 3, -1)  # odd degree
+            unstable_sharpness(3, 6, 3, -1)  # odd degree
         with pytest.raises(UnrealizableF):
-            unstable_sharpness(c, 6, 2, 2)  # positive s1F
+            unstable_sharpness(3, 6, 2, 2)  # positive s1F
         with pytest.raises(UnrealizableF):
-            unstable_sharpness(c, 6, 2, 0)  # (dF + s1F) % 4 != 0
+            unstable_sharpness(3, 6, 2, 0)  # (dF + s1F) % 4 != 0
 
     def test_dominance_required(self):
         with pytest.raises(ParamsOutOfRange):
-            unstable_sharpness(Curve(3, True), 2, 4, 0)
-
-    def test_requires_hyperelliptic(self):
-        with pytest.raises(ParamsOutOfRange):
-            unstable_sharpness(Curve(3), 4, 2, -2)
+            unstable_sharpness(3, 2, 4, 0)
 
 
 class TestSuite:
@@ -206,5 +198,5 @@ class TestUnstableWithinBound:
         e_lo = b + 1 if a == b else b
         assume(e_lo <= g - 1)
         e = data.draw(st.integers(e_lo, g - 1))
-        r = unstable_sharpness(Curve(g, True), 2 * e, 2 * a + 2 * b, 2 * a - 2 * b)
+        r = unstable_sharpness(g, 2 * e, 2 * a + 2 * b, 2 * a - 2 * b)
         assert r.exact_h0 <= r.bound.value

@@ -5,10 +5,13 @@ import pytest
 from clifford3 import (
     BundleInvariants,
     Curve,
-    FamilyAParams,
-    FamilyCParams,
+    ElmState,
     Rank3Query,
+    certified_ranks,
+    family_a,
+    family_c,
     h0_hyperelliptic_power,
+    seed_state_lemma36,
     slope_bound,
     suggested_min_s1f,
     unstable_sharpness,
@@ -20,6 +23,10 @@ def _rank2():
     return BundleInvariants(2, 4, (0,))
 
 
+def _rank3():
+    return BundleInvariants(3, 3, (0, 0))
+
+
 CASES = [
     ("Rank3Query-rank2", lambda: Rank3Query(Curve(4), _rank2()), RankUnsupported),
     ("suggested_min_s1f-rank2", lambda: suggested_min_s1f(_rank2()), RankUnsupported),
@@ -29,17 +36,24 @@ CASES = [
         lambda: h0_hyperelliptic_power(Curve(5, True), -1),
         ValueError,
     ),
-    ("FamilyAParams-negative-n", lambda: FamilyAParams(5, -1, 0), ParamsOutOfRange),
-    ("FamilyCParams-genus1", lambda: FamilyCParams(1, "E1", 0), ParamsOutOfRange),
+    ("family_a-negative-n", lambda: family_a(5, -1, 0), ParamsOutOfRange),
+    ("family_c-genus1", lambda: family_c(1, "E1", 0), ParamsOutOfRange),
     (
         "unstable_sharpness-degree-too-small",
-        lambda: unstable_sharpness(Curve(5, True), 2, -4, 0),
+        lambda: unstable_sharpness(5, 2, -4, 0),
         UnrealizableF,
     ),
     (
         "unstable_sharpness-line-below-pencil",
-        lambda: unstable_sharpness(Curve(5, True), 5, 8, -4),
+        lambda: unstable_sharpness(5, 5, 8, -4),
         ParamsOutOfRange,
+    ),
+    ("ElmState-no-bound-tuples", lambda: ElmState(_rank3(), ()), ValueError),
+    ("ElmState-one-tuple-too-many", lambda: ElmState(_rank3(), ((), (), ())), ValueError),
+    (
+        "certified_ranks-negative-m",
+        lambda: certified_ranks(seed_state_lemma36(Curve(3), 3), -1),
+        ValueError,
     ),
 ]
 

@@ -9,9 +9,6 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     ElmState,
-    FamilyAParams,
-    FamilyBParams,
-    FamilyCParams,
     KrawtchoukQuery,
     Rank3Query,
     family_a,
@@ -30,10 +27,7 @@ RECORDS = [
     (_inv, "degree"),
     (lambda: BoundResult(3, "RANK3-MAIN", assumptions=["x"]), "value"),
     (lambda: Rank3Query(Curve(4), _inv(), s1f=2, use_delta=True), "s1f"),
-    (lambda: family_a(FamilyAParams(5, 0, 1)), "exact_h0"),
-    (lambda: FamilyAParams(5, 0, 1), "k"),
-    (lambda: FamilyBParams(4, 2), "m"),
-    (lambda: FamilyCParams(4, "E2", 1), "variant"),
+    (lambda: family_a(5, 0, 1), "exact_h0"),
     (lambda: KrawtchoukQuery(2, 3, 6), "r"),
     (lambda: seed_state_lemma36(Curve(3), 3), "step_count"),
 ]
