@@ -8,15 +8,23 @@ usage errors go to stderr as a JSON object with a stable ``code`` field and
 exit status 2.  ``bound`` rejects a flag its rank does not read (``--s1``
 and ``--delta`` at rank 1; ``--s2``, ``--s1f`` and ``--f-semistable`` at
 ranks 1 and 2) and ``--f-semistable`` on semistable input, before any bound
-is computed.  Each ``elmtrans`` line writes the state's dimension bounds as
-an object keyed "r,i" in (r, i) order.
+is computed.  ``examples`` likewise rejects a flag its mode does not read,
+for example ``--n`` with ``--family b`` or ``--family`` with ``--suite``.
+Each ``elmtrans`` line writes the state's dimension bounds as an object
+keyed "r,i" in (r, i) order.
 
-``main`` may be called any number of times in one process: the parser is
-built on the first call and reused after it.  Six inputs are capped,
-because their cost grows without bound: ``krawtchouk`` N at
-MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at MAX_DELTA_GENUS,
-``elmtrans --steps`` at MAX_ELMTRANS_STEPS, ``elmtrans --genus`` at
-MAX_ELMTRANS_GENUS, the number of degrees ``table`` sweeps at
+``parse_args`` reads argv against the ``COMMANDS`` table in one walk and
+keeps no state between calls, so ``main`` may be called any number of
+times in one process.  It accepts what argparse accepted: ``--flag value``,
+``--flag=value``, a unique prefix of a flag, the last value of a repeated
+flag and negative integers as values; ``-h``/``--help`` prints usage text
+to stdout and exits 0.  The one difference is ``--flag=--``, which
+argparse read as an empty list and which is the literal value ``--`` here.
+
+Six inputs are capped, because their cost grows without bound:
+``krawtchouk`` N at MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at
+MAX_DELTA_GENUS, ``elmtrans --steps`` at MAX_ELMTRANS_STEPS, ``elmtrans
+--genus`` at MAX_ELMTRANS_GENUS, the number of degrees ``table`` sweeps at
 MAX_TABLE_ROWS and ``examples --suite --max-genus`` at MAX_SUITE_GENUS.
 A value above its cap is the JSON ``UsageError``, reported before any
 work is done.  The CSV text of each (family, genus) block of the suite is
@@ -25,10 +33,12 @@ built once per process and cached; the --max-genus cap bounds that cache at
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
 from .elmtrans import ElmState, seed_state_lemma36, step
@@ -57,9 +67,6 @@ MAX_ELMTRANS_STEPS = 10_000
 MAX_ELMTRANS_GENUS = 1_000
 MAX_TABLE_ROWS = 100_000
 MAX_SUITE_GENUS = 100
-
-_parser = None  # built by the first build_parser() call
-
 
 def _emit_error(exc: Exception) -> int:
     code = exc.code if isinstance(exc, Clifford3Error) else type(exc).__name__
@@ -181,101 +188,297 @@ def _suite_block(family: str, g: int) -> str:
     return "".join(rows)
 
 
+# the flags each mode of ``examples`` reads, with their defaults; --suite
+# picks the mode, so every mode reads it
+_EXAMPLES_READS = {
+    "suite": {"max_genus": 5},
+    "a": {"family": None, "genus": 3, "n": 0, "k": 0},
+    "b": {"family": None, "genus": 3, "m": 2},
+    "c": {"family": None, "genus": 3, "variant": "E1", "k": 0},
+    "unstable": {"family": None, "genus": 3, "dl": None, "df": None, "s1f": None},
+}
+
+
 def cmd_examples(args) -> int:
-    if args.suite:
-        _check_cap("--max-genus", args.max_genus, MAX_SUITE_GENUS)
-        blocks = [_suite_block(f, g) for f, g in suite_blocks(args.max_genus)]
+    mode = "suite" if args.suite else args.family
+    if mode is None:
+        raise Clifford3Error("need --family or --suite")
+    reads = _EXAMPLES_READS[mode]
+    for flag, f in COMMANDS["examples"][1].items():
+        if f.type is not bool and f.dest not in reads and getattr(args, f.dest) is not None:
+            where = "with --suite" if mode == "suite" else f"by family {mode}"
+            raise UsageError(f"{flag} is not read {where}")
+    p = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+         for dest, default in reads.items()}
+    if mode == "suite":
+        _check_cap("--max-genus", p["max_genus"], MAX_SUITE_GENUS)
+        blocks = [_suite_block(f, g) for f, g in suite_blocks(p["max_genus"])]
         sys.stdout.write(_SUITE_COLUMNS + "\n" + "".join(blocks))
         return 0
-    if args.family is None:
-        raise Clifford3Error("need --family or --suite")
-    if args.family == "unstable" and None in (args.dl, args.df, args.s1f):
+    if mode == "a":
+        report = family_a(p["genus"], p["n"], p["k"])
+    elif mode == "b":
+        report = family_b(p["genus"], p["m"])
+    elif mode == "c":
+        report = family_c(p["genus"], p["variant"], p["k"])
+    elif None in (p["dl"], p["df"], p["s1f"]):
         raise Clifford3Error("family unstable needs --dl, --df and --s1f")
-    if args.family == "a":
-        report = family_a(args.genus, args.n, args.k)
-    elif args.family == "b":
-        report = family_b(args.genus, args.m)
-    elif args.family == "c":
-        report = family_c(args.genus, args.variant, args.k)
     else:
-        report = unstable_sharpness(args.genus, args.dl, args.df, args.s1f)
+        report = unstable_sharpness(p["genus"], p["dl"], p["df"], p["s1f"])
     print(json.dumps(report.to_dict()))
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises parse errors as the JSON error; subcommand parsers inherit it."""
+class _Flag(NamedTuple):
+    """One flag or positional of a command."""
 
-    def error(self, message):
-        raise UsageError(message)
+    dest: str
+    type: type = int  # int, str, or bool for a switch, which stores True when given
+    choices: tuple = ()
+    default: object = None  # REQUIRED for a flag that must be given
+    help: str = ""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built on the first call and returned after it."""
-    global _parser
-    if _parser is not None:
-        return _parser
-    parser = _Parser(
-        prog="clifford3",
-        description="Exact Clifford-type section bounds for rank-1/2/3 bundles on curves",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
 
-    p = sub.add_parser("bound", help="one bound value as JSON")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--s1", type=int)
-    p.add_argument("--s2", type=int)
-    p.add_argument("--s1f", type=int)
-    p.add_argument("--hyperelliptic", action="store_true")
-    p.add_argument("--delta", action="store_true", help="apply the Krawtchouk refinement")
-    p.add_argument("--f-semistable", action="store_true", dest="f_semistable")
+# Every command: its help line, then its flags and positionals (the keys
+# without dashes) in the order of its usage line.  parse_args reads argv
+# against this table alone.
+COMMANDS = {
+    "bound": ("one bound value as JSON", {
+        "--genus": _Flag("genus", default=REQUIRED),
+        "--rank": _Flag("rank", choices=(1, 2, 3), default=REQUIRED),
+        "--degree": _Flag("degree", default=REQUIRED),
+        "--s1": _Flag("s1"),
+        "--s2": _Flag("s2"),
+        "--s1f": _Flag("s1f"),
+        "--hyperelliptic": _Flag("hyperelliptic", bool),
+        "--delta": _Flag("delta", bool, help="apply the Krawtchouk refinement"),
+        "--f-semistable": _Flag("f_semistable", bool),
+    }),
+    "krawtchouk": ("evaluate one coefficient", {
+        "r": _Flag("r", default=REQUIRED),
+        "n": _Flag("n", default=REQUIRED),
+        "N": _Flag("N", default=REQUIRED),
+    }),
+    "elmtrans": ("transformation trajectory as JSON lines", {
+        "--rank": _Flag("rank", choices=(2, 3), default=REQUIRED),
+        "--genus": _Flag("genus", default=REQUIRED),
+        "--steps": _Flag("steps", default=REQUIRED),
+        "--choices": _Flag(
+            "choices", str,
+            help="0/1 string, one bit per (step, rank) pair; 1 hits a maximal subbundle",
+        ),
+    }),
+    "table": ("sweep d over the special range as CSV", {
+        "--genus": _Flag("genus", default=REQUIRED),
+        "--s1": _Flag("s1", default=REQUIRED),
+        "--s2": _Flag("s2", default=REQUIRED),
+        "--d-min": _Flag("d_min"),
+        "--d-max": _Flag("d_max"),
+        "--hyperelliptic": _Flag("hyperelliptic", bool, help="rows are not sharpened"),
+    }),
+    # no flag here has a default, so that cmd_examples can tell a given flag
+    # from an absent one; it applies the defaults of _EXAMPLES_READS
+    "examples": ("example-family reports", {
+        "--family": _Flag("family", str, choices=("a", "b", "c", "unstable")),
+        "--genus": _Flag("genus"),
+        "--n": _Flag("n"),
+        "--k": _Flag("k"),
+        "--m": _Flag("m"),
+        "--variant": _Flag("variant", str, choices=("E1", "E2")),
+        "--dl": _Flag("dl"),
+        "--df": _Flag("df"),
+        "--s1f": _Flag("s1f"),
+        "--suite": _Flag("suite", bool),
+        "--max-genus": _Flag("max_genus"),
+    }),
+}
 
-    p = sub.add_parser("krawtchouk", help="evaluate one coefficient")
-    p.add_argument("r", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("N", type=int)
+_HELP = _Flag("help", bool)
+_TOP = {"-h": _HELP, "--help": _HELP}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: such a token is a value
 
-    p = sub.add_parser("elmtrans", help="transformation trajectory as JSON lines")
-    p.add_argument("--rank", type=int, choices=(2, 3), required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--choices",
-        help="0/1 string, one bit per (step, rank) pair; 1 hits a maximal subbundle",
-    )
 
-    p = sub.add_parser("table", help="sweep d over the special range as CSV")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--s1", type=int, required=True)
-    p.add_argument("--s2", type=int, required=True)
-    p.add_argument("--d-min", type=int, dest="d_min")
-    p.add_argument("--d-max", type=int, dest="d_max")
-    p.add_argument("--hyperelliptic", action="store_true", help="rows are not sharpened")
+def _index(command: str, flags: dict) -> tuple:
+    """(option strings, positionals, namespace defaults, required flags) of one command."""
+    options = {**_TOP, **{k: f for k, f in flags.items() if k[0] == "-"}}
+    positionals = [(k, f) for k, f in flags.items() if k[0] != "-"]
+    defaults = {"command": command}
+    for f in flags.values():
+        defaults[f.dest] = False if f.type is bool else None if f.default is REQUIRED else f.default
+    required = [(k, f.dest) for k, f in flags.items() if f.default is REQUIRED]
+    return options, positionals, defaults, required
 
-    p = sub.add_parser("examples", help="example-family reports")
-    p.add_argument("--family", choices=("a", "b", "c", "unstable"))
-    p.add_argument("--genus", type=int, default=3)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--variant", choices=("E1", "E2"), default="E1")
-    p.add_argument("--dl", type=int)
-    p.add_argument("--df", type=int)
-    p.add_argument("--s1f", type=int)
-    p.add_argument("--suite", action="store_true")
-    p.add_argument("--max-genus", type=int, default=5, dest="max_genus")
 
-    _parser = parser
-    return parser
+_INDEX = {command: _index(command, flags) for command, (_, flags) in COMMANDS.items()}
+
+
+def _lookup(tok: str, options: dict) -> tuple:
+    """How argparse reads one token: (option string, value given after "="
+    or None) for an option, (None, None) for a value and ("", None) for an
+    option that matches no flag."""
+    if tok in options:
+        return tok, None
+    if tok[:1] != "-" or tok in ("-", "--"):
+        return None, None
+    name, eq, value = tok.partition("=")
+    explicit = value if eq else None
+    if eq and name in options:
+        return name, explicit
+    if tok[1] == "-":  # a unique prefix of a long option
+        hits = [o for o in options if o.startswith(name)]
+    else:  # the only short option, -h, runs into what follows it, as in -hh
+        hits, explicit = (["-h"] if tok[:2] == "-h" else []), tok[2:]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {tok} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], explicit
+    if _NEGATIVE_NUMBER.match(tok) or " " in tok:
+        return None, None
+    return "", None
+
+
+def _convert(name: str, flag: _Flag, text: str):
+    try:
+        value = flag.type(text)
+    except ValueError:
+        kind = flag.type.__name__
+        raise UsageError(f"argument {name}: invalid {kind} value: {text!r}") from None
+    if flag.choices and value not in flag.choices:
+        choices = ", ".join(map(repr, flag.choices))
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _usage(command: str | None) -> str:
+    """The help text of one command, or of the program for None."""
+    if command is None:
+        lines = [
+            f"usage: clifford3 [-h] {{{','.join(COMMANDS)}}} ...",
+            "",
+            "Exact Clifford-type section bounds for rank-1/2/3 bundles on curves",
+            "",
+        ]
+        lines += [f"  {name:<12}{text}" for name, (text, _) in COMMANDS.items()]
+        return "\n".join(lines) + "\n"
+    text, flags = COMMANDS[command]
+    words, rows = ["[-h]"], [("-h, --help", "show this help message and exit")]
+    for name, f in flags.items():
+        meta = "{%s}" % ",".join(map(str, f.choices)) if f.choices else f.dest.upper()
+        spelled = name if f.type is bool or name[0] != "-" else f"{name} {meta}"
+        words.append(spelled if f.default is REQUIRED else f"[{spelled}]")
+        rows.append((spelled, f.help))
+    lines = [f"usage: clifford3 {command} {' '.join(words)}", "", text, ""]
+    lines += [f"  {spelled:<24}{help_}".rstrip() for spelled, help_ in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _help(command: str | None, tok: str, explicit: str | None, later: list) -> None:
+    # to argparse, -hh and -h=h are -h twice; any other value given to -h or
+    # --help is an error
+    if explicit is not None and (tok[1] == "-" or not explicit or explicit.strip("h")):
+        raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+    # argparse reads every token before it acts on any, so an ambiguous
+    # prefix after the help flag is still an error
+    options = _INDEX[command][0] if command else _TOP
+    for t in later:
+        if t == "--":
+            break
+        _lookup(t, options)
+    sys.stdout.write(_usage(command))
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, tokens: list) -> tuple:
+    """The namespace of one command's tokens, and the tokens nothing read."""
+    options, positionals, defaults, required = _INDEX[command]
+    values = defaults.copy()
+    stray = []
+    filled = 0  # positionals read so far
+    rest = False  # after "--" every token is a value
+    i, n = 0, len(tokens)
+    while i < n:
+        tok = tokens[i]
+        i += 1
+        flag = None if rest else options.get(tok)
+        if flag is not None:
+            key, explicit = tok, None
+        elif rest:
+            key = None
+        elif tok == "--":
+            rest = True
+            if not positionals:  # positionals take a "--" among them; flags never do
+                stray.append(tok)
+            continue
+        else:
+            key, explicit = _lookup(tok, options)
+            flag = options.get(key)
+        if not key:
+            if key is None and filled < len(positionals):
+                name, flag = positionals[filled]
+                values[flag.dest] = _convert(name, flag, tok)
+                filled += 1
+            else:
+                stray.append(tok)
+            continue
+        if flag is _HELP:
+            _help(command, tok, explicit, tokens[i:])
+        if explicit is not None:
+            if flag.type is bool:
+                raise UsageError(f"argument {key}: ignored explicit argument {explicit!r}")
+            values[flag.dest] = _convert(key, flag, explicit)
+            continue
+        if flag.type is bool:
+            values[flag.dest] = True
+            continue
+        # the next token is the value, unless it is "--" or an option
+        text = tokens[i] if i < n else "--"
+        if text[:1] == "-" and (text == "--" or _lookup(text, options)[0] is not None):
+            raise UsageError(f"argument {key}: expected one argument")
+        values[flag.dest] = _convert(key, flag, text)
+        i += 1
+    missing = [name for name, dest in required if values[dest] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values), stray
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The namespace of one command line, read against COMMANDS in one walk.
+
+    It accepts what argparse accepted: ``--flag value`` and ``--flag=value``,
+    a unique prefix of a flag (an exact name wins, so ``--s1`` is not
+    ``--s1f``), the last value of a repeated flag, and negative integers as
+    values and positionals.  ``-h``/``--help`` prints the usage text to
+    stdout and raises ``SystemExit(0)``; any other malformed argv raises
+    ``UsageError``.  No state is kept between calls.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    unknown = []  # options before the command: an error unless help exits first
+    for i, tok in enumerate(argv):
+        key, explicit = _lookup(tok, _TOP)
+        if key is None:
+            break
+        if key:
+            _help(None, tok, explicit, argv[i + 1 :])
+        unknown.append(tok)
+    else:
+        raise UsageError("the following arguments are required: command")
+    if tok not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {tok!r} (choose from {choices})")
+    args, stray = _parse_command(tok, argv[i + 1 :])
+    if unknown or stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown + stray)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        # looked up by name on every call, so that rebinding a module-level
-        # cmd_* after the parser is built still takes effect
+        # parse_args and the cmd_* are looked up by name on every call, so
+        # that rebinding one of them at module level takes effect
+        args = parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
     except (Clifford3Error, ValueError) as exc:
         return _emit_error(exc)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import clifford3
 from clifford3 import cli
 from clifford3.cli import main
+from clifford3.errors import Clifford3Error, UsageError
 
 
 def run(capsys, *argv):
@@ -190,12 +192,20 @@ class TestParserReuse:
         ("table", "--genus", "3", "--s1", "1", "--s2", "2"),
     ]
 
-    def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+    def test_parse_args_keeps_no_state(self, capsys):
+        fresh = vars(cli.parse_args(list(self.RANK3)))
+        for argv in self.SEQUENCE:
+            try:
+                args = cli.parse_args(list(argv))
+            except (UsageError, SystemExit):
+                continue
+            # a caller that changes its namespace changes no later one
+            for dest in vars(args):
+                setattr(args, dest, "spoiled")
+        capsys.readouterr()
+        assert vars(cli.parse_args(list(self.RANK3))) == fresh
 
-    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
-        # help text is wrapped to the terminal width; fix it for both sides
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_sequence_matches_fresh_processes(self, capsys):
         for argv in self.SEQUENCE:
             try:
                 status = main(list(argv))
@@ -458,6 +468,35 @@ class TestExamples:
         after = cli._suite_block.cache_info()
         assert after.currsize == info.currsize and after.hits == info.hits + 3 * 7
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--family b --genus 4 --m 2 --n 7", "--n is not read by family b"),
+            ("--suite --family a", "--family is not read with --suite"),
+            ("--suite --max-genus 2 --genus 9", "--genus is not read with --suite"),
+            ("--family a --genus 5 --max-genus 9", "--max-genus is not read by family a"),
+            ("--family c --k 0 --m 2", "--m is not read by family c"),
+            ("--family a --n 0 --k 0 --variant E1", "--variant is not read by family a"),
+            ("--family b --m 2 --s1f 0", "--s1f is not read by family b"),
+            ("--family unstable --dl 4 --df 4 --s1f 0 --k 0", "--k is not read by family unstable"),
+        ],
+    )
+    def test_flag_its_mode_does_not_read(self, capsys, argv, message):
+        code, out, err = run(capsys, "examples", *argv.split())
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"code": "UsageError", "message": message}
+
+    def test_defaults_apply_to_absent_flags(self, capsys):
+        for short, full in [
+            ("--suite", "--suite --max-genus 5"),
+            ("--family a", "--family a --genus 3 --n 0 --k 0"),
+            ("--family b", "--family b --genus 3 --m 2"),
+            ("--family c", "--family c --genus 3 --variant E1 --k 0"),
+        ]:
+            assert run(capsys, "examples", *short.split()) == run(
+                capsys, "examples", *full.split()
+            )
+
     def test_requires_family_or_suite(self, capsys):
         code, _, err = run(capsys, "examples")
         assert code == 2 and json.loads(err)["code"] == "Clifford3Error"
@@ -480,39 +519,31 @@ SMALL_INT = {
 }
 
 
-def _action_args(action):
-    """One drawn occurrence of a parser action: absent, bare or with a value."""
-    flag = tuple(action.option_strings[:1])
-    if action.nargs == 0:  # a switch
-        return st.sampled_from([(), flag])
-    if action.choices is not None:
-        values = st.sampled_from([*map(str, action.choices), "9"])
-    elif action.type is int:
-        values = SMALL_INT.get(action.dest, WILD_INT).map(str)
+def _flag_args(name, flag):
+    """One drawn occurrence of a flag or positional: absent, bare or with a value."""
+    head = (name,) if name.startswith("-") else ()
+    if flag.type is bool:  # a switch
+        return st.sampled_from([(), head])
+    if flag.choices:
+        values = st.sampled_from([*map(str, flag.choices), "9"])
+    elif flag.type is int:
+        values = SMALL_INT.get(flag.dest, WILD_INT).map(str)
     else:
         values = st.text("012", max_size=120)
-    given_ = values.map(lambda v: flag + (v,))
+    given_ = values.map(lambda v: head + (v,))
     # required flags and positionals are mostly given, optional ones half the
     # time, so that about half the argvs parse; a bare flag never parses
-    if action.required:
-        shapes = [given_] * 18 + [st.just(()), st.just(flag)]
+    if flag.default is cli.REQUIRED:
+        shapes = [given_] * 18 + [st.just(()), st.just(head)]
     else:
-        shapes = [given_] * 4 + [st.just(())] * 4 + [st.just(flag)]
+        shapes = [given_] * 4 + [st.just(())] * 4 + [st.just(head)]
     return st.sampled_from(shapes).flatmap(lambda shape: shape)
-
-
-def _commands():
-    """The built parser's subcommand parsers, by name."""
-    return cli.build_parser()._subparsers._group_actions[0].choices
 
 
 def _argvs():
     per_command = [
-        st.tuples(
-            st.just((name,)),
-            *(_action_args(a) for a in sub._actions if a.dest != "help"),
-        )
-        for name, sub in _commands().items()
+        st.tuples(st.just((command,)), *(_flag_args(n, f) for n, f in flags.items()))
+        for command, (_, flags) in cli.COMMANDS.items()
     ]
     return st.one_of(per_command).map(lambda parts: [x for part in parts for x in part])
 
@@ -539,7 +570,7 @@ def _bound_argvs(draw):
 
 class TestNoTraceback:
     def test_every_command_is_drawn(self):
-        assert set(_commands()) == {"bound", "krawtchouk", "elmtrans", "table", "examples"}
+        assert set(cli.COMMANDS) == {"bound", "krawtchouk", "elmtrans", "table", "examples"}
 
     @given(argv=st.one_of(_argvs(), _bound_argvs()))
     @settings(max_examples=400, deadline=None)
@@ -555,3 +586,254 @@ class TestNoTraceback:
         assert err.endswith("\n") and err.count("\n") == 1
         payload = json.loads(err)
         assert set(payload) == {"code", "message"}
+
+
+class _ReferenceUsage(Exception):
+    """A usage error of the reference parser."""
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceUsage(message)
+
+
+def _reference_parser():
+    """The argparse declaration that ``cli.parse_args`` replaced, kept as the
+    oracle of the differential tests; the package does not use it.  The
+    ``examples`` flags --genus, --n, --k, --m, --variant and --max-genus have
+    no default here, as in ``cli.COMMANDS``: ``cmd_examples`` applies them."""
+    parser = _ReferenceParser(
+        prog="clifford3",
+        description="Exact Clifford-type section bounds for rank-1/2/3 bundles on curves",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("bound", help="one bound value as JSON")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--rank", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--s1", type=int)
+    p.add_argument("--s2", type=int)
+    p.add_argument("--s1f", type=int)
+    p.add_argument("--hyperelliptic", action="store_true")
+    p.add_argument("--delta", action="store_true", help="apply the Krawtchouk refinement")
+    p.add_argument("--f-semistable", action="store_true", dest="f_semistable")
+
+    p = sub.add_parser("krawtchouk", help="evaluate one coefficient")
+    p.add_argument("r", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("N", type=int)
+
+    p = sub.add_parser("elmtrans", help="transformation trajectory as JSON lines")
+    p.add_argument("--rank", type=int, choices=(2, 3), required=True)
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--choices",
+        help="0/1 string, one bit per (step, rank) pair; 1 hits a maximal subbundle",
+    )
+
+    p = sub.add_parser("table", help="sweep d over the special range as CSV")
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--s1", type=int, required=True)
+    p.add_argument("--s2", type=int, required=True)
+    p.add_argument("--d-min", type=int, dest="d_min")
+    p.add_argument("--d-max", type=int, dest="d_max")
+    p.add_argument("--hyperelliptic", action="store_true", help="rows are not sharpened")
+
+    p = sub.add_parser("examples", help="example-family reports")
+    p.add_argument("--family", choices=("a", "b", "c", "unstable"))
+    p.add_argument("--genus", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--variant", choices=("E1", "E2"))
+    p.add_argument("--dl", type=int)
+    p.add_argument("--df", type=int)
+    p.add_argument("--s1f", type=int)
+    p.add_argument("--suite", action="store_true")
+    p.add_argument("--max-genus", type=int, dest="max_genus")
+    return parser
+
+
+REFERENCE = _reference_parser()
+
+# Tokens that argparse reads in some special way, put at a random position:
+# help in its spellings, "--", a lone "-", ambiguous or unknown options,
+# values with a space, and negative numbers that are and are not integers.
+ODD_TOKENS = [
+    "-h", "--help", "--he", "-hh", "-h=h", "-hx", "-h=", "--help=", "--",
+    "-", "", "--s", "--nope", "-x", "-5", "-0.5", "-1e3", " -3", "-x y", "--=1",
+]
+# Values in place of a drawn one: negative integers in other spellings, and
+# tokens that are not a value at all
+ODD_VALUES = ["-0", "-007", "-12", " 4", "+3", "-0.5", "-", "--", "-x", "--s1", "", "-h"]
+
+
+def _prefixes(flag, options):
+    """``flag`` and each shorter prefix that names it alone."""
+    out = [flag]
+    for k in range(len(flag) - 1, 2, -1):
+        if [o for o in options if o.startswith(flag[:k])] != [flag]:
+            break
+        out.append(flag[:k])
+    return out
+
+
+@st.composite
+def _spelled(draw, argvs):
+    """A drawn argv in the other spellings argparse read: ``--flag=value``,
+    unique prefixes, repeated flags, negative values, and an odd token such
+    as ``-h`` at any position."""
+    argv = draw(argvs)
+    flags = cli.COMMANDS[argv[0]][1]
+    options = ["-h", "--help", *flags]
+    out, rest = argv[:1], argv[1:]
+    while rest:
+        tok = rest.pop(0)
+        flag = flags.get(tok) if tok.startswith("--") else None
+        if flag is None:
+            out.append(tok)
+            continue
+        name = draw(st.sampled_from(_prefixes(tok, options)))
+        if flag.type is bool or not rest or rest[0] in flags:  # a switch or a bare flag
+            out.append(name)
+            continue
+        value = rest.pop(0)
+        if draw(st.integers(0, 3)) == 0:  # an earlier occurrence, which the last overrides
+            out += [tok, draw(st.sampled_from(["0", "-1", "7", *ODD_VALUES]))]
+        if draw(st.integers(0, 9)) == 0:
+            value = draw(st.sampled_from(ODD_VALUES))
+        # "--flag=--" is the one spelling read differently (TestParseArgs)
+        out += [f"{name}={value}"] if value != "--" and draw(st.booleans()) else [name, value]
+    if draw(st.integers(0, 2)) == 0:
+        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(ODD_TOKENS)))
+    return out
+
+
+def _reference_main(argv):
+    """``main`` with the reference parser in front of the same handlers."""
+    try:
+        args = REFERENCE.parse_args(argv)
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except _ReferenceUsage as exc:
+        return cli._emit_error(UsageError(str(exc)))
+    except (Clifford3Error, ValueError) as exc:
+        return cli._emit_error(exc)
+
+
+def _outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = call(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _check_against_reference(argv):
+    """parse_args reads argv as the reference parser does: the same
+    namespace, a UsageError where it had a usage error, and help where it
+    printed help."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            expected = vars(REFERENCE.parse_args(argv))
+    except _ReferenceUsage:
+        with pytest.raises(UsageError):
+            cli.parse_args(argv)
+        status, out, err = _outcome(main, argv)
+        assert status == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["code"] == "UsageError"
+    except SystemExit as exc:
+        assert exc.code == 0
+        status, out, err = _outcome(cli.parse_args, argv)
+        assert status == 0 and out.startswith("usage: clifford3") and err == ""
+    else:
+        assert vars(cli.parse_args(argv)) == expected
+
+
+class TestParseArgs:
+    def test_package_does_not_import_argparse(self):
+        src = str(Path(clifford3.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, clifford3.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "False\n"
+        assert not any(hasattr(cli, name) for name in ("build_parser", "_Parser", "_parser"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bound --genus=3 --rank=3 --degree=10 --s1=1 --s2=2",
+            "bound --gen 3 --rank 3 --degree 10 --s1 1 --s2 2",
+            "bound --genus 9 --rank 3 --degree 10 --s1 1 --s2 2 --genus 3",
+            "bound --s2 2 --s1 1 --deg 10 --ran 3 --g 3",
+        ],
+    )
+    def test_spellings_of_one_command(self, capsys, argv):
+        spaced = run(capsys, *"bound --genus 3 --rank 3 --degree 10 --s1 1 --s2 2".split())
+        assert run(capsys, *argv.split()) == spaced
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["bound", "--help"],
+            ["krawtchouk", "1", "-hh"],  # -h twice
+            ["bound", "--genus", "3", "--rank", "3", "--degree", "9",
+             "--s1", "0", "--s1f", "-2"],  # an exact name wins: --s1 is not --s1f
+            ["krawtchouk", "-1", "2", "4"],  # negative integers are values
+            ["bound", "--genus", "3", "--rank", "3", "--degree", "-3"],
+            ["bound", "--genus", "3", "--rank", "3", "--degree=-3"],
+            ["krawtchouk", "--", "-1", "2", "4"],  # positionals take a "--"
+            ["krawtchouk", "1", "2", "4", "--"],
+            ["bound", "--genus", "3", "--rank", "1", "--degree", "0", "--"],  # flags do not
+            ["bound", "--genus", "--", "3", "--rank", "1", "--degree", "0"],
+            ["bound", "--genus", "-x", "--rank", "3", "--degree", "0"],  # not a value
+            ["bound", "--genus", "--rank", "3", "--degree", "0"],
+            ["bound", "--s", "0", "--genus", "3", "--rank", "3", "--degree", "0"],  # ambiguous
+            ["bound", "-h", "--s"],  # an ambiguous prefix wins over help
+            ["bound", "--genus", "3", "--rank", "3", "--degree", "0", "--delta=1"],
+            ["bound", "--genus", "3", "--rank", "3", "--degree", "0", "--nope"],
+            ["bound", "--nope", "-h"],  # help wins over an unknown flag
+            ["krawtchouk", "1", "2"],
+            ["krawtchouk", "1", "2", "3", "4"],
+            ["krawtchouk", "1", "2", "x"],
+            ["krawtchouk", "1", "-hx"],
+            ["nope"],
+            ["--", "bound"],
+            [],
+        ],
+    )
+    def test_edge_cases_match_reference(self, argv):
+        _check_against_reference(argv)
+
+    def test_value_given_as_equals_dashes_is_literal(self, capsys):
+        # argparse (Python 3.10 and 3.11) read "--flag=--" as the value [],
+        # which an int flag's handler met with a TypeError traceback;
+        # parse_args reads the literal "--"
+        code, out, err = run(capsys, "bound", "--genus", "3", "--rank", "2", "--degree", "4",
+                             "--s1=--")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "UsageError", "message": "argument --s1: invalid int value: '--'",
+        }
+        argv = ["elmtrans", "--rank", "2", "--genus", "3", "--steps", "2", "--choices=--"]
+        assert cli.parse_args(argv).choices == "--"
+
+    @given(argv=_spelled(st.one_of(_argvs(), _bound_argvs())))
+    @settings(max_examples=600, deadline=None)
+    def test_parse_matches_reference(self, argv):
+        _check_against_reference(argv)
+
+    def test_session_commands_match_reference(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            from workloads import Session
+        finally:
+            sys.path.pop(0)
+        for seed in range(1, 11):
+            for _, argv in Session(seed).ops_list:
+                assert _outcome(main, argv) == _outcome(_reference_main, argv), argv
