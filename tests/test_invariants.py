@@ -5,11 +5,17 @@ from clifford3 import (
     BoundResult,
     BundleInvariants,
     Curve,
+    Rank3Query,
     h0_hyperelliptic_power,
     serre_dual,
     twist_by_line,
 )
-from clifford3.errors import CongruenceViolation, OutOfModeledRange, RankUnsupported
+from clifford3.errors import (
+    CongruenceViolation,
+    HypothesisFailed,
+    OutOfModeledRange,
+    RankUnsupported,
+)
 
 
 class TestCurve:
@@ -48,6 +54,68 @@ class TestValidate:
         assert BundleInvariants(3, 6, (0, 0)).semistable()
         assert not BundleInvariants(3, 6, (0, 0)).stable()
         assert not BundleInvariants(3, 4, (-2, 2)).semistable()
+
+
+# every class of invalid input to the two validated records: the call, the
+# exception type, its ``r`` (None where the type has none) and its message
+INVALID = [
+    ("rank0", lambda: BundleInvariants(0, 0, ()), RankUnsupported, None,
+     "rank 0 not supported"),
+    ("rank0-with-s", lambda: BundleInvariants(0, 0, (0,)), RankUnsupported, None,
+     "rank 0 not supported"),
+    ("rank4", lambda: BundleInvariants(4, 0, (0, 0, 0)), RankUnsupported, None,
+     "rank 4 not supported"),
+    ("rank1-one-s", lambda: BundleInvariants(1, 0, (0,)), RankUnsupported, None,
+     "rank 1 needs 0 stability degrees, got 1"),
+    ("rank2-no-s", lambda: BundleInvariants(2, 0, ()), RankUnsupported, None,
+     "rank 2 needs 1 stability degrees, got 0"),
+    ("rank3-one-s", lambda: BundleInvariants(3, 0, (0,)), RankUnsupported, None,
+     "rank 3 needs 2 stability degrees, got 1"),
+    ("list-one-s", lambda: BundleInvariants(3, 5, [2]), RankUnsupported, None,
+     "rank 3 needs 2 stability degrees, got 1"),
+    ("list-congruence", lambda: BundleInvariants(3, 5, [1, 1]), CongruenceViolation, 1,
+     "s_1=1 is not congruent to 1*d=5 mod 3"),
+    ("rank2-r1", lambda: BundleInvariants(2, 3, (0,)), CongruenceViolation, 1,
+     "s_1=0 is not congruent to 1*d=3 mod 2"),
+    ("rank3-r1", lambda: BundleInvariants(3, 5, (1, 1)), CongruenceViolation, 1,
+     "s_1=1 is not congruent to 1*d=5 mod 3"),
+    ("rank3-r2", lambda: BundleInvariants(3, 5, (2, 2)), CongruenceViolation, 2,
+     "s_2=2 is not congruent to 2*d=10 mod 3"),
+    ("rank3-r1-before-r2", lambda: BundleInvariants(3, 5, (0, 0)), CongruenceViolation, 1,
+     "s_1=0 is not congruent to 1*d=5 mod 3"),
+    ("query-rank2", lambda: Rank3Query(Curve(4), BundleInvariants(2, 4, (0,))),
+     RankUnsupported, None, "rank-3 query requires rank 3 invariants"),
+    ("query-rank2-with-s1f",
+     lambda: Rank3Query(Curve(4), BundleInvariants(2, 4, (0,)), s1f=3),
+     RankUnsupported, None, "rank-3 query requires rank 3 invariants"),
+    ("query-s1f-parity",
+     lambda: Rank3Query(Curve(4), BundleInvariants(3, 6, (0, 0)), s1f=3),
+     CongruenceViolation, 1, "s1f=3 must have the parity of the quotient degree 4"),
+    ("query-s1f-parity-before-minimum",
+     lambda: Rank3Query(Curve(4), BundleInvariants(3, 4, (1, 5)), s1f=0),
+     CongruenceViolation, 1, "s1f=0 must have the parity of the quotient degree 3"),
+    ("query-s1f-below-minimum",
+     lambda: Rank3Query(Curve(4), BundleInvariants(3, 4, (1, 5)), s1f=1),
+     HypothesisFailed, None, "s1f=1 is below the minimum (2*s2-s1)/3 forced by s2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, r, message", [c[1:] for c in INVALID], ids=[c[0] for c in INVALID]
+)
+def test_invalid_input_error(call, error, r, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is error
+    assert getattr(info.value, "r", None) == r
+    assert str(info.value) == message
+
+
+def test_s1f_of_the_twisted_dual_is_not_checked():
+    # for s2 < 0 <= s1 the unstable bound reads s1f as the twisted dual's,
+    # so neither its parity nor its minimum is checked here
+    q = Rank3Query(Curve(4), BundleInvariants(3, 4, (1, -1)), s1f=-7)
+    assert q.s1f == -7
 
 
 class TestSerreDual:
