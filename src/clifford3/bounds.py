@@ -8,6 +8,9 @@ minimal-degree rank-2 quotient, the unstable-rank-3 bounds, and the slope
 bound for stable bundles of small slope.  :func:`bound` is the one place
 that picks the bound for given invariants.
 
+Each refined bound is its base value, lowered by one by the first guard that
+holds; the hyperelliptic guard is checked before the Krawtchouk one.
+
 All arithmetic is exact; half-integer quantities are floored once, at the
 end of each formula.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import (
     CongruenceViolation,
@@ -56,13 +58,6 @@ def _exact_tail(d: int, low: int, high: int, rr: int) -> BoundResult | None:
     if d > high:
         return _result(max(0, rr), "RR-EXACT", True)
     return None
-
-
-def _best(candidates: list[tuple[int, str, tuple[str, ...]]]) -> BoundResult:
-    """The BoundResult of the least ``(value, case, assumptions)`` candidate;
-    of equal values the first listed wins."""
-    value, case, assumptions = min(candidates, key=itemgetter(0))
-    return _result(value, case, False, assumptions)
 
 
 def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
@@ -134,7 +129,7 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
 
     Exact 0 for d < s1 and exact d+2-2g for d > 4g-4-s1; in between the
     bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
-    s1 > 0, or to (d-s1)/2 + 1 + delta by the Krawtchouk refinement.
+    s1 > 0, else by 1 if ``use_delta``, s1 <= g and K_{(d-s1)/2+1}(g, 2g-s1) != 0.
     """
     if (s1 - d) % 2 != 0:
         raise _congruence_violation(2, d, 1, s1)
@@ -144,15 +139,11 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     if (tail := _exact_tail(d, s1, 4 * g - 4 - s1, d + 2 - 2 * g)) is not None:
         return tail
     half = (d - s1) // 2
-    candidates = [(half + 2, "RANK2-CLIFFORD", ())]
     if c.hyperelliptic and s1 > 0:
-        candidates.append((half + 1, "RANK2-HYP", ("hyperelliptic", "s1>0")))
-    if use_delta and s1 <= g:
-        delta = 1 if krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) == 0 else 0
-        candidates.append(
-            (half + 1 + delta, "RANK2-KRAWTCHOUK", ("krawtchouk-refinement",))
-        )
-    return _best(candidates)
+        return _result(half + 1, "RANK2-HYP", False, ("hyperelliptic", "s1>0"))
+    if use_delta and s1 <= g and krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) != 0:
+        return _result(half + 1, "RANK2-KRAWTCHOUK", False, ("krawtchouk-refinement",))
+    return _result(half + 2, "RANK2-CLIFFORD", False, ())
 
 
 def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
@@ -179,25 +170,24 @@ def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
         return _result((d - s2) // 2 + 1, "RANK3-LINE-ONLY-DUAL")
     skew = max(2 * s2 - s1, 2 * s1 - s2)
     base = (3 * d - skew) // 6 + 3
-    if (
-        q.use_hyperelliptic_sharpening
-        and q.curve.hyperelliptic
-        and not (s1 == 0 and s2 == 0)
-    ):
+    if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and not s1 == s2 == 0:
         return _result(base - 1, "RANK3-MAIN-SHARP", False, ("hyperelliptic-sharpening",))
-    if q.use_delta and q.s1f is not None and q.s1f <= g:
-        idx_num = 2 * d + s1 - 3 * q.s1f
-        if idx_num >= 0 and not delta_vanishes(g, d, s1, q.s1f):
-            return _result(
-                base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={q.s1f}")
-            )
+    if (
+        q.use_delta
+        and q.s1f is not None
+        and q.s1f <= g
+        and 2 * d + s1 >= 3 * q.s1f
+        and not delta_vanishes(g, d, s1, q.s1f)
+    ):
+        return _result(base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={q.s1f}"))
     return _result(base, "RANK3-MAIN")
 
 
 def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 through a minimal-degree rank-2 quotient with known
-    s1f: floor(d/2 - s1f/2) + 3, refined to +2 (+delta) by the hyperelliptic
-    or Krawtchouk improvements.
+    s1f: floor(d/2 - s1f/2) + 3, lowered by 1 on a hyperelliptic curve with
+    sharpening on when s1f > 0, else by 1 when ``use_delta``, s1f <= g and
+    the Krawtchouk coefficient of :func:`delta_vanishes` is nonzero.
 
     Requires s1 <= 2*s2 and the degree window
     max(s1, (3*s1f - s1)/2) <= d <= 6g - 6 - (3*s1f + s1)/2.
@@ -213,26 +203,16 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     lo2 = max(2 * s1, 3 * q.s1f - s1)  # doubled lower end of the window
     hi2 = 12 * g - 12 - 3 * q.s1f - s1
     if not lo2 <= 2 * d <= hi2:
-        raise HypothesisFailed(
-            f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]"
-        )
+        raise HypothesisFailed(f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]")
     half = (d - q.s1f) // 2
-    s1f_note = f"s1f={q.s1f}"
-    candidates = [(half + 3, "RANK3-QUOTIENT", (s1f_note,))]
+    note = f"s1f={q.s1f}"
     if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and q.s1f > 0:
-        candidates.append(
-            (half + 2, "RANK3-QUOTIENT-SHARP", (s1f_note, "hyperelliptic", "s1f>0"))
+        return _result(half + 2, "RANK3-QUOTIENT-SHARP", False, (note, "hyperelliptic", "s1f>0"))
+    if q.use_delta and q.s1f <= g and not delta_vanishes(g, d, s1, q.s1f):
+        return _result(
+            half + 2, "RANK3-QUOTIENT-KRAWTCHOUK", False, (note, "krawtchouk-refinement")
         )
-    if q.use_delta and q.s1f <= g:
-        delta = 1 if delta_vanishes(g, d, s1, q.s1f) else 0
-        candidates.append(
-            (
-                half + 2 + delta,
-                "RANK3-QUOTIENT-KRAWTCHOUK",
-                (s1f_note, "krawtchouk-refinement"),
-            )
-        )
-    return _best(candidates)
+    return _result(half + 3, "RANK3-QUOTIENT", False, (note,))
 
 
 def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:

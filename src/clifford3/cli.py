@@ -135,7 +135,8 @@ def cmd_elmtrans(args) -> int:
     _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
     state = seed_state_lemma36(Curve(args.genus), args.rank)
     n_choices = args.rank - 1
-    bits = args.choices or "0" * (args.steps * n_choices)
+    # a negative --steps gets the length error below, not a default string
+    bits = args.choices or "0" * max(0, args.steps * n_choices)
     if len(bits) != args.steps * n_choices or set(bits) - {"0", "1"}:
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
@@ -154,13 +155,15 @@ def cmd_table(args) -> int:
     g, s1, s2 = args.genus, args.s1, args.s2
     d_min = args.d_min if args.d_min is not None else s1
     d_max = args.d_max if args.d_max is not None else 6 * g - 6 - s2
-    # only degrees matching the rank-3 congruence of s1 are swept
-    degrees = range(d_min + ((s1 - d_min) % 3), d_max + 1, 3)
-    _check_cap("the number of swept degrees", len(degrees), MAX_TABLE_ROWS)
+    # only degrees matching the rank-3 congruence of s1 are swept; their count
+    # is not len(range), which raises OverflowError past a machine word
+    first = d_min + ((s1 - d_min) % 3)
+    rows = max(0, (d_max - first) // 3 + 1)
+    _check_cap("the number of swept degrees", rows, MAX_TABLE_ROWS)
     curve = Curve(g, hyperelliptic=args.hyperelliptic)
     # every row is computed before any is written, so an error leaves stdout empty
     lines = ["d,value,case,exact\n"]
-    for d in degrees:
+    for d in range(first, d_max + 1, 3):
         r = h0_rank3_semistable_bound(Rank3Query(curve, BundleInvariants(3, d, (s1, s2))))
         lines.append(f"{d},{r.value},{r.case},{'true' if r.exact else 'false'}\n")
     sys.stdout.write("".join(lines))

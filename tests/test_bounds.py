@@ -6,6 +6,7 @@ from clifford3 import (
     BoundResult,
     BundleInvariants,
     Curve,
+    KrawtchoukQuery,
     Rank3Query,
     bound,
     h0_line_bound,
@@ -13,6 +14,7 @@ from clifford3 import (
     h0_rank2_bound,
     h0_rank3_semistable_bound,
     h0_rank3_unstable_bound,
+    krawtchouk_oracle,
     serre_dual,
     slope_bound,
     suggested_min_s1f,
@@ -109,6 +111,36 @@ class TestRank2Bound:
         assert h0_rank2_bound(Curve(3), 0, 0, use_delta=True) == BoundResult(
             2, "RANK2-CLIFFORD"
         )
+        # every special-range point with g <= 6: the hyperelliptic guard,
+        # else the Krawtchouk guard with a nonzero coefficient (checked with
+        # the oracle), else the base value
+        ties = set()
+        for g in range(2, 7):
+            for hyper in (False, True):
+                for s1 in range(0, 2 * g + 1):
+                    for d in range(s1, 4 * g - 4 - s1 + 1, 2):
+                        half = (d - s1) // 2
+                        nonzero = s1 <= g and krawtchouk_oracle(
+                            KrawtchoukQuery(half + 1, g, 2 * g - s1)
+                        ) != 0
+                        if hyper and s1 > 0:
+                            want = BoundResult(
+                                half + 1, "RANK2-HYP", assumptions=("hyperelliptic", "s1>0")
+                            )
+                            ties.add("hyperelliptic" if nonzero else None)
+                        elif nonzero:
+                            want = BoundResult(
+                                half + 1,
+                                "RANK2-KRAWTCHOUK",
+                                assumptions=("krawtchouk-refinement",),
+                            )
+                        else:
+                            want = BoundResult(half + 2, "RANK2-CLIFFORD")
+                            ties.add("base" if s1 <= g else None)
+                        assert h0_rank2_bound(Curve(g, hyper), d, s1, use_delta=True) == want
+        # the sweep meets both ties: hyperelliptic and a nonzero coefficient,
+        # and a vanishing coefficient against the base value
+        assert {"hyperelliptic", "base"} <= ties
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_plateau_nondecreasing(self, g):
@@ -214,6 +246,54 @@ class TestProp21Bound:
         assert h0_prop21_bound(rank3_query(3, 6, 0, 0, **both)) == BoundResult(
             5, "RANK3-QUOTIENT", assumptions=("s1f=2",)
         )
+        # every point of the quotient window with g <= 6 and every admissible
+        # s1f up to g, both refinements on: the hyperelliptic guard, else the
+        # Krawtchouk guard with a nonzero coefficient (checked with the
+        # oracle), else the base value
+        ties = set()
+        for g in range(2, 7):
+            for hyper in (False, True):
+                c = Curve(g, hyper)
+                for s1 in range(0, 3 * g + 1):
+                    for s2 in range(-(-s1 // 2), 3 * g + 1):  # s1 <= 2*s2
+                        for d in range(s1, 6 * g - 6 - s2 + 1):
+                            if (s1 - d) % 3 or (s2 - 2 * d) % 3:
+                                continue
+                            inv = BundleInvariants(3, d, (s1, s2))
+                            for s1f in range(suggested_min_s1f(inv), g + 1, 2):
+                                if not 3 * s1f - s1 <= 2 * d <= 12 * g - 12 - 3 * s1f - s1:
+                                    continue
+                                q = Rank3Query(
+                                    c, inv, s1f=s1f, use_delta=True,
+                                    use_hyperelliptic_sharpening=True,
+                                )
+                                half, note = (d - s1f) // 2, f"s1f={s1f}"
+                                idx = (2 * d + s1 - 3 * s1f) // 6 + 1
+                                nonzero = krawtchouk_oracle(
+                                    KrawtchoukQuery(idx, g, 2 * g - s1f)
+                                ) != 0
+                                if hyper and s1f > 0:
+                                    want = BoundResult(
+                                        half + 2,
+                                        "RANK3-QUOTIENT-SHARP",
+                                        assumptions=(note, "hyperelliptic", "s1f>0"),
+                                    )
+                                    ties.add("hyperelliptic" if nonzero else None)
+                                elif nonzero:
+                                    want = BoundResult(
+                                        half + 2,
+                                        "RANK3-QUOTIENT-KRAWTCHOUK",
+                                        assumptions=(note, "krawtchouk-refinement"),
+                                    )
+                                else:
+                                    want = BoundResult(
+                                        half + 3, "RANK3-QUOTIENT", assumptions=(note,)
+                                    )
+                                    ties.add("base")
+                                assert h0_prop21_bound(q) == want
+        # the sweep meets both ties: hyperelliptic and a nonzero coefficient,
+        # and a vanishing coefficient against the base value
+        assert {"hyperelliptic", "base"} <= ties
 
     def test_requires_s1f(self):
         with pytest.raises(MissingS1F):
@@ -250,6 +330,22 @@ class TestProp21Bound:
                             continue
                         main = h0_rank3_semistable_bound(q)
                         assert quot.value >= main.value - 1
+
+
+def test_hyperelliptic_sharpening_computes_no_coefficient(monkeypatch):
+    # once the hyperelliptic guard lowers a bound, no Krawtchouk coefficient
+    # is computed, though use_delta is on and its guard would hold
+    def no_coefficient(*args):
+        raise AssertionError("a Krawtchouk coefficient was computed")
+
+    monkeypatch.setattr(bounds, "krawtchouk", no_coefficient)
+    monkeypatch.setattr(bounds, "delta_vanishes", no_coefficient)
+    assert h0_rank2_bound(Curve(3, True), 1, 1, use_delta=True).case == "RANK2-HYP"
+    both = dict(use_delta=True, use_hyperelliptic_sharpening=True, hyperelliptic=True)
+    q = rank3_query(3, 3, 0, 0, s1f=2, **both)
+    assert h0_prop21_bound(q).case == "RANK3-QUOTIENT-SHARP"
+    q = rank3_query(3, 4, 1, 2, s1f=1, **both)
+    assert h0_rank3_semistable_bound(q).case == "RANK3-MAIN-SHARP"
 
 
 SS, UU = "UNSTABLE-SS-QUOTIENT", "UNSTABLE-UNSTABLE-QUOTIENT"

@@ -509,13 +509,16 @@ class TestExamples:
 
 
 # Values for every int flag and positional: small ints, including negative
-# ones, and values far above every cap.  The flags whose cost grows with the
-# value stay small.
-WILD_INT = st.one_of(st.integers(-10, 40), st.sampled_from([-(10**6), 10**6]))
+# ones, values far above every cap, and values past a machine word.  The
+# flags whose cost grows with the value stay small; a negative step count
+# costs nothing.
+WILD_INT = st.one_of(
+    st.integers(-10, 40), st.sampled_from([-(10**6), 10**6, -(10**20), 10**20])
+)
 SMALL_INT = {
     "max_genus": st.integers(-3, 12),
     "N": st.integers(-3, 200),
-    "steps": st.integers(-3, 50),
+    "steps": st.one_of(st.integers(-3, 50), st.just(-(10**20))),
 }
 
 
@@ -575,17 +578,38 @@ class TestNoTraceback:
     @given(argv=st.one_of(_argvs(), _bound_argvs()))
     @settings(max_examples=400, deadline=None)
     def test_status_0_or_one_json_error(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
-        if code == 0:
-            assert err == ""
-            return
-        assert code == 2 and out == ""
-        assert err.endswith("\n") and err.count("\n") == 1
-        payload = json.loads(err)
-        assert set(payload) == {"code", "message"}
+        _check_status_0_or_one_json_error(argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("table --genus 100000000000000000000 --s1 0 --s2 0", "UsageError"),
+            ("table --genus 3 --s1 0 --s2 0 --d-max 100000000000000000000", "UsageError"),
+            ("table --genus 3 --s1 0 --s2 0 --d-min -100000000000000000000", "UsageError"),
+            ("elmtrans --rank 2 --genus 3 --steps -100000000000000000000", "Clifford3Error"),
+        ],
+    )
+    def test_integers_past_a_machine_word(self, argv, code):
+        # these raised OverflowError: len() of the swept degrees, and a
+        # default choice string of negative length
+        assert _check_status_0_or_one_json_error(argv.split()) == code
+
+
+def _check_status_0_or_one_json_error(argv):
+    """main(argv) exits 0 with nothing on stderr, or 2 with one JSON error
+    line on stderr and nothing on stdout; returns the error's code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        return None
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert set(payload) == {"code", "message"}
+    return payload["code"]
 
 
 class _ReferenceUsage(Exception):
@@ -805,6 +829,8 @@ class TestParseArgs:
             ["nope"],
             ["--", "bound"],
             [],
+            ["--nope", "bound", "--genus", "3", "--rank", "1", "--degree", "0"],
+            ["-x"],  # unknown options before the command
         ],
     )
     def test_edge_cases_match_reference(self, argv):

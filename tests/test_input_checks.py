@@ -9,6 +9,7 @@ from clifford3 import (
     Rank3Query,
     certified_ranks,
     family_a,
+    family_b,
     family_c,
     h0_hyperelliptic_power,
     seed_state_lemma36,
@@ -37,6 +38,7 @@ CASES = [
         ValueError,
     ),
     ("family_a-negative-n", lambda: family_a(5, -1, 0), ParamsOutOfRange),
+    ("family_b-genus1", lambda: family_b(1, 2), ParamsOutOfRange),
     ("family_c-genus1", lambda: family_c(1, "E1", 0), ParamsOutOfRange),
     (
         "unstable_sharpness-degree-too-small",
