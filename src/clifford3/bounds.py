@@ -33,6 +33,7 @@ from .invariants import (
     BundleInvariants,
     Curve,
     _congruence_violation,
+    _slot_setters,
     serre_dual,
 )
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
@@ -70,7 +71,7 @@ def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
     return deg_f, least + (least - deg_f) % 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rank3Query:
     """A rank-3 bound request.
 
@@ -88,23 +89,38 @@ class Rank3Query:
     use_delta: bool = False
     use_hyperelliptic_sharpening: bool = False
 
-    def __post_init__(self):
-        if self.inv.rank != 3:
+    def __init__(
+        self,
+        curve: Curve,
+        inv: BundleInvariants,
+        s1f: int | None = None,
+        use_delta: bool = False,
+        use_hyperelliptic_sharpening: bool = False,
+    ):
+        if inv.rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
-        if self.s1f is None:
-            return
-        s1, s2 = self.inv.s
-        if s2 < 0 <= s1:
-            return
-        deg_f, least = _quotient_s1f(self.inv)
-        if (self.s1f - deg_f) % 2 != 0:
-            raise CongruenceViolation(
-                1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
-            )
-        if self.s1f < least:
-            raise HypothesisFailed(
-                f"s1f={self.s1f} is below the minimum (2*s2-s1)/3 forced by s2"
-            )
+        if s1f is not None:
+            s1, s2 = inv.s
+            if not s2 < 0 <= s1:
+                deg_f, least = _quotient_s1f(inv)
+                if (s1f - deg_f) % 2 != 0:
+                    raise CongruenceViolation(
+                        1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}"
+                    )
+                if s1f < least:
+                    raise HypothesisFailed(
+                        f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2"
+                    )
+        _set_curve(self, curve)
+        _set_inv(self, inv)
+        _set_s1f(self, s1f)
+        _set_use_delta(self, use_delta)
+        _set_use_hyperelliptic_sharpening(self, use_hyperelliptic_sharpening)
+
+
+_set_curve, _set_inv, _set_s1f, _set_use_delta, _set_use_hyperelliptic_sharpening = (
+    _slot_setters(Rank3Query)
+)
 
 
 def suggested_min_s1f(inv: BundleInvariants) -> int:

@@ -131,12 +131,13 @@ def _state_line(st: ElmState) -> str:
 
 
 def cmd_elmtrans(args) -> int:
+    if args.steps < 0:
+        raise UsageError(f"--steps must be >= 0, got {args.steps}")
     _check_cap("--steps", args.steps, MAX_ELMTRANS_STEPS)
     _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
     state = seed_state_lemma36(Curve(args.genus), args.rank)
     n_choices = args.rank - 1
-    # a negative --steps gets the length error below, not a default string
-    bits = args.choices or "0" * max(0, args.steps * n_choices)
+    bits = args.choices or "0" * (args.steps * n_choices)
     if len(bits) != args.steps * n_choices or set(bits) - {"0", "1"}:
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "

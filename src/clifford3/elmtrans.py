@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisUnverifiable, RankUnsupported
-from .invariants import BundleInvariants, Curve
+from .invariants import BundleInvariants, Curve, _slot_setters
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ElmState:
     """Bundle invariants plus dimension bookkeeping for subbundle families.
 
@@ -33,15 +33,24 @@ class ElmState:
     sb_dim_upper: tuple[tuple[int, ...], ...]
     step_count: int = 0
 
-    def __post_init__(self):
-        if len(self.sb_dim_upper) != self.inv.rank - 1:
-            raise ValueError(
-                f"need {self.inv.rank - 1} bound tuples for rank {self.inv.rank}"
-            )
+    def __init__(
+        self,
+        inv: BundleInvariants,
+        sb_dim_upper: tuple[tuple[int, ...], ...],
+        step_count: int = 0,
+    ):
+        if len(sb_dim_upper) != inv.rank - 1:
+            raise ValueError(f"need {inv.rank - 1} bound tuples for rank {inv.rank}")
+        _set_inv(self, inv)
+        _set_sb_dim_upper(self, sb_dim_upper)
+        _set_step_count(self, step_count)
 
     def upper(self, r: int, i: int) -> int | None:
         bounds = self.sb_dim_upper[r - 1] if 0 < r < self.inv.rank else ()
         return bounds[i] if 0 <= i < len(bounds) else None
+
+
+_set_inv, _set_sb_dim_upper, _set_step_count = _slot_setters(ElmState)
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:

@@ -11,11 +11,12 @@ from functools import lru_cache
 from math import comb
 
 from .errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
+from .invariants import _slot_setters
 
 ORACLE_MAX_N = 64
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KrawtchoukQuery:
     """Coefficient index r and generating-function exponents n <= N."""
 
@@ -23,11 +24,17 @@ class KrawtchoukQuery:
     n: int
     N: int
 
-    def __post_init__(self):
-        if self.r < 0 or self.n < 0 or self.N < 0:
+    def __init__(self, r: int, n: int, N: int):
+        if r < 0 or n < 0 or N < 0:
             raise ValueError("r, n, N must be nonnegative")
-        if self.n > self.N:
-            raise ValueError(f"need n <= N, got n={self.n}, N={self.N}")
+        if n > N:
+            raise ValueError(f"need n <= N, got n={n}, N={N}")
+        _set_r(self, r)
+        _set_n(self, n)
+        _set_N(self, N)
+
+
+_set_r, _set_n, _set_N = _slot_setters(KrawtchoukQuery)
 
 
 def krawtchouk(q: KrawtchoukQuery) -> int:

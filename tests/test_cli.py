@@ -242,6 +242,20 @@ class TestCaps:
         assert code == 2 and out == ""
         assert json.loads(err)["code"] == "UsageError"
 
+    @pytest.mark.parametrize("choices", [(), ("--choices", "010101")])
+    def test_negative_steps_is_usage_error(self, capsys, choices):
+        code, out, err = run(
+            capsys, "elmtrans", "--rank", "3", "--genus", "4", "--steps", "-3", *choices
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "UsageError", "message": "--steps must be >= 0, got -3"
+        }
+
+    def test_zero_steps_runs(self, capsys):
+        code, out, _ = run(capsys, "elmtrans", "--rank", "3", "--genus", "4", "--steps", "0")
+        assert code == 0 and len(out.splitlines()) == 1
+
     def test_at_cap_runs(self, capsys):
         code, out, _ = run(capsys, "krawtchouk", "0", "0", str(cli.MAX_KRAWTCHOUK_N))
         assert code == 0 and out == "1\n"
@@ -586,12 +600,13 @@ class TestNoTraceback:
             ("table --genus 100000000000000000000 --s1 0 --s2 0", "UsageError"),
             ("table --genus 3 --s1 0 --s2 0 --d-max 100000000000000000000", "UsageError"),
             ("table --genus 3 --s1 0 --s2 0 --d-min -100000000000000000000", "UsageError"),
-            ("elmtrans --rank 2 --genus 3 --steps -100000000000000000000", "Clifford3Error"),
+            ("elmtrans --rank 2 --genus 3 --steps -100000000000000000000", "UsageError"),
+            ("elmtrans --rank 3 --genus 4 --steps -3", "UsageError"),
         ],
     )
     def test_integers_past_a_machine_word(self, argv, code):
-        # these raised OverflowError: len() of the swept degrees, and a
-        # default choice string of negative length
+        # the table argvs raised OverflowError from len() of the swept
+        # degrees; a negative --steps of any size is a usage error
         assert _check_status_0_or_one_json_error(argv.split()) == code
 
 
