@@ -56,7 +56,8 @@ from .invariants import BundleInvariants, Curve
 from .krawtchouk import KrawtchoukQuery, krawtchouk
 
 # Largest accepted inputs, with the slowest command each allows on a
-# 2-core Xeon host: a coefficient at N = 4096 in 0.9 s (r = n = N), a
+# 2-core Xeon host: a coefficient at N = 4096 in 0.9 s (r = n = N, the
+# full alternating sum; at N = 2n it is one binomial), a
 # 10,000-step trajectory in 0.15 s (1.5 s and 7.7 MB of output at genus
 # 1,000), a 100,000-row table in 1.0 s, the suite to genus 100 in 2.4 s.
 # The refinement of ``bound --delta`` evaluates coefficients with

@@ -25,8 +25,8 @@ class ElmState:
     family of rank-r subbundles of degree (maximal - i).  Only the bounds
     for i = 0, 1, ... up to the first unknown one are kept, so a rank with
     no known bound has the empty tuple.  The state is an immutable value:
-    the bookkeeping is part of its equality and hash, and steps return
-    fresh states.
+    the bookkeeping is stored as tuples whatever sequences it is given, it
+    is part of the equality and hash, and steps return fresh states.
     """
 
     inv: BundleInvariants
@@ -39,6 +39,7 @@ class ElmState:
         sb_dim_upper: tuple[tuple[int, ...], ...],
         step_count: int = 0,
     ):
+        sb_dim_upper = tuple([tuple(b) for b in sb_dim_upper])
         if len(sb_dim_upper) != inv.rank - 1:
             raise ValueError(f"need {inv.rank - 1} bound tuples for rank {inv.rank}")
         _set_inv(self, inv)

@@ -38,10 +38,21 @@ _set_r, _set_n, _set_N = _slot_setters(KrawtchoukQuery)
 
 
 def krawtchouk(q: KrawtchoukQuery) -> int:
-    """Closed-form evaluation: sum_j (-1)^j C(n,j) C(N-n, r-j)."""
+    """Closed-form evaluation: sum_j (-1)^j C(n,j) C(N-n, r-j).
+
+    The sum is the definition.  At N = 2n the generating function is
+    (1-z^2)^n, so the coefficient is 0 for odd r and (-1)^(r/2) C(n, r/2)
+    for even r: one binomial instead of min(n, r) + 1 products.
+    """
+    r, n, N = q.r, q.n, q.N
+    if N == 2 * n:
+        if r % 2:
+            return 0
+        c = comb(n, r // 2)
+        return -c if r % 4 else c
     return sum(
-        (-1) ** j * comb(q.n, j) * comb(q.N - q.n, q.r - j)
-        for j in range(min(q.n, q.r) + 1)
+        (-1) ** j * comb(n, j) * comb(N - n, r - j)
+        for j in range(min(n, r) + 1)
     )
 
 

@@ -1,7 +1,28 @@
+import importlib
+from math import comb
+from operator import mul
+
 import pytest
 
 from clifford3 import KrawtchoukQuery, delta_vanishes, krawtchouk, krawtchouk_oracle
 from clifford3.errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
+
+
+def _alternating_sums_at_half(max_n):
+    """(n, [K_r(n, 2n) for r = 0..2n+1]) for n = 0..max_n by the alternating
+    sum sum_j (-1)^j C(n,j) C(n, r-j), the engine's definition, which it no
+    longer runs at N = 2n.  The binomials come from Pascal's rule, so
+    ``math.comb`` plays no part (test-only)."""
+    row = [1]
+    for n in range(max_n + 1):
+        if n:
+            row = [a + b for a, b in zip([0, *row], [*row, 0])]
+        signed = [-c if j % 2 else c for j, c in enumerate(row)]
+        sums = []
+        for r in range(2 * n + 2):
+            lo, hi = max(0, r - n), min(n, r)
+            sums.append(sum(map(mul, signed[lo:hi + 1], row[r - hi:r - lo + 1][::-1])))
+        yield n, sums
 
 
 class TestClosedForm:
@@ -23,8 +44,6 @@ class TestClosedForm:
         assert krawtchouk(KrawtchoukQuery(11, 3, 10)) == 0
 
     def test_pure_binomial_row(self):
-        from math import comb
-
         for N in range(21):
             for r in range(N + 1):
                 assert krawtchouk(KrawtchoukQuery(r, 0, N)) == comb(N, r)
@@ -47,14 +66,33 @@ class TestClosedForm:
 
     def test_n_equals_half_of_N(self):
         # (1-z)^g (1+z)^g = (1-z^2)^g, checked past the oracle's N <= 64
-        from math import comb
-
         cases = [(r, g) for g in range(2, 81) for r in range(2 * g + 1)]
         for g in (128, 256):
             cases += [(r, g) for r in (*range(0, 2 * g + 1, 7), g, 2 * g - 1, 2 * g)]
         for r, g in cases:
             want = 0 if r % 2 else (-1) ** (r // 2) * comb(g, r // 2)
             assert krawtchouk(KrawtchoukQuery(r, g, 2 * g)) == want, (r, g)
+
+    def test_half_of_N_matches_the_alternating_sum(self):
+        for n, sums in _alternating_sums_at_half(300):
+            for r, want in enumerate(sums):
+                assert krawtchouk(KrawtchoukQuery(r, n, 2 * n)) == want, (r, n)
+
+    def test_half_of_N_takes_at_most_one_binomial(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        # the package exports the function under the module's name
+        module = importlib.import_module("clifford3.krawtchouk")
+        monkeypatch.setattr(module, "comb", counted)
+        for n in (0, 1, 2, 7, 64, 300):
+            for r in range(2 * n + 2):
+                calls.clear()
+                krawtchouk(KrawtchoukQuery(r, n, 2 * n))
+                assert len(calls) <= 1, (r, n, calls)
 
     def test_rejects_bad_query(self):
         with pytest.raises(ValueError):
@@ -94,6 +132,17 @@ class TestDeltaVanishes:
 
     def test_squared_difference_zero(self):
         assert delta_vanishes(2, 6, 0, 0) is True
+
+    def test_at_s1f_zero_matches_the_alternating_sum(self):
+        # s1f = 0 gives N = 2g, the one-binomial path
+        sums = dict(_alternating_sums_at_half(12))
+        for g in range(2, 13):
+            for s1 in range(3 * g + 1):
+                for d in range(-s1 // 2, 6 * g - s1 // 2 + 1):
+                    if (2 * d + s1) % 6 == 0:
+                        idx = (2 * d + s1) // 6 + 1  # at most 2g + 1
+                        want = sums[g][idx] == 0
+                        assert delta_vanishes(g, d, s1, 0) is want, (g, d, s1)
 
     def test_rejects_nondivisible_index(self):
         with pytest.raises(CongruenceViolation):

@@ -74,3 +74,15 @@ def test_elm_state_bookkeeping_is_part_of_the_value():
     other = ElmState(st.inv, ((99,), ()), st.step_count)
     assert st != other
     assert {st: 1}[seed_state_lemma36(Curve(3), 3)] == 1
+
+
+def test_elm_state_sequences_become_tuples():
+    inv = BundleInvariants(3, 3, (0, 0))
+    a, b = ElmState(inv, [[1, 2], ()]), ElmState(inv, ((1, 2), ()))
+    assert a == b and hash(a) == hash(b)
+    assert a.sb_dim_upper == ((1, 2), ()) and type(a.sb_dim_upper[0]) is tuple
+    with pytest.raises(TypeError):
+        a.sb_dim_upper[0] = (99,)
+    with pytest.raises(TypeError):
+        a.sb_dim_upper[0][0] = 99
+    assert a.upper(1, 0) == 1
