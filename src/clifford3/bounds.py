@@ -16,7 +16,6 @@ end of each formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import (
@@ -32,6 +31,7 @@ from .invariants import (
     BoundResult,
     BundleInvariants,
     Curve,
+    _Record,
     _congruence_violation,
     _slot_setters,
     serre_dual,
@@ -71,8 +71,7 @@ def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
     return deg_f, least + (least - deg_f) % 2
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Rank3Query:
+class Rank3Query(_Record):
     """A rank-3 bound request.
 
     ``s1f`` is the first stability degree of a minimal-degree rank-2
@@ -83,11 +82,7 @@ class Rank3Query:
     reported value is attributable.
     """
 
-    curve: Curve
-    inv: BundleInvariants
-    s1f: int | None = None
-    use_delta: bool = False
-    use_hyperelliptic_sharpening: bool = False
+    __slots__ = ("curve", "inv", "s1f", "use_delta", "use_hyperelliptic_sharpening")
 
     def __init__(
         self,
@@ -249,7 +244,7 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     if s1 >= 0 and s2 >= 0:
         raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {inv.s}")
     if s1 >= 0:
-        dual = replace(q, inv=serre_dual(q.curve, inv))
+        dual = q._replace(inv=serre_dual(q.curve, inv))
         sub = h0_rank3_unstable_bound(dual)
         return _result(
             max(0, sub.value + d + 3 - 3 * g),

@@ -36,9 +36,9 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
 from .elmtrans import ElmState, seed_state_lemma36, step
@@ -232,14 +232,11 @@ def cmd_examples(args) -> int:
     return 0
 
 
-class _Flag(NamedTuple):
-    """One flag or positional of a command."""
+_Flag = namedtuple("_Flag", "dest type choices default help", defaults=(int, (), None, ""))
+_Flag.__doc__ = """One flag or positional of a command.
 
-    dest: str
-    type: type = int  # int, str, or bool for a switch, which stores True when given
-    choices: tuple = ()
-    default: object = None  # REQUIRED for a flag that must be given
-    help: str = ""
+``type`` is int, str, or bool for a switch, which stores True when given;
+``default`` is REQUIRED for a flag that must be given."""
 
 
 REQUIRED = object()

@@ -10,14 +10,11 @@ i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisUnverifiable, RankUnsupported
-from .invariants import BundleInvariants, Curve, _slot_setters
+from .invariants import BundleInvariants, Curve, _Record, _slot_setters
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ElmState:
+class ElmState(_Record):
     """Bundle invariants plus dimension bookkeeping for subbundle families.
 
     ``sb_dim_upper`` holds one tuple per rank r = 1..n-1, and
@@ -29,9 +26,7 @@ class ElmState:
     is part of the equality and hash, and steps return fresh states.
     """
 
-    inv: BundleInvariants
-    sb_dim_upper: tuple[tuple[int, ...], ...]
-    step_count: int = 0
+    __slots__ = ("inv", "sb_dim_upper", "step_count")
 
     def __init__(
         self,

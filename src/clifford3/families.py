@@ -18,34 +18,43 @@ invariants module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounds import Rank3Query, bound, h0_prop21_bound, h0_rank2_bound, slope_bound
 from .elmtrans import s2_lower_bound_track
 from .errors import ParamsOutOfRange, UnrealizableF
-from .invariants import BoundResult, BundleInvariants, Curve, h0_hyperelliptic_power
+from .invariants import (
+    BoundResult,
+    BundleInvariants,
+    Curve,
+    _Record,
+    _slot_setters,
+    h0_hyperelliptic_power,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class ExampleReport:
+class ExampleReport(_Record):
     """A constructed bundle, its exact section count, the applicable bound and
     whether the bound is attained.  ``params`` are the family's parameters as
     (name, value) pairs, so that the record hashes."""
 
-    family: str
-    curve: Curve
-    inv: BundleInvariants
-    exact_h0: int
-    bound: BoundResult
-    params: tuple[tuple[str, int | str], ...] = ()
-    slope: BoundResult | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("family", "curve", "inv", "exact_h0", "bound", "params", "slope", "notes")
 
-    def __post_init__(self):
-        if self.exact_h0 > self.bound.value:
-            raise ValueError(
-                f"exact h0 {self.exact_h0} exceeds the bound {self.bound.value}"
-            )
+    def __init__(
+        self,
+        family: str,
+        curve: Curve,
+        inv: BundleInvariants,
+        exact_h0: int,
+        bound: BoundResult,
+        params: tuple[tuple[str, int | str], ...] = (),
+        slope: BoundResult | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        if exact_h0 > bound.value:
+            raise ValueError(f"exact h0 {exact_h0} exceeds the bound {bound.value}")
+        for setter, value in zip(
+            _SETTERS, (family, curve, inv, exact_h0, bound, params, slope, notes)
+        ):
+            setter(self, value)
 
     @property
     def sharp(self) -> bool:
@@ -67,6 +76,9 @@ class ExampleReport:
         if self.slope is not None:
             out["slope_bound"] = self.slope.to_dict()
         return out
+
+
+_SETTERS = _slot_setters(ExampleReport)
 
 
 def family_a(g: int, n: int, k: int) -> ExampleReport:

@@ -2,35 +2,75 @@
 
 Everything here is an immutable value; operations are pure functions.
 
-The engine's records are frozen, slotted dataclasses declared with
-``init=False`` and a hand-written ``__init__``: it checks its arguments
-first, then stores each field through its slot's ``__set__`` (see
-:func:`_slot_setters`), because the frozen ``__setattr__`` refuses every
-assignment and the generated ``__init__`` pays ``object.__setattr__`` per
-field plus a ``__post_init__`` call.  Equality, hashing, ``repr``,
-``dataclasses.replace`` and pickling stay generated.  ``ExampleReport`` keeps
-the generated ``__init__``: it is built once per cached suite block.
+The engine's records derive from the private slotted base :class:`_Record`.
+Each record names its fields in ``__slots__`` and has a hand-written
+``__init__``: it checks its arguments first, then stores each field through
+its slot's ``__set__`` (see :func:`_slot_setters`), because the record's
+``__setattr__`` refuses every assignment.  The base class gives equality
+and hashing over the field tuple, the ``repr``, pickling and ``_replace``.
+The package does not import ``dataclasses``: that module, with ``inspect``,
+and one decoration per record were most of the package's import time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import CongruenceViolation, OutOfModeledRange, RankUnsupported
 
 
+class _Record:
+    """Base of the engine's immutable records.
+
+    A subclass lists two or more fields in ``__slots__``, in the order of its
+    ``__init__`` parameters.  Records of one class are equal when their field
+    tuples are, and hash as that tuple.  The ``repr`` reads
+    ``Name(field=value, ...)``.  Pickling and :meth:`_replace` build the new
+    record through ``__init__``, so its checks run again.  Assigning or
+    deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)  # the field tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A new record with ``changes`` applied, checked by ``__init__``."""
+        return self.__class__(**dict(zip(self.__slots__, self._values(self)), **changes))
+
+
 def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot of the dataclass ``cls``, in
+    """The ``__set__`` of each field's slot of the record class ``cls``, in
     field order."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Curve:
+class Curve(_Record):
     """A smooth projective curve of genus >= 2, known only through its genus
     and whether it carries a degree-2 pencil (hyperelliptic)."""
 
-    genus: int
-    hyperelliptic: bool = False
+    __slots__ = ("genus", "hyperelliptic")
 
     def __init__(self, genus: int, hyperelliptic: bool = False):
         if genus < 2:
@@ -56,8 +96,7 @@ def _congruence_violation(n: int, d: int, r: int, sr: int) -> CongruenceViolatio
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BundleInvariants:
+class BundleInvariants(_Record):
     """Discrete invariants of a vector bundle: rank n in {1,2,3}, degree d and
     the stability degrees (s_1, ..., s_{n-1}).
 
@@ -68,9 +107,7 @@ class BundleInvariants:
     results downstream are conditional on existence.
     """
 
-    rank: int
-    degree: int
-    s: tuple[int, ...] = ()
+    __slots__ = ("rank", "degree", "s")
 
     def __init__(self, rank: int, degree: int, s: tuple[int, ...] = ()):
         if type(s) is not tuple:
@@ -144,8 +181,7 @@ def h0_hyperelliptic_power(c: Curve, a: int, extra_general_point: bool = False) 
     return 2 * a + 1 - g
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BoundResult:
+class BoundResult(_Record):
     """An upper bound on h^0 together with its provenance.
 
     ``exact`` means the value equals h^0 (forced by vanishing or by a zero
@@ -156,10 +192,7 @@ class BoundResult:
     so callers compare results with ``==``, never with ``is``.
     """
 
-    value: int
-    case: str
-    exact: bool = False
-    assumptions: tuple[str, ...] = ()
+    __slots__ = ("value", "case", "exact", "assumptions")
 
     def __init__(
         self, value: int, case: str, exact: bool = False, assumptions: tuple[str, ...] = ()

@@ -6,23 +6,19 @@ appears anywhere in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
-from .invariants import _slot_setters
+from .invariants import _Record, _slot_setters
 
 ORACLE_MAX_N = 64
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class KrawtchoukQuery:
+class KrawtchoukQuery(_Record):
     """Coefficient index r and generating-function exponents n <= N."""
 
-    r: int
-    n: int
-    N: int
+    __slots__ = ("r", "n", "N")
 
     def __init__(self, r: int, n: int, N: int):
         if r < 0 or n < 0 or N < 0:

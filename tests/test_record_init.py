@@ -1,8 +1,9 @@
-"""The engine records' hand-written ``__init__`` against the generated one.
+"""The engine records against test-only dataclass declarations.
 
-``Reference`` keeps the six records as they were declared with the
-dataclass-generated ``__init__`` and a ``__post_init__`` check; the package
-never imports it.  The property draws each record's arguments positionally
+``Reference`` keeps the seven records as they were declared with
+``dataclasses``: the generated ``__init__``, ``__repr__`` and ``__hash__``,
+with a ``__post_init__`` check.  The package imports neither it nor
+``dataclasses``.  The property draws each record's arguments positionally
 and by keyword and builds both: they must give equal fields, ``repr`` and
 hash, or raise the same exception type with the same ``.r`` and message.
 """
@@ -18,8 +19,10 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     ElmState,
+    ExampleReport,
     KrawtchoukQuery,
     Rank3Query,
+    family_a,
 )
 from clifford3.bounds import _quotient_s1f
 from clifford3.errors import (
@@ -31,7 +34,7 @@ from clifford3.invariants import _congruence_violation
 
 
 class Reference:
-    """The six records with the generated ``__init__`` (test-only)."""
+    """The seven records with the generated ``__init__`` (test-only)."""
 
     @dataclasses.dataclass(frozen=True, slots=True)
     class Curve:
@@ -134,8 +137,27 @@ class Reference:
                     f"need {self.inv.rank - 1} bound tuples for rank {self.inv.rank}"
                 )
 
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class ExampleReport:
+        family: str
+        curve: Curve
+        inv: BundleInvariants
+        exact_h0: int
+        bound: BoundResult
+        params: tuple[tuple[str, int | str], ...] = ()
+        slope: BoundResult | None = None
+        notes: tuple[str, ...] = ()
 
-RECORDS = [Curve, BundleInvariants, BoundResult, Rank3Query, KrawtchoukQuery, ElmState]
+        def __post_init__(self):
+            if self.exact_h0 > self.bound.value:
+                raise ValueError(
+                    f"exact h0 {self.exact_h0} exceeds the bound {self.bound.value}"
+                )
+
+
+RECORDS = [
+    Curve, BundleInvariants, BoundResult, Rank3Query, KrawtchoukQuery, ElmState, ExampleReport,
+]
 IDS = [cls.__name__ for cls in RECORDS]
 
 
@@ -229,6 +251,17 @@ CALLS = {
             st.lists(_list_or_tuple(st.lists(SMALL, max_size=3)), max_size=3)), True),
         ("step_count", SMALL, False),
     ]),
+    # tuples only: the generated __init__ never turned a list into one
+    "ExampleReport": _call([
+        ("family", st.sampled_from(["a", "unstable"]), True),
+        ("curve", st.builds(Curve, st.integers(2, 8), st.booleans()), True),
+        ("inv", _valid_inv(), True),
+        ("exact_h0", SMALL, True),
+        ("bound", st.builds(BoundResult, st.integers(0, 8), st.just("RANK3-MAIN")), True),
+        ("params", st.lists(st.tuples(st.sampled_from("nkm"), SMALL)).map(tuple), False),
+        ("slope", st.none() | st.builds(BoundResult, st.integers(0, 8), st.just("SLOPE")), False),
+        ("notes", st.lists(st.sampled_from(["x", "y"]), max_size=2).map(tuple), False),
+    ]),
 }
 
 
@@ -237,7 +270,7 @@ def _outcome(cls, args, kwargs):
         rec = cls(*args, **kwargs)
     except Exception as exc:  # the exception is the outcome compared
         return ("raised", type(exc), getattr(exc, "r", None), str(exc))
-    values = [(type(v), v) for v in (getattr(rec, f.name) for f in dataclasses.fields(rec))]
+    values = [(type(v), v) for v in (getattr(rec, name) for name in rec.__slots__)]
     # every record turns its sequences into tuples, so each one built hashes
     return ("built", values, repr(rec).removeprefix("Reference."), hash(rec))
 
@@ -253,15 +286,16 @@ def test_matches_the_generated_init(cls, data):
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
 def test_signature_lists_the_fields(cls):
-    # a field added without an __init__ parameter fails here
+    # a field added without an __init__ parameter, or a default changed, fails here
     params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == cls.__slots__
     assert [(p.name, p.default, p.kind) for p in params] == [
         (
             f.name,
             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
             inspect.Parameter.POSITIONAL_OR_KEYWORD,
         )
-        for f in dataclasses.fields(cls)
+        for f in dataclasses.fields(getattr(Reference, cls.__name__))
     ]
 
 
@@ -284,19 +318,44 @@ REPLACE = [
     (Rank3Query(Curve(4), _inv(), s1f=2), {"s1f": 4}, {"s1f": 3}, CongruenceViolation),
     (KrawtchoukQuery(2, 3, 6), {"n": 6}, {"n": 7}, ValueError),
     (ElmState(_inv(), ((0, 1), ())), {"step_count": 5}, {"sb_dim_upper": ()}, ValueError),
+    (family_a(5, 0, 1), {"notes": ("x",)}, {"exact_h0": 8}, ValueError),
 ]
 
 
 @pytest.mark.parametrize("rec, change, bad, error", REPLACE, ids=IDS)
 def test_replace_checks_and_stores(rec, change, bad, error):
-    new = dataclasses.replace(rec, **change)
-    fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+    new = rec._replace(**change)
+    fields = {name: getattr(rec, name) for name in rec.__slots__}
     assert new == type(rec)(**{**fields, **change}) != rec
     with pytest.raises(error):
-        dataclasses.replace(rec, **bad)
+        rec._replace(**bad)
 
 
 @pytest.mark.parametrize("rec", [r[0] for r in REPLACE], ids=IDS)
 def test_pickle_round_trip(rec):
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and hash(back) == hash(rec) and repr(back) == repr(rec)
+    # the pickle holds the class and the field values, so loading re-runs __init__
+    assert rec.__reduce__() == (type(rec), tuple(getattr(rec, name) for name in rec.__slots__))
+
+
+def _refusal(act):
+    try:
+        act()
+    except AttributeError as exc:  # FrozenInstanceError is an AttributeError
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rec", [r[0] for r in REPLACE], ids=IDS)
+def test_assignment_refused_as_before(rec):
+    fields = {name: getattr(rec, name) for name in rec.__slots__}
+    ref = getattr(Reference, type(rec).__name__)(**fields)
+    for name in rec.__slots__:
+        for obj in (rec, ref):
+            assert _refusal(lambda: setattr(obj, name, 0)) == f"cannot assign to field {name!r}"
+            assert _refusal(lambda: delattr(obj, name)) == f"cannot delete field {name!r}"
+    # a slotted dataclass raised TypeError from super() for any other name
+    assert _refusal(lambda: setattr(rec, "extra", 0)) == "cannot assign to field 'extra'"
+    assert _refusal(lambda: delattr(rec, "extra")) == "cannot delete field 'extra'"
+    assert {name: getattr(rec, name) for name in rec.__slots__} == fields
