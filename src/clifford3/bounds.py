@@ -157,7 +157,7 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     return _result(half + 2, "RANK2-CLIFFORD", False, ())
 
 
-def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
+def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> BoundResult:
     """Upper bound on h^0 of a semistable rank-3 bundle from (d, s1, s2).
 
     Dispatch, in order: exact vanishing below s1; exact d+3-3g above
@@ -166,10 +166,24 @@ def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
     floor(d/2 - max(2*s2-s1, 2*s1-s2)/6) + 3, sharpened to +2 on a
     hyperelliptic curve (unless s1 = s2 = 0) or via a nonzero Krawtchouk
     coefficient when s1f is supplied.
+
+    ``degree`` bounds q at another degree d, without building a query for
+    it: the result for ``Rank3Query`` at ``BundleInvariants(3, d, q.inv.s)``
+    with q's other fields.  Every d congruent to ``q.inv.degree`` mod 3
+    passes the checks q passed; any other d raises the
+    ``CongruenceViolation`` that ``BundleInvariants(3, d, q.inv.s)`` raises.
+    Pass it by keyword.  It is not keyword-only because CPython 3.11 does
+    not specialize a call to a function with keyword-only parameters, and
+    that cost the one-argument calls of a rank-3 grid sweep about 2%.
     """
     inv = q.inv
-    d = inv.degree
     s1, s2 = inv.s
+    if degree is None:
+        d = inv.degree
+    elif (degree - inv.degree) % 3:
+        raise _congruence_violation(3, degree, 1, s1)
+    else:
+        d = degree
     if s1 < 0 or s2 < 0:
         raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {inv.s}")
     g = q.curve.genus

@@ -11,7 +11,10 @@ ranks 1 and 2) and ``--f-semistable`` on semistable input, before any bound
 is computed.  ``examples`` likewise rejects a flag its mode does not read,
 for example ``--n`` with ``--family b`` or ``--family`` with ``--suite``.
 Each ``elmtrans`` line writes the state's dimension bounds as an object
-keyed "r,i" in (r, i) order.
+keyed "r,i" in (r, i) order.  ``bound``'s JSON and the ``elmtrans`` lines
+are written directly, byte for byte what ``json.dumps`` gives for them.
+``table`` builds and checks one rank-3 query for its first swept degree
+and bounds every row through it.
 
 ``parse_args`` reads argv against the ``COMMANDS`` table in one walk and
 keeps no state between calls, so ``main`` may be called any number of
@@ -38,6 +41,7 @@ import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
@@ -52,14 +56,16 @@ from .families import (
     suite_blocks,
     unstable_sharpness,
 )
-from .invariants import BundleInvariants, Curve
+from .invariants import BoundResult, BundleInvariants, Curve
 from .krawtchouk import KrawtchoukQuery, krawtchouk
 
-# Largest accepted inputs, with the slowest command each allows on a
-# 2-core Xeon host: a coefficient at N = 4096 in 0.9 s (r = n = N, the
-# full alternating sum; at N = 2n it is one binomial), a
-# 10,000-step trajectory in 0.15 s (1.5 s and 7.7 MB of output at genus
-# 1,000), a 100,000-row table in 1.0 s, the suite to genus 100 in 2.4 s.
+# Largest accepted inputs, with the slowest command each allows, timed as
+# one ``main`` call in a fresh process with the output kept in memory, the
+# larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
+# coefficient at N = 4096 in 0.9 s (r = n = N, the full alternating sum; at
+# N = 2n it is one binomial), a 10,000-step trajectory in 0.09 s (genus
+# 1,000, 7.7 MB of output), a 100,000-row table in 0.19 s (every row a
+# distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N <= 4g - 2, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
 MAX_KRAWTCHOUK_N = 4096
@@ -107,8 +113,19 @@ def cmd_bound(args) -> int:
             raise HypothesisFailed("a semistable quotient has s1f >= 0")
         if not args.f_semistable and args.s1f >= 0:
             raise HypothesisFailed("an unstable quotient has s1f < 0")
-    print(json.dumps(result.to_dict()))
+    sys.stdout.write(_bound_line(result))
     return 0
+
+
+def _bound_line(r: BoundResult) -> str:
+    """``bound``'s output line, byte for byte ``json.dumps(r.to_dict())``
+    and a newline: ``value`` is an int, ``exact`` a bool, and each string
+    is quoted by the encoder ``json.dumps`` uses by default."""
+    assumptions = ", ".join([_quote(a) for a in r.assumptions])
+    return (
+        f'{{"value": {r.value}, "case": {_quote(r.case)}, '
+        f'"exact": {"true" if r.exact else "false"}, "assumptions": [{assumptions}]}}\n'
+    )
 
 
 def cmd_krawtchouk(args) -> int:
@@ -117,17 +134,34 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _state_line(st: ElmState) -> str:
+def _state_line(st: ElmState, last: list) -> str:
     """One ``elmtrans`` line, byte for byte what ``json.dumps`` writes for
-    the state's row: every field is an int or a list or object of ints."""
+    the state's row: every field is an int or a list or object of ints.
+
+    ``last`` holds each rank's (bounds, text) from the previous line, and
+    this call stores its own there; before the first line each rank holds
+    ``((), "")``.  A rank whose bounds are a prefix of the previous ones, as
+    a miss that leaves the rule's maxima in place makes them, cuts its text
+    from the previous text instead of writing it again.
+    """
     inv = st.inv
     s = ", ".join([str(v) for v in inv.s])
-    bounds = ", ".join(
-        [f'"{r},{i}": {v}' for r, b in enumerate(st.sb_dim_upper, 1) for i, v in enumerate(b)]
-    )
+    texts = []
+    for r, b in enumerate(st.sb_dim_upper, 1):
+        prev, text = last[r - 1]
+        k = len(b)
+        if b != prev[:k]:
+            text = ", ".join([f'"{r},{i}": {v}' for i, v in enumerate(b)])
+        elif k < len(prev):
+            # keys are unique and values are ints, so the key of entry k
+            # occurs once; it is near the end when the step dropped one entry
+            text = text[: text.rfind(f', "{r},{k}": ')] if k else ""
+        last[r - 1] = (b, text)
+        if text:
+            texts.append(text)
     return (
         f'{{"step": {st.step_count}, "rank": {inv.rank}, "d": {inv.degree}, '
-        f'"s": [{s}], "sb_dim_upper": {{{bounds}}}}}\n'
+        f'"s": [{s}], "sb_dim_upper": {{{", ".join(texts)}}}}}\n'
     )
 
 
@@ -145,10 +179,11 @@ def cmd_elmtrans(args) -> int:
             f"{args.steps * n_choices}"
         )
     hits = [c == "1" for c in bits]
-    lines = [_state_line(state)]
+    last = [((), "")] * n_choices
+    lines = [_state_line(state, last)]
     for k in range(0, len(hits), n_choices):
         state = step(state, tuple(hits[k : k + n_choices]))
-        lines.append(_state_line(state))
+        lines.append(_state_line(state, last))
     sys.stdout.write("".join(lines))
     return 0
 
@@ -165,9 +200,13 @@ def cmd_table(args) -> int:
     curve = Curve(g, hyperelliptic=args.hyperelliptic)
     # every row is computed before any is written, so an error leaves stdout empty
     lines = ["d,value,case,exact\n"]
-    for d in range(first, d_max + 1, 3):
-        r = h0_rank3_semistable_bound(Rank3Query(curve, BundleInvariants(3, d, (s1, s2))))
-        lines.append(f"{d},{r.value},{r.case},{'true' if r.exact else 'false'}\n")
+    if rows:
+        # one query, checked at the first degree, serves every swept degree:
+        # they share its residue mod 3, so they pass the same checks
+        q = Rank3Query(curve, BundleInvariants(3, first, (s1, s2)))
+        for d in range(first, d_max + 1, 3):
+            r = h0_rank3_semistable_bound(q, degree=d)
+            lines.append(f"{d},{r.value},{r.case},{'true' if r.exact else 'false'}\n")
     sys.stdout.write("".join(lines))
     return 0
 

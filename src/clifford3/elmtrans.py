@@ -10,6 +10,9 @@ i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import le, sub
+
 from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve, _Record, _slot_setters
 
@@ -73,9 +76,15 @@ def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
         else:
             new_s.append(sr + r)
             b = st.sb_dim_upper[r - 1]
-            # a list gives tuple() the exact length; a generator makes it shrink
-            # a larger tuple, which fills CPython's tuple free lists (~4 MB)
-            new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
+            if not b or all(map(le, map(sub, b[1:], b), repeat(n - r))):
+                # no bound rises by more than n-r to the next, so every max
+                # is the old bound: the rule drops the last entry
+                new_sb.append(b[:-1])
+            else:
+                # a list gives tuple() the exact length; a generator makes it
+                # shrink a larger tuple, which fills CPython's tuple free lists
+                # (~4 MB)
+                new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
     new_inv = BundleInvariants(n, st.inv.degree + 1, tuple(new_s))
     return ElmState(new_inv, tuple(new_sb), st.step_count + 1)
 

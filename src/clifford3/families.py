@@ -34,7 +34,8 @@ from .invariants import (
 class ExampleReport(_Record):
     """A constructed bundle, its exact section count, the applicable bound and
     whether the bound is attained.  ``params`` are the family's parameters as
-    (name, value) pairs, so that the record hashes."""
+    (name, value) pairs, so that the record hashes; ``params`` and ``notes``
+    are stored as tuples whatever sequences they are given."""
 
     __slots__ = ("family", "curve", "inv", "exact_h0", "bound", "params", "slope", "notes")
 
@@ -52,7 +53,7 @@ class ExampleReport(_Record):
         if exact_h0 > bound.value:
             raise ValueError(f"exact h0 {exact_h0} exceeds the bound {bound.value}")
         for setter, value in zip(
-            _SETTERS, (family, curve, inv, exact_h0, bound, params, slope, notes)
+            _SETTERS, (family, curve, inv, exact_h0, bound, tuple(params), slope, tuple(notes))
         ):
             setter(self, value)
 

@@ -218,6 +218,52 @@ class TestRank3SemistableBound:
                 assert r.value >= d + 3 - 3 * g
 
 
+class TestDegreeKeyword:
+    """``h0_rank3_semistable_bound(q, degree=d)``, as ``table`` calls it,
+    against a query built afresh at d."""
+
+    @staticmethod
+    def _queries(g, s1, s2):
+        inv = BundleInvariants(3, s1, (s1, s2))
+        yield Rank3Query(Curve(g), inv)
+        yield Rank3Query(Curve(g, True), inv, use_hyperelliptic_sharpening=True)
+        yield Rank3Query(Curve(g), inv, s1f=suggested_min_s1f(inv), use_delta=True)
+
+    def test_equals_a_fresh_query_on_the_criterion_2_grid(self):
+        cases = 0
+        for g in range(2, 7):
+            for s1 in range(0, 3 * g + 1):
+                for s2 in range(0, 3 * g + 1):
+                    if (s2 - 2 * s1) % 3:
+                        continue
+                    for q in self._queries(g, s1, s2):
+                        for d in range(s1 - 6, 6 * g - s2 + 1, 3):
+                            fresh = q._replace(inv=BundleInvariants(3, d, (s1, s2)))
+                            got = h0_rank3_semistable_bound(q, degree=d)
+                            assert got == h0_rank3_semistable_bound(fresh), (q, d)
+                            cases += 1
+        assert cases == 7_395  # 3 queries per (g, s1, s2), d past both tails
+
+    @pytest.mark.parametrize("shift", [1, 2, 4, -1])
+    def test_non_congruent_degree_is_the_invariants_error(self, shift):
+        q = rank3_query(4, 10, 1, 2)
+        d = 10 + shift
+        with pytest.raises(CongruenceViolation) as expected:
+            BundleInvariants(3, d, (1, 2))
+        with pytest.raises(CongruenceViolation) as got:
+            h0_rank3_semistable_bound(q, degree=d)
+        assert (got.value.r, str(got.value)) == (expected.value.r, str(expected.value))
+
+    def test_default_is_the_query_degree(self):
+        q = rank3_query(3, 10, 1, 2)
+        assert h0_rank3_semistable_bound(q, degree=10) == h0_rank3_semistable_bound(q)
+        assert h0_rank3_semistable_bound(q, degree=None) == h0_rank3_semistable_bound(q)
+
+    def test_unstable_query_still_rejected(self):
+        with pytest.raises(NotSemistable):
+            h0_rank3_semistable_bound(rank3_query(3, 4, -2, 2), degree=7)
+
+
 class TestProp21Bound:
     def test_hyperelliptic_sharp_value(self):
         q = rank3_query(5, 18, 0, 0, s1f=2, hyperelliptic=True,

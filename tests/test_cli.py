@@ -378,6 +378,109 @@ class TestTable:
         assert json.loads(err)["code"] == "NotSemistable"
 
 
+def _row(state):
+    """An ``elmtrans`` row as plain data, for ``json.dumps``."""
+    return {
+        "step": state.step_count,
+        "rank": state.inv.rank,
+        "d": state.inv.degree,
+        "s": list(state.inv.s),
+        "sb_dim_upper": {
+            f"{r},{i}": v for r, b in enumerate(state.sb_dim_upper, 1) for i, v in enumerate(b)
+        },
+    }
+
+
+@st.composite
+def _start_states(draw):
+    """A state with drawn bounds, which may rise by more than n-r between
+    entries, so that a miss leaves some tuples a prefix and others not."""
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(-6, 12))
+    s = [r * d + n * draw(st.integers(-3, 3)) for r in range(1, n)]
+    bounds = [tuple(draw(st.lists(st.integers(-5, 15), max_size=12))) for _ in range(1, n)]
+    return clifford3.ElmState(clifford3.BundleInvariants(n, d, s), bounds)
+
+
+class TestDirectOutput:
+    """The lines that ``bound`` and ``elmtrans`` write without ``json.dumps``
+    equal what it writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=_start_states(), data=st.data())
+    def test_state_lines_equal_json_dumps(self, start, data):
+        last = [((), "")] * (start.inv.rank - 1)
+        state = start
+        hit_rate = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
+        for _ in range(data.draw(st.integers(0, 14))):
+            assert cli._state_line(state, last) == json.dumps(_row(state)) + "\n"
+            hits = tuple(
+                data.draw(st.floats(0, 1)) < hit_rate for _ in range(state.inv.rank - 1)
+            )
+            state = clifford3.step(state, hits)
+        assert cli._state_line(state, last) == json.dumps(_row(state)) + "\n"
+        fresh = [((), "")] * (state.inv.rank - 1)
+        assert cli._state_line(state, fresh) == json.dumps(_row(state)) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rank=st.sampled_from((2, 3)),
+        genus=st.integers(2, 40),
+        bits=st.lists(st.booleans(), max_size=80),
+    )
+    def test_elmtrans_lines_equal_json_dumps(self, rank, genus, bits):
+        steps = len(bits) // (rank - 1)
+        bits = bits[: steps * (rank - 1)]
+        choices = "".join("1" if b else "0" for b in bits)
+        argv = ["elmtrans", "--rank", str(rank), "--genus", str(genus), "--steps", str(steps)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv + (["--choices", choices] if choices else [])) == 0
+        out = out.getvalue()
+        state = clifford3.seed_state_lemma36(clifford3.Curve(genus), rank)
+        expected = [json.dumps(_row(state)) + "\n"]
+        for k in range(0, len(bits), rank - 1):
+            state = clifford3.step(state, tuple(bits[k : k + rank - 1]))
+            expected.append(json.dumps(_row(state)) + "\n")
+        assert out == "".join(expected)
+
+    def test_bound_line_for_every_result_of_a_sweep(self):
+        results = set()
+        for g in range(2, 6):
+            for c in (clifford3.Curve(g), clifford3.Curve(g, True)):
+                for d in range(-3, 6 * g + 3):
+                    results.add(clifford3.bound(c, clifford3.BundleInvariants(1, d)))
+                    for s1 in range(-2, 3 * g + 1):
+                        if (s1 - d) % 2 == 0 and s1 >= 0:
+                            for delta in (False, True):
+                                inv = clifford3.BundleInvariants(2, d, (s1,))
+                                results.add(clifford3.bound(c, inv, delta=delta))
+                        if (s1 - d) % 3:
+                            continue
+                        for s2 in range((2 * d) % 3 - 3, 3 * g + 1, 3):
+                            inv = clifford3.BundleInvariants(3, d, (s1, s2))
+                            for s1f in (None, -2, -1, 0, 1, 2, 3, g):
+                                try:
+                                    r = clifford3.bound(c, inv, s1f=s1f, delta=s1f is not None)
+                                except Clifford3Error:
+                                    continue
+                                results.add(r)
+        assert len(results) > 300
+        for r in results:
+            assert cli._bound_line(r) == json.dumps(r.to_dict()) + "\n", r
+
+    @settings(max_examples=300)
+    @given(
+        value=st.integers(0, 10**40),
+        case=st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x7f\u2028\ud800'))),
+        exact=st.booleans(),
+        assumptions=st.lists(st.text(st.sampled_from('ab"\\/\n\t\u00e9\u4e2d\U0001f600'))),
+    )
+    def test_bound_line_quotes_like_json_dumps(self, value, case, exact, assumptions):
+        r = clifford3.BoundResult(value, case, exact, assumptions)
+        assert cli._bound_line(r) == json.dumps(r.to_dict()) + "\n"
+
+
 class TestExamples:
     def test_single_family_report(self, capsys):
         code, out, _ = run(

@@ -67,6 +67,58 @@ class TestStep:
             assert (state.inv.s[1] - 2 * d) % 3 == 0
 
 
+@st.composite
+def drawn_states(draw):
+    """A rank-2 or rank-3 state with drawn dimension bounds: each bound is
+    the previous one plus an increment from -3 to n-r+2, so some ranks rise
+    by more than n-r somewhere and the rule's maxima move, others not."""
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(-6, 12))
+    s = [r * d + n * draw(st.integers(-3, 3)) for r in range(1, n)]
+    bounds = []
+    for r in range(1, n):
+        b = [draw(st.integers(-3, 6))]
+        for inc in draw(st.lists(st.integers(-3, n - r + 2), max_size=8)):
+            b.append(b[-1] + inc)
+        bounds.append(tuple(b[: draw(st.integers(0, len(b)))]))
+    return ElmState(BundleInvariants(n, d, s), bounds, draw(st.integers(0, 5)))
+
+
+def literal_step(state, hits):
+    """The rule of :func:`step`, written out entry by entry."""
+    n = state.inv.rank
+    s, bounds = [], []
+    for r in range(1, n):
+        b = state.sb_dim_upper[r - 1]
+        if hits[r - 1]:
+            s.append(state.inv.s[r - 1] - (n - r))
+            bounds.append(())
+        else:
+            s.append(state.inv.s[r - 1] + r)
+            bounds.append(tuple(max(b[i], b[i + 1] - (n - r)) for i in range(len(b) - 1)))
+    return ElmState(BundleInvariants(n, state.inv.degree + 1, s), bounds, state.step_count + 1)
+
+
+class TestStepRule:
+    @settings(max_examples=300, deadline=None)
+    @given(start=drawn_states(), data=st.data())
+    def test_step_is_the_literal_rule(self, start, data):
+        state = start
+        for _ in range(data.draw(st.integers(1, 6))):
+            hits = data.draw(st.tuples(*[st.booleans()] * (state.inv.rank - 1)))
+            new = step(state, hits)
+            assert new == literal_step(state, hits)
+            assert all(type(b) is tuple for b in new.sb_dim_upper)
+            state = new
+
+    def test_both_branches_of_a_miss(self):
+        # rank 3, r = 1 reads n - r = 2: rises of at most 2 keep every bound
+        st0 = ElmState(BundleInvariants(3, 3, (0, 0)), ((1, 3, 5, 4), (0, 2, 2)))
+        st1 = step(st0, (False, False))
+        assert st1.sb_dim_upper == ((1, 3, 5), (1, 2))
+        assert st1 == literal_step(st0, (False, False))
+
+
 class TestSeeds:
     def test_rank3_seed_values(self):
         c = Curve(3)

@@ -62,6 +62,13 @@ class TestExampleReport:
         d = r.to_dict()
         assert d["genus"] == 3 and d["sharp"] is False and d["bound"]["value"] == 6
 
+    def test_list_params_and_notes_are_stored_as_tuples(self):
+        args = ("a", Curve(3, True), BundleInvariants(3, 6, (0, 0)), 5, self._bound(6))
+        r = ExampleReport(*args, params=[("n", 0)], notes=["x"])
+        assert r.params == (("n", 0),) and r.notes == ("x",)
+        assert r == ExampleReport(*args, params=(("n", 0),), notes=("x",))
+        assert hash(r) == hash(ExampleReport(*args, params=(("n", 0),), notes=("x",)))
+
 
 class TestFamilyA:
     def test_known_value(self):

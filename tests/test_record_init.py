@@ -149,6 +149,8 @@ class Reference:
         notes: tuple[str, ...] = ()
 
         def __post_init__(self):
+            object.__setattr__(self, "params", tuple(self.params))
+            object.__setattr__(self, "notes", tuple(self.notes))
             if self.exact_h0 > self.bound.value:
                 raise ValueError(
                     f"exact h0 {self.exact_h0} exceeds the bound {self.bound.value}"
@@ -251,16 +253,15 @@ CALLS = {
             st.lists(_list_or_tuple(st.lists(SMALL, max_size=3)), max_size=3)), True),
         ("step_count", SMALL, False),
     ]),
-    # tuples only: the generated __init__ never turned a list into one
     "ExampleReport": _call([
         ("family", st.sampled_from(["a", "unstable"]), True),
         ("curve", st.builds(Curve, st.integers(2, 8), st.booleans()), True),
         ("inv", _valid_inv(), True),
         ("exact_h0", SMALL, True),
         ("bound", st.builds(BoundResult, st.integers(0, 8), st.just("RANK3-MAIN")), True),
-        ("params", st.lists(st.tuples(st.sampled_from("nkm"), SMALL)).map(tuple), False),
+        ("params", _list_or_tuple(st.lists(st.tuples(st.sampled_from("nkm"), SMALL))), False),
         ("slope", st.none() | st.builds(BoundResult, st.integers(0, 8), st.just("SLOPE")), False),
-        ("notes", st.lists(st.sampled_from(["x", "y"]), max_size=2).map(tuple), False),
+        ("notes", _list_or_tuple(st.lists(st.sampled_from(["x", "y"]), max_size=2)), False),
     ]),
 }
 
