@@ -21,6 +21,7 @@ from .elmtrans import (
     seed_state_lemma36,
     seed_state_rank3_extended,
     step,
+    trajectory,
 )
 from .families import (
     ExampleReport,
@@ -79,6 +80,7 @@ __all__ = [
     "suggested_min_s1f",
     "suite",
     "suite_blocks",
+    "trajectory",
     "twist_by_line",
     "unstable_sharpness",
 ]

@@ -11,8 +11,10 @@ ranks 1 and 2) and ``--f-semistable`` on semistable input, before any bound
 is computed.  ``examples`` likewise rejects a flag its mode does not read,
 for example ``--n`` with ``--family b`` or ``--family`` with ``--suite``.
 Each ``elmtrans`` line writes the state's dimension bounds as an object
-keyed "r,i" in (r, i) order.  ``bound``'s JSON and the ``elmtrans`` lines
-are written directly, byte for byte what ``json.dumps`` gives for them.
+keyed "r,i" in (r, i) order.  ``elmtrans`` checks its invariants once, at
+the seed, and walks the trajectory on plain values: a step keeps the
+seed's congruences.  ``bound``'s JSON and the ``elmtrans`` lines are
+written directly, byte for byte what ``json.dumps`` gives for them.
 ``table`` builds and checks one rank-3 query for its first swept degree
 and bounds every row through it.
 
@@ -45,7 +47,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
-from .elmtrans import ElmState, seed_state_lemma36, step
+from .elmtrans import seed_state_lemma36, trajectory
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
     family_a,
@@ -63,8 +65,9 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # one ``main`` call in a fresh process with the output kept in memory, the
 # larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
 # coefficient at N = 4096 in 0.9 s (r = n = N, the full alternating sum; at
-# N = 2n it is one binomial), a 10,000-step trajectory in 0.09 s (genus
-# 1,000, 7.7 MB of output), a 100,000-row table in 0.19 s (every row a
+# N = 2n it is one binomial), a 10,000-step trajectory at genus 1,000 in
+# 0.08 s at rank 2 with every choice a miss (7.5 MB of output) and in 0.044 s
+# at rank 3 with random choices, a 100,000-row table in 0.19 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N <= 4g - 2, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
@@ -134,9 +137,10 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _state_line(st: ElmState, last: list) -> str:
-    """One ``elmtrans`` line, byte for byte what ``json.dumps`` writes for
-    the state's row: every field is an int or a list or object of ints.
+def _state_line(k: int, n: int, d: int, s: tuple, sb: tuple, last: list) -> str:
+    """The ``elmtrans`` line of step k of a rank-n walk at degree d, byte for
+    byte what ``json.dumps`` writes for its row: every field is an int or a
+    list or object of ints.
 
     ``last`` holds each rank's (bounds, text) from the previous line, and
     this call stores its own there; before the first line each rank holds
@@ -144,24 +148,25 @@ def _state_line(st: ElmState, last: list) -> str:
     a miss that leaves the rule's maxima in place makes them, cuts its text
     from the previous text instead of writing it again.
     """
-    inv = st.inv
-    s = ", ".join([str(v) for v in inv.s])
     texts = []
-    for r, b in enumerate(st.sb_dim_upper, 1):
-        prev, text = last[r - 1]
-        k = len(b)
-        if b != prev[:k]:
-            text = ", ".join([f'"{r},{i}": {v}' for i, v in enumerate(b)])
-        elif k < len(prev):
-            # keys are unique and values are ints, so the key of entry k
-            # occurs once; it is near the end when the step dropped one entry
-            text = text[: text.rfind(f', "{r},{k}": ')] if k else ""
-        last[r - 1] = (b, text)
+    r = 0
+    for b in sb:
+        prev, text = last[r]
+        r += 1
+        if b is not prev:
+            j = len(b)
+            if b != prev[:j]:
+                text = ", ".join([f'"{r},{i}": {v}' for i, v in enumerate(b)])
+            elif j < len(prev):
+                # keys are unique and values are ints, so the key of entry j
+                # occurs once; it is near the end when a step dropped one entry
+                text = text[: text.rfind(f', "{r},{j}": ')] if j else ""
+            last[r - 1] = (b, text)
         if text:
             texts.append(text)
     return (
-        f'{{"step": {st.step_count}, "rank": {inv.rank}, "d": {inv.degree}, '
-        f'"s": [{s}], "sb_dim_upper": {{{", ".join(texts)}}}}}\n'
+        f'{{"step": {k}, "rank": {n}, "d": {d}, "s": [{", ".join(map(str, s))}], '
+        f'"sb_dim_upper": {{{", ".join(texts)}}}}}\n'
     )
 
 
@@ -170,20 +175,22 @@ def cmd_elmtrans(args) -> int:
         raise UsageError(f"--steps must be >= 0, got {args.steps}")
     _check_cap("--steps", args.steps, MAX_ELMTRANS_STEPS)
     _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
-    state = seed_state_lemma36(Curve(args.genus), args.rank)
-    n_choices = args.rank - 1
-    bits = args.choices or "0" * (args.steps * n_choices)
-    if len(bits) != args.steps * n_choices or set(bits) - {"0", "1"}:
+    n = args.rank
+    # the seed is the one checked state; the walk keeps its congruences
+    start = seed_state_lemma36(Curve(args.genus), n)
+    bits = args.choices or "0" * (args.steps * (n - 1))
+    if len(bits) != args.steps * (n - 1) or set(bits) - {"0", "1"}:
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
-            f"{args.steps * n_choices}"
+            f"{args.steps * (n - 1)}"
         )
-    hits = [c == "1" for c in bits]
-    last = [((), "")] * n_choices
-    lines = [_state_line(state, last)]
-    for k in range(0, len(hits), n_choices):
-        state = step(state, tuple(hits[k : k + n_choices]))
-        lines.append(_state_line(state, last))
+    # one iterator zipped with itself: each step takes the next n-1 bits
+    choices = zip(*[map("1".__eq__, bits)] * (n - 1))
+    last = [((), "")] * (n - 1)
+    lines = [
+        _state_line(k, n, d, s, sb, last)
+        for k, (d, s, sb) in enumerate(trajectory(start, choices))
+    ]
     sys.stdout.write("".join(lines))
     return 0
 

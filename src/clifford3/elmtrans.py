@@ -7,6 +7,10 @@ n-1 bools, one per rank r = 1..n-1, True on a hit.  Families of rank-r
 subbundles of degree (maximal - i) are tracked only through integer upper
 bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
+
+The rule is written once, in ``_step``, on plain values.  :func:`step`
+builds a checked state from it; :func:`trajectory` and
+:func:`generic_sequence` walk it without building a record per step.
 """
 from __future__ import annotations
 
@@ -25,8 +29,9 @@ class ElmState(_Record):
     family of rank-r subbundles of degree (maximal - i).  Only the bounds
     for i = 0, 1, ... up to the first unknown one are kept, so a rank with
     no known bound has the empty tuple.  The state is an immutable value:
-    the bookkeeping is stored as tuples whatever sequences it is given, it
-    is part of the equality and hash, and steps return fresh states.
+    the bookkeeping is stored as tuples whatever sequences it is given (a
+    tuple of tuples is kept as it is), it is part of the equality and hash,
+    and steps return fresh states.
     """
 
     __slots__ = ("inv", "sb_dim_upper", "step_count")
@@ -37,7 +42,10 @@ class ElmState(_Record):
         sb_dim_upper: tuple[tuple[int, ...], ...],
         step_count: int = 0,
     ):
-        sb_dim_upper = tuple([tuple(b) for b in sb_dim_upper])
+        if type(sb_dim_upper) is not tuple or not all(
+            [type(b) is tuple for b in sb_dim_upper]
+        ):
+            sb_dim_upper = tuple([tuple(b) for b in sb_dim_upper])
         if len(sb_dim_upper) != inv.rank - 1:
             raise ValueError(f"need {inv.rank - 1} bound tuples for rank {inv.rank}")
         _set_inv(self, inv)
@@ -52,30 +60,24 @@ class ElmState(_Record):
 _set_inv, _set_sb_dim_upper, _set_step_count = _slot_setters(ElmState)
 
 
-def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
-    """Apply one elementary transformation; ``hits[r-1]`` is True when the
-    chosen line lies in the fibre of a maximal rank-r subbundle.
-
-    Degree rises by 1.  On a miss, s_r gains r and the dimension bound for
-    (r, i) becomes max(old(r, i), old(r, i+1) - (n-r)), since containing the
-    chosen line imposes n-r conditions, so a rank's tuple loses its last
-    entry; on a hit, s_r drops by n-r and the bounds for that rank become
-    unknown (there is no rule for that branch).  The result has one tuple
-    per rank 1..n-1.
-    """
-    n = st.inv.rank
+def _step(
+    n: int, s: tuple[int, ...], bounds: tuple[tuple[int, ...], ...], hits
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The transformation rule on plain values: the stability degrees and the
+    bound tuples one step after ``s`` and ``bounds`` at rank n.  This is the
+    only place the rule is written; see :func:`step`."""
     if len(hits) != n - 1:
         raise ValueError(f"need {n - 1} choices for rank {n}")
     new_s = []
     new_sb = []
-    for r in range(1, n):
-        sr = st.inv.s[r - 1]
-        if hits[r - 1]:
+    r = 0
+    for sr, b, hit in zip(s, bounds, hits):
+        r += 1
+        if hit:
             new_s.append(sr - (n - r))
             new_sb.append(())
         else:
             new_s.append(sr + r)
-            b = st.sb_dim_upper[r - 1]
             if not b or all(map(le, map(sub, b[1:], b), repeat(n - r))):
                 # no bound rises by more than n-r to the next, so every max
                 # is the old bound: the rule drops the last entry
@@ -85,8 +87,44 @@ def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
                 # shrink a larger tuple, which fills CPython's tuple free lists
                 # (~4 MB)
                 new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
-    new_inv = BundleInvariants(n, st.inv.degree + 1, tuple(new_s))
-    return ElmState(new_inv, tuple(new_sb), st.step_count + 1)
+    return tuple(new_s), tuple(new_sb)
+
+
+def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
+    """Apply one elementary transformation; ``hits[r-1]`` is True when the
+    chosen line lies in the fibre of a maximal rank-r subbundle.
+
+    Degree rises by 1.  On a miss, s_r gains r and the dimension bound for
+    (r, i) becomes max(old(r, i), old(r, i+1) - (n-r)), since containing the
+    chosen line imposes n-r conditions, so a rank's tuple loses its last
+    entry; on a hit, s_r drops by n-r and the bounds for that rank become
+    unknown (there is no rule for that branch).  The result has one tuple
+    per rank 1..n-1 and is built as a checked record.
+    """
+    inv = st.inv
+    s, sb = _step(inv.rank, inv.s, st.sb_dim_upper, hits)
+    return ElmState(BundleInvariants(inv.rank, inv.degree + 1, s), sb, st.step_count + 1)
+
+
+def trajectory(
+    start: ElmState, choices
+) -> list[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """``(degree, s, sb_dim_upper)`` of ``start`` and of each later state
+    when the choices are applied in turn, as :func:`step` would give them.
+
+    The states are plain values, not records, and are not checked again: a
+    step raises the degree by 1 and moves s_r by r or -(n-r), so s_r stays
+    congruent to r*d mod n and ``start``'s checks hold for every state.  A
+    choice of the wrong length raises :func:`step`'s ``ValueError``.
+    """
+    n = start.inv.rank
+    d, s, sb = start.inv.degree, start.inv.s, start.sb_dim_upper
+    walk = [(d, s, sb)]
+    for hits in choices:
+        s, sb = _step(n, s, sb, hits)
+        d += 1
+        walk.append((d, s, sb))
+    return walk
 
 
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:
@@ -119,11 +157,12 @@ def generic_sequence(start: ElmState, m: int) -> ElmState:
         raise HypothesisUnverifiable(
             f"no rank has dimension bounds certifying {m} generic steps"
         )
-    misses = (False,) * (start.inv.rank - 1)
-    state = start
+    inv = start.inv
+    misses = (False,) * (inv.rank - 1)
+    s, sb = inv.s, start.sb_dim_upper
     for _ in range(m):
-        state = step(state, misses)
-    return state
+        s, sb = _step(inv.rank, s, sb, misses)
+    return ElmState(BundleInvariants(inv.rank, inv.degree + m, s), sb, start.step_count + m)
 
 
 def seed_state_lemma36(c: Curve, n: int) -> ElmState:

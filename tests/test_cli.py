@@ -409,18 +409,24 @@ class TestDirectOutput:
     @settings(max_examples=200, deadline=None)
     @given(start=_start_states(), data=st.data())
     def test_state_lines_equal_json_dumps(self, start, data):
+        def line(state, last):
+            inv = state.inv
+            return cli._state_line(
+                state.step_count, inv.rank, inv.degree, inv.s, state.sb_dim_upper, last
+            )
+
         last = [((), "")] * (start.inv.rank - 1)
         state = start
         hit_rate = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
         for _ in range(data.draw(st.integers(0, 14))):
-            assert cli._state_line(state, last) == json.dumps(_row(state)) + "\n"
+            assert line(state, last) == json.dumps(_row(state)) + "\n"
             hits = tuple(
                 data.draw(st.floats(0, 1)) < hit_rate for _ in range(state.inv.rank - 1)
             )
             state = clifford3.step(state, hits)
-        assert cli._state_line(state, last) == json.dumps(_row(state)) + "\n"
+        assert line(state, last) == json.dumps(_row(state)) + "\n"
         fresh = [((), "")] * (state.inv.rank - 1)
-        assert cli._state_line(state, fresh) == json.dumps(_row(state)) + "\n"
+        assert line(state, fresh) == json.dumps(_row(state)) + "\n"
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -13,6 +13,7 @@ from clifford3 import (
     seed_state_lemma36,
     seed_state_rank3_extended,
     step,
+    trajectory,
 )
 from clifford3.errors import HypothesisUnverifiable, RankUnsupported
 
@@ -117,6 +118,74 @@ class TestStepRule:
         st1 = step(st0, (False, False))
         assert st1.sb_dim_upper == ((1, 3, 5), (1, 2))
         assert st1 == literal_step(st0, (False, False))
+
+
+class TestTrajectory:
+    """``trajectory`` and ``generic_sequence`` walk the rule on plain values
+    and build no record per step; they must give what iterated :func:`step`
+    gives, record for record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=drawn_states(),
+        hit_rate=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+        data=st.data(),
+    )
+    def test_walk_is_iterated_step(self, start, hit_rate, data):
+        n = start.inv.rank
+        choices = [
+            tuple(data.draw(st.floats(0, 1)) < hit_rate for _ in range(n - 1))
+            for _ in range(data.draw(st.integers(0, 12)))
+        ]
+        states = [start]
+        for hits in choices:
+            states.append(step(states[-1], hits))
+        walk = trajectory(start, choices)
+        assert walk == [(x.inv.degree, x.inv.s, x.sb_dim_upper) for x in states]
+        for d, s, _ in walk:
+            # the by-construction argument: every walked state passes the
+            # checks that step's BundleInvariants would run
+            assert BundleInvariants(n, d, s).s == s
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=drawn_states(), data=st.data())
+    def test_generic_sequence_is_iterated_step(self, start, data):
+        # m runs up to one past the longest certified sequence, and is 0
+        # only when no sequence is certified
+        most = 0
+        while certified_ranks(start, most + 1):  # ends past the longest tuple
+            most += 1
+        m = data.draw(st.integers(min(1, most), most + 1))
+        if m > most:
+            with pytest.raises(HypothesisUnverifiable):
+                generic_sequence(start, m)
+            return
+        state = start
+        for _ in range(m):
+            state = step(state, (False,) * (start.inv.rank - 1))
+        assert generic_sequence(start, m) == state
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generic_sequence_from_the_seeds(self, n):
+        for g in range(2, 9):
+            start = seed_state_lemma36(Curve(g), n)
+            state = start
+            for m in range(g + 1):
+                assert generic_sequence(start, m) == state
+                state = step(state, (False,) * (n - 1))
+
+    @pytest.mark.parametrize("bad", [(), (False,), (False, True, False)])
+    def test_wrong_choice_length_is_steps_error(self, bad):
+        start = seed_state_rank3_extended(Curve(4))
+        with pytest.raises(ValueError) as by_step:
+            step(start, bad)
+        with pytest.raises(ValueError) as by_walk:
+            trajectory(start, [(False, False), bad])
+        assert str(by_walk.value) == str(by_step.value) == "need 2 choices for rank 3"
+
+    def test_empty_walk_is_the_start(self):
+        start = seed_state_lemma36(Curve(3), 2)
+        assert trajectory(start, []) == [(2, (0,), ((0, 1, 2),))]
 
 
 class TestSeeds:

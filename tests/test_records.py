@@ -97,3 +97,15 @@ def test_elm_state_sequences_become_tuples():
     with pytest.raises(TypeError):
         a.sb_dim_upper[0][0] = 99
     assert a.upper(1, 0) == 1
+
+
+def test_elm_state_keeps_a_tuple_of_tuples():
+    inv = BundleInvariants(3, 3, (0, 0))
+    sb = ((1, 3, 5), ())
+    assert ElmState(inv, sb).sb_dim_upper is sb
+    # any list, outside or inside, is still copied into tuples
+    for given in ([(1, 3, 5), ()], ((1, 3, 5), []), [[1, 3, 5], []]):
+        st = ElmState(inv, given)
+        assert st.sb_dim_upper == sb and st.sb_dim_upper is not given
+        assert all(type(b) is tuple for b in st.sb_dim_upper)
+        assert st == ElmState(inv, sb) and hash(st) == hash(ElmState(inv, sb))
