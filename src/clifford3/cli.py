@@ -20,11 +20,9 @@ and bounds every row through it.
 
 ``parse_args`` reads argv against the ``COMMANDS`` table in one walk and
 keeps no state between calls, so ``main`` may be called any number of
-times in one process.  It accepts what argparse accepted: ``--flag value``,
-``--flag=value``, a unique prefix of a flag, the last value of a repeated
-flag and negative integers as values; ``-h``/``--help`` prints usage text
-to stdout and exits 0.  The one difference is ``--flag=--``, which
-argparse read as an empty list and which is the literal value ``--`` here.
+times in one process.  Its docstring states the grammar: exact flag names,
+``--flag value`` or ``--flag=value``, and ``-h``/``--help`` anywhere;
+every other malformed argv is the JSON ``UsageError``.
 
 Six inputs are capped, because their cost grows without bound:
 ``krawtchouk`` N at MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at
@@ -39,7 +37,6 @@ built once per process and cached; the --max-genus cap bounds that cache at
 from __future__ import annotations
 
 import json
-import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -341,14 +338,12 @@ COMMANDS = {
     }),
 }
 
-_HELP = _Flag("help", bool)
-_TOP = {"-h": _HELP, "--help": _HELP}
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: such a token is a value
+_HELP = frozenset(("-h", "--help"))
 
 
 def _index(command: str, flags: dict) -> tuple:
-    """(option strings, positionals, namespace defaults, required flags) of one command."""
-    options = {**_TOP, **{k: f for k, f in flags.items() if k[0] == "-"}}
+    """(flags by name, positionals, namespace defaults, required flags) of one command."""
+    options = {k: f for k, f in flags.items() if k[0] == "-"}
     positionals = [(k, f) for k, f in flags.items() if k[0] != "-"]
     defaults = {"command": command}
     for f in flags.values():
@@ -358,31 +353,6 @@ def _index(command: str, flags: dict) -> tuple:
 
 
 _INDEX = {command: _index(command, flags) for command, (_, flags) in COMMANDS.items()}
-
-
-def _lookup(tok: str, options: dict) -> tuple:
-    """How argparse reads one token: (option string, value given after "="
-    or None) for an option, (None, None) for a value and ("", None) for an
-    option that matches no flag."""
-    if tok in options:
-        return tok, None
-    if tok[:1] != "-" or tok in ("-", "--"):
-        return None, None
-    name, eq, value = tok.partition("=")
-    explicit = value if eq else None
-    if eq and name in options:
-        return name, explicit
-    if tok[1] == "-":  # a unique prefix of a long option
-        hits = [o for o in options if o.startswith(name)]
-    else:  # the only short option, -h, runs into what follows it, as in -hh
-        hits, explicit = (["-h"] if tok[:2] == "-h" else []), tok[2:]
-    if len(hits) > 1:
-        raise UsageError(f"ambiguous option: {tok} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], explicit
-    if _NEGATIVE_NUMBER.match(tok) or " " in tok:
-        return None, None
-    return "", None
 
 
 def _convert(name: str, flag: _Flag, text: str):
@@ -420,104 +390,61 @@ def _usage(command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _help(command: str | None, tok: str, explicit: str | None, later: list) -> None:
-    # to argparse, -hh and -h=h are -h twice; any other value given to -h or
-    # --help is an error
-    if explicit is not None and (tok[1] == "-" or not explicit or explicit.strip("h")):
-        raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
-    # argparse reads every token before it acts on any, so an ambiguous
-    # prefix after the help flag is still an error
-    options = _INDEX[command][0] if command else _TOP
-    for t in later:
-        if t == "--":
-            break
-        _lookup(t, options)
-    sys.stdout.write(_usage(command))
-    raise SystemExit(0)
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The namespace of one command line, read against COMMANDS in one walk.
 
-
-def _parse_command(command: str, tokens: list) -> tuple:
-    """The namespace of one command's tokens, and the tokens nothing read."""
+    ``argv[0]`` is the command.  A flag is read only by its exact name, as
+    ``--flag value`` or ``--flag=value``: the token after a flag that takes
+    a value is that value, whatever it is, and a switch takes none.  The
+    last value of a repeated flag wins.  Any other token fills the next
+    positional, or is an unrecognized argument.  ``-h``/``--help`` anywhere
+    prints the command's usage text, or the program's when it comes first,
+    to stdout and raises ``SystemExit(0)``; any other malformed argv raises
+    ``UsageError``.  No state is kept between calls.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP:
+        command = None
+    elif command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    if command is None or not _HELP.isdisjoint(argv):
+        sys.stdout.write(_usage(command))
+        raise SystemExit(0)
     options, positionals, defaults, required = _INDEX[command]
     values = defaults.copy()
     stray = []
     filled = 0  # positionals read so far
-    rest = False  # after "--" every token is a value
-    i, n = 0, len(tokens)
-    while i < n:
-        tok = tokens[i]
-        i += 1
-        flag = None if rest else options.get(tok)
-        if flag is not None:
-            key, explicit = tok, None
-        elif rest:
-            key = None
-        elif tok == "--":
-            rest = True
-            if not positionals:  # positionals take a "--" among them; flags never do
-                stray.append(tok)
-            continue
-        else:
-            key, explicit = _lookup(tok, options)
-            flag = options.get(key)
-        if not key:
-            if key is None and filled < len(positionals):
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        name, eq, text = tok.partition("=")
+        flag = options.get(name)
+        if flag is None:
+            if filled < len(positionals):
                 name, flag = positionals[filled]
                 values[flag.dest] = _convert(name, flag, tok)
                 filled += 1
             else:
                 stray.append(tok)
-            continue
-        if flag is _HELP:
-            _help(command, tok, explicit, tokens[i:])
-        if explicit is not None:
-            if flag.type is bool:
-                raise UsageError(f"argument {key}: ignored explicit argument {explicit!r}")
-            values[flag.dest] = _convert(key, flag, explicit)
-            continue
-        if flag.type is bool:
+        elif flag.type is bool:
+            if eq:
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
             values[flag.dest] = True
-            continue
-        # the next token is the value, unless it is "--" or an option
-        text = tokens[i] if i < n else "--"
-        if text[:1] == "-" and (text == "--" or _lookup(text, options)[0] is not None):
-            raise UsageError(f"argument {key}: expected one argument")
-        values[flag.dest] = _convert(key, flag, text)
-        i += 1
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"argument {name}: expected one argument")
+            values[flag.dest] = _convert(name, flag, text)
     missing = [name for name, dest in required if values[dest] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(**values), stray
-
-
-def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
-    """The namespace of one command line, read against COMMANDS in one walk.
-
-    It accepts what argparse accepted: ``--flag value`` and ``--flag=value``,
-    a unique prefix of a flag (an exact name wins, so ``--s1`` is not
-    ``--s1f``), the last value of a repeated flag, and negative integers as
-    values and positionals.  ``-h``/``--help`` prints the usage text to
-    stdout and raises ``SystemExit(0)``; any other malformed argv raises
-    ``UsageError``.  No state is kept between calls.
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = []  # options before the command: an error unless help exits first
-    for i, tok in enumerate(argv):
-        key, explicit = _lookup(tok, _TOP)
-        if key is None:
-            break
-        if key:
-            _help(None, tok, explicit, argv[i + 1 :])
-        unknown.append(tok)
-    else:
-        raise UsageError("the following arguments are required: command")
-    if tok not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        raise UsageError(f"argument command: invalid choice: {tok!r} (choose from {choices})")
-    args, stray = _parse_command(tok, argv[i + 1 :])
-    if unknown or stray:
-        raise UsageError(f"unrecognized arguments: {' '.join(unknown + stray)}")
-    return args
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

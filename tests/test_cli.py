@@ -694,6 +694,21 @@ def _bound_argvs(draw):
     return argv
 
 
+@st.composite
+def _wild_argvs(draw):
+    """A command and any tokens after it: free text, the command's flag names
+    and help, and ``name=value`` with a free or an integer value."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    names = [k for k in cli.COMMANDS[command][1] if k[0] == "-"]
+    value = st.one_of(st.text(), st.integers(-5, 40).map(str))
+    token = st.one_of(
+        value,
+        st.sampled_from([*names, "-h", "--help"]),
+        st.tuples(st.sampled_from([*names, "--help", "--nope"]), value).map("=".join),
+    )
+    return [command, *draw(st.lists(token, max_size=12))]
+
+
 class TestNoTraceback:
     def test_every_command_is_drawn(self):
         assert set(cli.COMMANDS) == {"bound", "krawtchouk", "elmtrans", "table", "examples"}
@@ -702,6 +717,18 @@ class TestNoTraceback:
     @settings(max_examples=400, deadline=None)
     def test_status_0_or_one_json_error(self, argv):
         _check_status_0_or_one_json_error(argv)
+
+    @given(argv=_wild_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_any_tokens_after_a_command(self, argv):
+        # help anywhere exits 0 through SystemExit; nothing else escapes main
+        status, out, err = _outcome(main, argv)
+        if status == 0:
+            assert err == ""
+        else:
+            assert status == 2 and out == ""
+            assert err.endswith("\n") and err.count("\n") == 1
+            assert set(json.loads(err)) == {"code", "message"}
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -807,55 +834,50 @@ def _reference_parser():
 REFERENCE = _reference_parser()
 
 # Tokens that argparse reads in some special way, put at a random position:
-# help in its spellings, "--", a lone "-", ambiguous or unknown options,
-# values with a space, and negative numbers that are and are not integers.
+# help in its spellings, a lone "-", unknown options, values with a space,
+# and negative numbers that are and are not integers.
 ODD_TOKENS = [
-    "-h", "--help", "--he", "-hh", "-h=h", "-hx", "-h=", "--help=", "--",
-    "-", "", "--s", "--nope", "-x", "-5", "-0.5", "-1e3", " -3", "-x y", "--=1",
+    "-h", "--help", "-h=", "--help=", "-", "", "--s", "--nope", "-x", "-5", "-0.5",
+    "-1e3", " -3", "-x y", "--=1",
 ]
 # Values in place of a drawn one: negative integers in other spellings, and
-# tokens that are not a value at all
+# tokens that argparse did not read as a value after a flag
 ODD_VALUES = ["-0", "-007", "-12", " 4", "+3", "-0.5", "-", "--", "-x", "--s1", "", "-h"]
-
-
-def _prefixes(flag, options):
-    """``flag`` and each shorter prefix that names it alone."""
-    out = [flag]
-    for k in range(len(flag) - 1, 2, -1):
-        if [o for o in options if o.startswith(flag[:k])] != [flag]:
-            break
-        out.append(flag[:k])
-    return out
+REFUSED = {"--", "-x", "--s1", "-h"}
 
 
 @st.composite
 def _spelled(draw, argvs):
-    """A drawn argv in the other spellings argparse read: ``--flag=value``,
-    unique prefixes, repeated flags, negative values, and an odd token such
-    as ``-h`` at any position."""
+    """A drawn argv in the other spellings both parsers read: ``--flag=value``,
+    repeated flags, negative values, and an odd token such as ``-h`` at any
+    position.
+
+    argparse refused a value in ``REFUSED``, or an odd token, after a flag;
+    the grammar reads any token there as the flag's value.  An int or a
+    choice flag rejects such a value either way, so only ``--choices``, the
+    one free text flag, never meets one (``TestGrammar``)."""
     argv = draw(argvs)
     flags = cli.COMMANDS[argv[0]][1]
-    options = ["-h", "--help", *flags]
     out, rest = argv[:1], argv[1:]
     while rest:
         tok = rest.pop(0)
         flag = flags.get(tok) if tok.startswith("--") else None
-        if flag is None:
-            out.append(tok)
-            continue
-        name = draw(st.sampled_from(_prefixes(tok, options)))
-        if flag.type is bool or not rest or rest[0] in flags:  # a switch or a bare flag
-            out.append(name)
+        if flag is None or flag.type is bool or not rest or rest[0] in flags:
+            out.append(tok)  # not a flag, a switch or a bare flag
             continue
         value = rest.pop(0)
+        free = flag.type is str and not flag.choices
+        odd = [v for v in ODD_VALUES if not (free and v in REFUSED)]
         if draw(st.integers(0, 3)) == 0:  # an earlier occurrence, which the last overrides
-            out += [tok, draw(st.sampled_from(["0", "-1", "7", *ODD_VALUES]))]
+            out += [tok, draw(st.sampled_from(["0", "-1", "7", *odd]))]
         if draw(st.integers(0, 9)) == 0:
-            value = draw(st.sampled_from(ODD_VALUES))
-        # "--flag=--" is the one spelling read differently (TestParseArgs)
-        out += [f"{name}={value}"] if value != "--" and draw(st.booleans()) else [name, value]
+            value = draw(st.sampled_from(odd))
+        # argparse read "--flag=--" as an empty list (TestParseArgs)
+        out += [f"{tok}={value}"] if value != "--" and draw(st.booleans()) else [tok, value]
     if draw(st.integers(0, 2)) == 0:
-        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(ODD_TOKENS)))
+        # after a bare --choices, the odd token would be its value
+        at = draw(st.integers(0, len(out) - (out[-1] == "--choices")))
+        out.insert(at, draw(st.sampled_from(ODD_TOKENS)))
     return out
 
 
@@ -883,7 +905,11 @@ def _outcome(call, argv):
 def _check_against_reference(argv):
     """parse_args reads argv as the reference parser does: the same
     namespace, a UsageError where it had a usage error, and help where it
-    printed help."""
+    printed help.  argparse read the tokens in order, so an error before a
+    help flag won; in the grammar, help after the command wins over all."""
+    if argv[:1] and argv[0] in cli.COMMANDS and {"-h", "--help"} & set(argv):
+        assert _outcome(cli.parse_args, argv) == (0, cli._usage(argv[0]), "")
+        return
     try:
         with redirect_stdout(io.StringIO()):
             expected = vars(REFERENCE.parse_args(argv))
@@ -915,9 +941,8 @@ class TestParseArgs:
         "argv",
         [
             "bound --genus=3 --rank=3 --degree=10 --s1=1 --s2=2",
-            "bound --gen 3 --rank 3 --degree 10 --s1 1 --s2 2",
             "bound --genus 9 --rank 3 --degree 10 --s1 1 --s2 2 --genus 3",
-            "bound --s2 2 --s1 1 --deg 10 --ran 3 --g 3",
+            "bound --s2 2 --s1 1 --degree 10 --rank=3 --genus 3",
         ],
     )
     def test_spellings_of_one_command(self, capsys, argv):
@@ -929,20 +954,20 @@ class TestParseArgs:
         [
             ["-h"],
             ["bound", "--help"],
-            ["krawtchouk", "1", "-hh"],  # -h twice
+            ["krawtchouk", " -3", "2", "4"],  # a token with a space is a value
             ["bound", "--genus", "3", "--rank", "3", "--degree", "9",
-             "--s1", "0", "--s1f", "-2"],  # an exact name wins: --s1 is not --s1f
+             "--s1", "0", "--s1f", "-2"],  # --s1 is not --s1f
             ["krawtchouk", "-1", "2", "4"],  # negative integers are values
             ["bound", "--genus", "3", "--rank", "3", "--degree", "-3"],
             ["bound", "--genus", "3", "--rank", "3", "--degree=-3"],
-            ["krawtchouk", "--", "-1", "2", "4"],  # positionals take a "--"
-            ["krawtchouk", "1", "2", "4", "--"],
-            ["bound", "--genus", "3", "--rank", "1", "--degree", "0", "--"],  # flags do not
+            ["krawtchouk", "1", "2", "4", "-x"],
+            ["elmtrans", "--rank", "2", "--genus", "3", "--steps", "1", "--choices=-1"],
+            ["bound", "--genus", "3", "--rank", "1", "--degree", "0", "--"],  # no positional
             ["bound", "--genus", "--", "3", "--rank", "1", "--degree", "0"],
-            ["bound", "--genus", "-x", "--rank", "3", "--degree", "0"],  # not a value
+            ["bound", "--genus", "-x", "--rank", "3", "--degree", "0"],  # not an int
             ["bound", "--genus", "--rank", "3", "--degree", "0"],
-            ["bound", "--s", "0", "--genus", "3", "--rank", "3", "--degree", "0"],  # ambiguous
-            ["bound", "-h", "--s"],  # an ambiguous prefix wins over help
+            ["bound", "--s", "0", "--genus", "3", "--rank", "3", "--degree", "0"],
+            ["bound", "--genus", "3", "--rank", "1", "--degree", "0", "--help="],
             ["bound", "--genus", "3", "--rank", "3", "--degree", "0", "--delta=1"],
             ["bound", "--genus", "3", "--rank", "3", "--degree", "0", "--nope"],
             ["bound", "--nope", "-h"],  # help wins over an unknown flag
@@ -987,3 +1012,68 @@ class TestParseArgs:
         for seed in range(1, 11):
             for _, argv in Session(seed).ops_list:
                 assert _outcome(main, argv) == _outcome(_reference_main, argv), argv
+
+
+def _session_argvs(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import Session
+    finally:
+        sys.path.pop(0)
+    return [argv for _, argv in Session(seed).ops_list]
+
+
+class TestGrammar:
+    """What the grammar reads otherwise than argparse did."""
+
+    @pytest.mark.parametrize(
+        "argv, outcome",
+        [
+            # a prefix of a flag is not that flag
+            ("bound --gen 3 --rank 3 --degree 10 --s1 1 --s2 2", "UsageError"),
+            ("bound --s2 2 --s1 1 --deg 10 --ran 3 --g 3", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree 0 --he", "UsageError"),
+            # -hh, -h=h and -hx are not -h
+            ("krawtchouk 1 -hh", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree 0 -hh", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree 0 -h=h", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree 0 -hx", "UsageError"),
+            # "--" is not a separator among positionals
+            ("krawtchouk -- -1 2 4", "UsageError"),
+            ("krawtchouk 1 2 4 --", "UsageError"),
+            # help wins over a flag that is not one
+            ("bound -h --s", "usage"),
+        ],
+    )
+    def test_dropped_spelling(self, argv, outcome):
+        argv = argv.split()
+        status, out, err = _outcome(main, argv)
+        if outcome == "usage":
+            assert (status, out, err) == (0, cli._usage(argv[0]), "")
+        else:
+            assert status == 2 and out == "" and err.count("\n") == 1
+            assert json.loads(err)["code"] == outcome
+
+    def test_help_anywhere(self):
+        for argv in _session_argvs(1):
+            command = argv[0]
+            for at in range(1, len(argv) + 1):
+                for help_ in ("-h", "--help"):
+                    status, out, err = _outcome(main, [*argv[:at], help_, *argv[at:]])
+                    assert status == 0 and err == "", (argv, at)
+                    assert out.startswith(f"usage: clifford3 {command} ")
+                    assert out == cli._usage(command)
+            # a leading help flag asks for the program's usage
+            status, out, err = _outcome(main, ["-h", *argv])
+            assert (status, out, err) == (0, cli._usage(None), "")
+            assert out.startswith("usage: clifford3 [-h] {bound,")
+
+    def test_token_after_a_flag_is_its_value(self):
+        # argparse refused a value that starts with "-" and is no number
+        argv = ["elmtrans", "--rank", "2", "--genus", "3", "--steps", "1", "--choices"]
+        for value in ("-x", "--", "--rank", "-1e3"):
+            assert cli.parse_args([*argv, value]).choices == value
+        status, out, err = _outcome(main, ["bound", "--genus", "--rank", "1", "--degree", "0"])
+        assert status == 2 and json.loads(err) == {
+            "code": "UsageError", "message": "argument --genus: invalid int value: '--rank'",
+        }
