@@ -2,27 +2,19 @@
 trajectories, sweep tables and the example suites.
 
 Each command has one output format on stdout: JSON for ``bound`` and
-``examples --family``, JSON lines for ``elmtrans``, CSV for ``table`` and
-``examples --suite``, and a bare integer for ``krawtchouk``.  Validation and
-usage errors go to stderr as a JSON object with a stable ``code`` field and
-exit status 2.  ``bound`` rejects a flag its rank does not read (``--s1``
-and ``--delta`` at rank 1; ``--s2``, ``--s1f`` and ``--f-semistable`` at
-ranks 1 and 2) and ``--f-semistable`` on semistable input, before any bound
-is computed.  ``examples`` likewise rejects a flag its mode does not read,
-for example ``--n`` with ``--family b`` or ``--family`` with ``--suite``.
-Each ``elmtrans`` line writes the state's dimension bounds as an object
-keyed "r,i" in (r, i) order.  ``elmtrans`` checks its invariants once, at
-the seed, and walks the trajectory on plain values: a step keeps the
-seed's congruences.  ``bound``'s JSON and the ``elmtrans`` lines are
-written directly, byte for byte what ``json.dumps`` gives for them.
-``table`` builds and checks one rank-3 query for its first swept degree
-and bounds every row through it.
+``examples --family``, JSON lines for ``elmtrans`` (the dimension bounds
+keyed "r,i" in (r, i) order), CSV for ``table`` and ``examples --suite``,
+and a bare integer for ``krawtchouk``.  ``bound``'s JSON and the
+``elmtrans`` lines are written directly, byte for byte what ``json.dumps``
+gives.  ``elmtrans`` checks only its seed, and ``table`` only the rank-3
+query of its first swept degree.  Validation and usage errors go to stderr
+as a JSON object with a stable ``code`` field and exit status 2.
 
-``parse_args`` reads argv against the ``COMMANDS`` table in one walk and
-keeps no state between calls, so ``main`` may be called any number of
-times in one process.  Its docstring states the grammar: exact flag names,
-``--flag value`` or ``--flag=value``, and ``-h``/``--help`` anywhere;
-every other malformed argv is the JSON ``UsageError``.
+``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
+state, so ``main`` may be called any number of times in one process; its
+docstring states the grammar.  ``_BOUND_READS`` and ``_EXAMPLES_READS``
+say which flags each mode of ``bound`` and ``examples`` reads, and
+``_check_reads`` raises the UsageError for any other flag given.
 
 Six inputs are capped, because their cost grows without bound:
 ``krawtchouk`` N at MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at
@@ -86,17 +78,27 @@ def _check_cap(name: str, value: int, cap: int) -> None:
         raise UsageError(f"{name} must be <= {cap}, got {value}")
 
 
+def _check_reads(args, command: str, mode) -> None:
+    """Raise the UsageError for the first flag args gives that ``mode`` does not read."""
+    where, unread = _UNREAD[command][mode]
+    for flag, dest in unread:
+        if (value := getattr(args, dest)) is not None and value is not False:
+            raise UsageError(f"{flag} is not read {where}")
+
+
+# The optional flags each mode of ``bound`` reads: ranks 1 and 2, checked before
+# any work, and rank-3 input, checked once its invariants say which mode it is.
+_BOUND_READS = {
+    1: (),
+    2: ("s1", "hyperelliptic", "delta"),
+    "semistable": ("s1", "s2", "s1f", "hyperelliptic", "delta"),
+    "unstable": ("s1", "s2", "s1f", "f_semistable"),
+}
+
+
 def cmd_bound(args) -> int:
-    # each flag, whether it was given, and the least rank that reads it
-    for flag, given, least in (
-        ("--s1", args.s1 is not None, 2),
-        ("--s2", args.s2 is not None, 3),
-        ("--s1f", args.s1f is not None, 3),
-        ("--delta", args.delta, 2),
-        ("--f-semistable", args.f_semistable, 3),
-    ):
-        if given and args.rank < least:
-            raise UsageError(f"{flag} is not read at rank {args.rank}")
+    if args.rank < 3:
+        _check_reads(args, "bound", args.rank)
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
     curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
@@ -105,10 +107,11 @@ def cmd_bound(args) -> int:
         flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
         raise Clifford3Error(f"rank {args.rank} needs {flags}")
     inv = BundleInvariants(args.rank, args.degree, s)
-    if args.f_semistable and inv.semistable():
-        raise UsageError("--f-semistable is not read on semistable input")
+    semistable = inv.semistable()
+    if args.rank == 3:
+        _check_reads(args, "bound", "semistable" if semistable else "unstable")
     result = bound(curve, inv, s1f=args.s1f, delta=args.delta)
-    if not inv.semistable():
+    if not semistable:
         if args.f_semistable and args.s1f < 0:
             raise HypothesisFailed("a semistable quotient has s1f >= 0")
         if not args.f_semistable and args.s1f >= 0:
@@ -215,9 +218,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-_SUITE_COLUMNS = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp"
-
-
 @lru_cache(maxsize=None)
 def _suite_block(family: str, g: int) -> str:
     """The suite's CSV rows of one family at one genus, one line each.  The
@@ -234,14 +234,20 @@ def _suite_block(family: str, g: int) -> str:
     return "".join(rows)
 
 
-# the flags each mode of ``examples`` reads, with their defaults; --suite
-# picks the mode, so every mode reads it
+def _suite_csv(max_genus: int) -> str:
+    _check_cap("--max-genus", max_genus, MAX_SUITE_GENUS)
+    blocks = [_suite_block(f, g) for f, g in suite_blocks(max_genus)]
+    return "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp\n" + "".join(blocks)
+
+
+# Each mode of ``examples``: the function that makes its output, and the flags it
+# reads besides the one that picks it, with their defaults, as that function's args.
 _EXAMPLES_READS = {
-    "suite": {"max_genus": 5},
-    "a": {"family": None, "genus": 3, "n": 0, "k": 0},
-    "b": {"family": None, "genus": 3, "m": 2},
-    "c": {"family": None, "genus": 3, "variant": "E1", "k": 0},
-    "unstable": {"family": None, "genus": 3, "dl": None, "df": None, "s1f": None},
+    "suite": (_suite_csv, {"max_genus": 5}),
+    "a": (family_a, {"genus": 3, "n": 0, "k": 0}),
+    "b": (family_b, {"genus": 3, "m": 2}),
+    "c": (family_c, {"genus": 3, "variant": "E1", "k": 0}),
+    "unstable": (unstable_sharpness, {"genus": 3, "dl": None, "df": None, "s1f": None}),
 }
 
 
@@ -249,29 +255,13 @@ def cmd_examples(args) -> int:
     mode = "suite" if args.suite else args.family
     if mode is None:
         raise Clifford3Error("need --family or --suite")
-    reads = _EXAMPLES_READS[mode]
-    for flag, f in COMMANDS["examples"][1].items():
-        if f.type is not bool and f.dest not in reads and getattr(args, f.dest) is not None:
-            where = "with --suite" if mode == "suite" else f"by family {mode}"
-            raise UsageError(f"{flag} is not read {where}")
-    p = {dest: default if getattr(args, dest) is None else getattr(args, dest)
-         for dest, default in reads.items()}
-    if mode == "suite":
-        _check_cap("--max-genus", p["max_genus"], MAX_SUITE_GENUS)
-        blocks = [_suite_block(f, g) for f, g in suite_blocks(p["max_genus"])]
-        sys.stdout.write(_SUITE_COLUMNS + "\n" + "".join(blocks))
-        return 0
-    if mode == "a":
-        report = family_a(p["genus"], p["n"], p["k"])
-    elif mode == "b":
-        report = family_b(p["genus"], p["m"])
-    elif mode == "c":
-        report = family_c(p["genus"], p["variant"], p["k"])
-    elif None in (p["dl"], p["df"], p["s1f"]):
+    _check_reads(args, "examples", mode)
+    make, defaults = _EXAMPLES_READS[mode]
+    params = [d if (v := getattr(args, dest)) is None else v for dest, d in defaults.items()]
+    if None in params:  # only family unstable has flags without a default
         raise Clifford3Error("family unstable needs --dl, --df and --s1f")
-    else:
-        report = unstable_sharpness(p["genus"], p["dl"], p["df"], p["s1f"])
-    print(json.dumps(report.to_dict()))
+    out = make(*params)
+    sys.stdout.write(out if mode == "suite" else json.dumps(out.to_dict()) + "\n")
     return 0
 
 
@@ -321,8 +311,8 @@ COMMANDS = {
         "--d-max": _Flag("d_max"),
         "--hyperelliptic": _Flag("hyperelliptic", bool, help="rows are not sharpened"),
     }),
-    # no flag here has a default, so that cmd_examples can tell a given flag
-    # from an absent one; it applies the defaults of _EXAMPLES_READS
+    # no flag here has a default, so that _check_reads can tell a given flag
+    # from an absent one; cmd_examples applies the defaults of _EXAMPLES_READS
     "examples": ("example-family reports", {
         "--family": _Flag("family", str, choices=("a", "b", "c", "unstable")),
         "--genus": _Flag("genus"),
@@ -355,9 +345,29 @@ def _index(command: str, flags: dict) -> tuple:
 _INDEX = {command: _index(command, flags) for command, (_, flags) in COMMANDS.items()}
 
 
+def _unread(command: str, reads) -> tuple:
+    flags = COMMANDS[command][1].items()
+    return tuple((k, f.dest) for k, f in flags if f.default is not REQUIRED and f.dest not in reads)
+
+
+# what _check_reads walks, found once: each mode's where, and the (flag, dest) pairs of
+# its unread optional flags; a mode of ``examples`` also reads the flag that picks it
+_UNREAD = {
+    "bound": {m: (f"at rank {m}" if m in (1, 2) else f"on {m} input", _unread("bound", r))
+              for m, r in _BOUND_READS.items()},
+    "examples": {m: ("with --suite", _unread("examples", [*r, "suite"])) if m == "suite"
+                 else (f"by family {m}", _unread("examples", [*r, "family"]))
+                 for m, (_, r) in _EXAMPLES_READS.items()},
+}
+
+
 def _convert(name: str, flag: _Flag, text: str):
     try:
-        value = flag.type(text)
+        # an int is an optional "-", then ASCII digits: int() alone also reads
+        # spaces, "+", "_" and the digits of other scripts
+        if flag.type is int and not ((d := text.removeprefix("-")).isascii() and d.isdecimal()):
+            raise ValueError
+        value = flag.type(text)  # past 4,300 digits int() raises ValueError
     except ValueError:
         kind = flag.type.__name__
         raise UsageError(f"argument {name}: invalid {kind} value: {text!r}") from None
@@ -395,12 +405,12 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
 
     ``argv[0]`` is the command.  A flag is read only by its exact name, as
     ``--flag value`` or ``--flag=value``: the token after a flag that takes
-    a value is that value, whatever it is, and a switch takes none.  The
-    last value of a repeated flag wins.  Any other token fills the next
-    positional, or is an unrecognized argument.  ``-h``/``--help`` anywhere
-    prints the command's usage text, or the program's when it comes first,
-    to stdout and raises ``SystemExit(0)``; any other malformed argv raises
-    ``UsageError``.  No state is kept between calls.
+    a value is that value, and a switch takes none.  The last value of a
+    repeated flag wins.  Any other token fills the next positional, or is an
+    unrecognized argument.  An int is an optional ``-``, then ASCII digits.
+    ``-h``/``--help`` anywhere prints the command's usage text, or the
+    program's when it comes first, to stdout and raises ``SystemExit(0)``;
+    any other malformed argv raises ``UsageError``.  No state is kept.
     """
     argv = sys.argv[1:] if argv is None else argv
     if not argv:

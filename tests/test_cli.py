@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -631,6 +632,72 @@ class TestExamples:
         assert code == 2 and json.loads(err)["code"] == "ParamsOutOfRange"
 
 
+# Each mode of ``bound`` and ``examples``, by where its "is not read" error
+# names it: a valid argv in that mode, and each optional flag the mode reads
+# with a valid value, or None for a switch.  Every other optional flag is
+# not read, except --suite in a family mode: it picks another mode.
+READS = {
+    "at rank 1": ("bound --genus 3 --rank 1 --degree 4", {}),
+    "at rank 2": (
+        "bound --genus 3 --rank 2 --degree 3 --s1 1",
+        {"--s1": "1", "--hyperelliptic": None, "--delta": None},
+    ),
+    "on semistable input": (
+        "bound --genus 3 --rank 3 --degree 10 --s1 1 --s2 2",
+        {"--s1": "1", "--s2": "2", "--s1f": "3", "--hyperelliptic": None, "--delta": None},
+    ),
+    "on unstable input": (
+        "bound --genus 4 --rank 3 --degree 6 --s1 -3 --s2 0 --s1f 1 --f-semistable",
+        {"--s1": "-3", "--s2": "0", "--s1f": "1", "--f-semistable": None},
+    ),
+    "with --suite": ("examples --suite", {"--suite": None, "--max-genus": "3"}),
+    "by family a": (
+        "examples --family a --genus 5", {"--family": "a", "--genus": "6", "--n": "0", "--k": "1"},
+    ),
+    "by family b": ("examples --family b --genus 4", {"--family": "b", "--genus": "5", "--m": "4"}),
+    "by family c": (
+        "examples --family c --genus 4",
+        {"--family": "c", "--genus": "5", "--variant": "E2", "--k": "1"},
+    ),
+    "by family unstable": (
+        "examples --family unstable --genus 4 --dl 5 --df 2 --s1f -2",
+        {"--family": "unstable", "--genus": "4", "--dl": "5", "--df": "2", "--s1f": "-2"},
+    ),
+}
+
+
+def _reads_cases():
+    """(argv, the "is not read" message, or None when the flag is read) for
+    every optional flag of every mode in READS."""
+    for where, (base, reads) in READS.items():
+        command = base.split()[0]
+        for flag, f in cli.COMMANDS[command][1].items():
+            if f.default is cli.REQUIRED or flag == "--suite" and where.startswith("by family"):
+                continue
+            if flag in reads:
+                value, message = reads[flag], None
+            else:
+                value = None if f.type is bool else str(f.choices[0]) if f.choices else "0"
+                message = f"{flag} is not read {where}"
+            argv = [*base.split(), flag] + ([] if value is None else [value])
+            yield pytest.param(argv, message, id=f"{where}-{flag}")
+
+
+class TestReads:
+    def test_every_mode_has_a_row(self):
+        modes = [where for table in cli._UNREAD.values() for where, _ in table.values()]
+        assert sorted(modes) == sorted(READS)
+
+    @pytest.mark.parametrize("argv, message", _reads_cases())
+    def test_each_mode_reads_its_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        if message is None:
+            assert code == 0 and err == "" and out
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert json.loads(err) == {"code": "UsageError", "message": message}
+
+
 # Values for every int flag and positional: small ints, including negative
 # ones, values far above every cap, and values past a machine word.  The
 # flags whose cost grows with the value stay small; a negative step count
@@ -834,15 +901,16 @@ def _reference_parser():
 REFERENCE = _reference_parser()
 
 # Tokens that argparse reads in some special way, put at a random position:
-# help in its spellings, a lone "-", unknown options, values with a space,
-# and negative numbers that are and are not integers.
+# help in its spellings, a lone "-", unknown options, a value with a space,
+# and negative numbers that are and are not integers.  argparse read an
+# integer with a space or a "+"; the grammar rejects it (TestGrammar).
 ODD_TOKENS = [
     "-h", "--help", "-h=", "--help=", "-", "", "--s", "--nope", "-x", "-5", "-0.5",
-    "-1e3", " -3", "-x y", "--=1",
+    "-1e3", "-x y", "--=1",
 ]
 # Values in place of a drawn one: negative integers in other spellings, and
 # tokens that argparse did not read as a value after a flag
-ODD_VALUES = ["-0", "-007", "-12", " 4", "+3", "-0.5", "-", "--", "-x", "--s1", "", "-h"]
+ODD_VALUES = ["-0", "-007", "-12", "-0.5", "-", "--", "-x", "--s1", "", "-h"]
 REFUSED = {"--", "-x", "--s1", "-h"}
 
 
@@ -954,7 +1022,7 @@ class TestParseArgs:
         [
             ["-h"],
             ["bound", "--help"],
-            ["krawtchouk", " -3", "2", "4"],  # a token with a space is a value
+            ["krawtchouk", "-0", "2", "-007"],  # "-0" and leading zeros are ints
             ["bound", "--genus", "3", "--rank", "3", "--degree", "9",
              "--s1", "0", "--s1f", "-2"],  # --s1 is not --s1f
             ["krawtchouk", "-1", "2", "4"],  # negative integers are values
@@ -1043,10 +1111,18 @@ class TestGrammar:
             ("krawtchouk 1 2 4 --", "UsageError"),
             # help wins over a flag that is not one
             ("bound -h --s", "usage"),
+            # an int is an optional "-", then ASCII digits
+            ("krawtchouk ' -3' 2 4", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree ' 4'", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree +3", "UsageError"),
+            ("bound --genus 3 --rank 1 --degree ' +8'", "UsageError"),
+            ("bound --genus 1_0 --rank 1 --degree 4", "UsageError"),
+            ("krawtchouk 1_000 2 4", "UsageError"),
+            ("krawtchouk \u0662 2 4", "UsageError"),  # ARABIC-INDIC DIGIT TWO
         ],
     )
     def test_dropped_spelling(self, argv, outcome):
-        argv = argv.split()
+        argv = shlex.split(argv)
         status, out, err = _outcome(main, argv)
         if outcome == "usage":
             assert (status, out, err) == (0, cli._usage(argv[0]), "")
