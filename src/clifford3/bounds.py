@@ -40,25 +40,25 @@ from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
 
 # Every result this module returns is VANISHING or comes from _result, which
 # hands out one shared instance per distinct (value, case, exact,
-# assumptions).  One pass of the benchmark's rank-3 grid makes 619,168 calls
-# with 358 distinct results; the cap bounds the memory of callers, like the
-# Krawtchouk refinements, that rarely repeat one.  Pass ``exact`` as a bool
-# and ``assumptions`` as a tuple, always positionally, so that equal results
-# share one key.
+# assumptions).  One pass of the benchmark's rank-3 grid makes 619,168 bound
+# calls, 576,136 of them through _result, with 358 distinct results; the cap
+# bounds the memory of callers, like the Krawtchouk refinements, that rarely
+# repeat one.  Pass ``exact`` as a bool and ``assumptions`` as a tuple,
+# always positionally, so that equal results share one key.
 _RESULT_CACHE_SIZE = 1024
 _result = lru_cache(maxsize=_RESULT_CACHE_SIZE)(BoundResult)
 VANISHING = BoundResult(0, "VANISHING", True)
 
 
-def _exact_tail(d: int, low: int, high: int, rr: int) -> BoundResult | None:
-    """The exact count outside the special range [low, high]: 0 below it,
-    the Riemann-Roch value ``rr`` above it, None inside.  The clamp of ``rr``
-    at 0 only engages for invariants no bundle can realize."""
+def _exact_tail(d: int, low: int, rr: int) -> BoundResult:
+    """The exact count outside a special range [low, high]: 0 below it, the
+    Riemann-Roch value ``rr`` above it.  Callers test ``low <= d <= high``
+    inline and call this only outside the range, which most points of a
+    sweep are not.  The clamp of ``rr`` at 0 only engages for invariants no
+    bundle can realize."""
     if d < low:
         return VANISHING
-    if d > high:
-        return _result(max(0, rr), "RR-EXACT", True)
-    return None
+    return _result(max(0, rr), "RR-EXACT", True)
 
 
 def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
@@ -130,8 +130,8 @@ def h0_line_bound(c: Curve, d: int) -> BoundResult:
     """h^0 of a line bundle of degree d: exact 0 below degree 0, the Clifford
     bound floor(d/2)+1 in the special range, exact d+1-g above 2g-2."""
     g = c.genus
-    if (tail := _exact_tail(d, 0, 2 * g - 2, d + 1 - g)) is not None:
-        return tail
+    if not 0 <= d <= 2 * g - 2:
+        return _exact_tail(d, 0, d + 1 - g)
     return _result(d // 2 + 1, "CLIFFORD-LINE")
 
 
@@ -147,8 +147,8 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     if s1 < 0:
         raise NotSemistable(f"rank-2 bound needs s1 >= 0, got {s1}")
     g = c.genus
-    if (tail := _exact_tail(d, s1, 4 * g - 4 - s1, d + 2 - 2 * g)) is not None:
-        return tail
+    if not s1 <= d <= 4 * g - 4 - s1:
+        return _exact_tail(d, s1, d + 2 - 2 * g)
     half = (d - s1) // 2
     if c.hyperelliptic and s1 > 0:
         return _result(half + 1, "RANK2-HYP", False, ("hyperelliptic", "s1>0"))
@@ -187,8 +187,8 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     if s1 < 0 or s2 < 0:
         raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {inv.s}")
     g = q.curve.genus
-    if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
-        return tail
+    if not s1 <= d <= 6 * g - 6 - s2:
+        return _exact_tail(d, s1, d + 3 - 3 * g)
     if s2 > 2 * s1 and d < s2 - s1:
         return _result((d - s1) // 2 + 1, "RANK3-LINE-ONLY")
     if 2 * s2 < s1 and d > 6 * g - 6 - (s1 - s2):
@@ -269,8 +269,8 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     if q.s1f is None:
         raise MissingS1F("unstable bound needs s1f")
     s1f = q.s1f
-    if (tail := _exact_tail(d, s1, 6 * g - 6 - s2, d + 3 - 3 * g)) is not None:
-        return tail
+    if not s1 <= d <= 6 * g - 6 - s2:
+        return _exact_tail(d, s1, d + 3 - 3 * g)
 
     # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
     line = h0_line_bound(q.curve, (d - s1) // 3)

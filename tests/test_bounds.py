@@ -1,3 +1,6 @@
+from functools import partial
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -631,3 +634,59 @@ class TestSharedResults:
         assert bound(Curve(4), BundleInvariants(3, 0, (3, 0))) is bounds.VANISHING
         assert h0_line_bound(Curve(4), -1) is bounds.VANISHING
         assert bounds.VANISHING == BoundResult(0, "VANISHING", exact=True)
+
+
+# Each bound with an exact tail tests ``low <= d <= high`` inline and calls
+# the tail only outside that special range.  These are the call sites.
+TAIL_SITES = ("line", "rank2", "rank3", "rank3-degree", "unstable")
+
+
+def _rank2_at(c, s1, delta, d):
+    return h0_rank2_bound(c, d, s1, use_delta=delta)
+
+
+def _rank3_at(site, c, s1, s2, d):
+    sharp = c.hyperelliptic
+    if site == "rank3-degree":  # one query, at a degree far above the range
+        q = Rank3Query(c, BundleInvariants(3, s1 + 6 * c.genus, (s1, s2)),
+                       use_hyperelliptic_sharpening=sharp)
+        return h0_rank3_semistable_bound(q, degree=d)
+    inv = BundleInvariants(3, d, (s1, s2))
+    if site == "unstable":
+        return h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=suggested_min_s1f(inv)))
+    return h0_rank3_semistable_bound(Rank3Query(c, inv, use_hyperelliptic_sharpening=sharp))
+
+
+def _special_ranges(site, g):
+    """(n, low, high, bound at degree d) for each input of ``site`` at genus
+    g whose special range [low, high] is not empty.  The rank n is the step
+    between congruent degrees.  Rank-3 input has s1, s2 in [-2g, 2g], and
+    s1 < 0 at the unstable site, whose tails it reads itself."""
+    for c in (Curve(g), Curve(g, True)):
+        if site == "line":
+            yield 1, 0, 2 * g - 2, partial(h0_line_bound, c)
+        elif site == "rank2":
+            for s1, delta in product(range(2 * g - 1), (False, True)):
+                yield 2, s1, 4 * g - 4 - s1, partial(_rank2_at, c, s1, delta)
+        else:
+            s1_range = range(-2 * g, 0) if site == "unstable" else range(2 * g + 1)
+            s2_range = range(-2 * g, 2 * g + 1) if site == "unstable" else range(2 * g + 1)
+            for s1, s2 in product(s1_range, s2_range):
+                if (s2 - 2 * s1) % 3 == 0 and s1 <= 6 * g - 6 - s2:
+                    yield 3, s1, 6 * g - 6 - s2, partial(_rank3_at, site, c, s1, s2)
+
+
+@pytest.mark.parametrize("site", TAIL_SITES)
+@pytest.mark.parametrize("g", range(2, 13))
+def test_exact_tails_lie_outside_the_special_range(g, site):
+    """At the nearest congruent degrees outside [low, high] the bound is the
+    exact tail with its value; at low and high it is not a tail."""
+    tails = ("VANISHING", "RR-EXACT")
+    count = 0
+    for n, low, high, at in _special_ranges(site, g):
+        assert at(low - n) == BoundResult(0, "VANISHING", True)
+        assert at(high + n) == BoundResult(max(0, high + n + n * (1 - g)), "RR-EXACT", True)
+        assert at(low).case not in tails
+        assert at(high).case not in tails
+        count += 1
+    assert count >= 2

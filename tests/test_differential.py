@@ -1,0 +1,60 @@
+"""Self-tests of ``tools/differential.py``: it finds a planted difference
+and reports none between equal trees."""
+import importlib.util
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("differential", ROOT / "tools" / "differential.py")
+differential = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(differential)
+
+
+def _copy(tmp_path, name):
+    src = tmp_path / name
+    shutil.copytree(ROOT / "src" / "clifford3", src / "clifford3",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+@pytest.fixture(scope="module")
+def argvs():
+    return differential.session_argvs(seeds=[1])
+
+
+def test_equal_trees_have_no_difference(tmp_path, argvs):
+    a, b = _copy(tmp_path, "a"), _copy(tmp_path, "b")
+    summary = differential.compare(sys.executable, a, b, "smoke", argvs)
+    assert summary["session_argvs"] == 200
+    assert summary["outcomes"] > 50000
+    assert summary["differences"] == 0 and summary["first"] == []
+
+
+def test_an_off_by_one_tail_is_a_difference(tmp_path, argvs):
+    base, change = _copy(tmp_path, "base"), _copy(tmp_path, "change")
+    path = change / "clifford3" / "bounds.py"
+    text = path.read_text()
+    guard = "if not 0 <= d <= 2 * g - 2:"  # the line bound's special range
+    assert text.count(guard) == 1
+    path.write_text(text.replace(guard, "if not 0 <= d < 2 * g - 2:"))
+    summary = differential.compare(sys.executable, base, change, "smoke", argvs)
+    assert summary["differences"] > 0
+    first = summary["first"][0]
+    assert first["base"] != first["change"]
+    assert any("RR-EXACT" in d["change"] for d in summary["first"])
+
+
+def test_checkout_is_a_temporary_worktree():
+    try:
+        differential._git("rev-parse", "--verify", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    with differential.checkout("HEAD") as path:
+        assert (path / "src" / "clifford3" / "bounds.py").is_file()
+        assert str(path) in differential._git("worktree", "list")
+    assert not path.exists()
+    assert str(path) not in differential._git("worktree", "list")

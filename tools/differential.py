@@ -1,0 +1,210 @@
+"""Compare the engine of another revision with this tree's, outcome by outcome.
+
+    python3 tools/differential.py --base REV [--python PATH]
+
+REV's ``src/clifford3`` is checked out in a temporary ``git worktree``.  One
+worker process per tree imports that tree's ``clifford3`` (through
+PYTHONPATH, with PYTHONHASHSEED=0) and prints one line per call:
+
+* ``cli.main`` on every session argv of the benchmark's seeds 1-10: exit
+  status, stdout, stderr and any escaping exception;
+* ``BundleInvariants``, ``Rank3Query``, ``bound`` and each ``h0_*`` function
+  over the library grid named "full" (see GRIDS): the ``repr`` of the record
+  or result, or the exception's type, ``r`` and message.
+
+The two streams are compared line by line.  The summary is one JSON line on
+stdout; the exit status is 0 when every outcome is the same, 1 otherwise.
+``--python`` runs both workers under another interpreter, which needs only
+the standard library.  Nothing under ``src`` or ``bench`` is changed.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SESSION_SEEDS = range(1, 11)
+# genera of each library grid; each genus takes both curve types.  The
+# self-tests run "smoke".
+GRIDS = {"smoke": range(2, 4), "full": range(2, 9)}
+SHOWN = 10  # differences printed in the summary
+
+
+def _outcome(call, *args, **kwargs) -> str:
+    try:
+        return repr(call(*args, **kwargs))
+    except Exception as exc:
+        return f"{type(exc).__name__} r={getattr(exc, 'r', None)!r}: {exc}"
+
+
+def library(c3, genera):
+    """(label, outcome) for every call of the library grid at ``genera``."""
+    B = c3.BundleInvariants
+    for rank, s in [(0, ()), (0, (0,)), (4, (0, 0, 0)), (1, (0,)), (2, ()), (3, (0,)), (3, [2])]:
+        yield f"BundleInvariants({rank}, 0, {s!r})", _outcome(B, rank, 0, s)
+    for g in (0, 1):
+        yield f"Curve({g})", _outcome(c3.Curve, g)
+    for g, hyp in itertools.product(genera, (False, True)):
+        c = c3.Curve(g, hyp)
+        yield f"Rank3Query({c!r}, rank 2)", _outcome(c3.Rank3Query, c, B(2, 4, (0,)))
+        for a, extra in itertools.product(range(-1, 2 * g + 2), (False, True)):
+            yield (f"h0_hyperelliptic_power({c!r}, {a}, {extra})",
+                   _outcome(c3.h0_hyperelliptic_power, c, a, extra))
+        for d in range(-3, 2 * g + 2):
+            yield f"h0_line_bound({c!r}, {d})", _outcome(c3.h0_line_bound, c, d)
+            yield f"bound({c!r}, rank 1, {d})", _outcome(c3.bound, c, B(1, d))
+        for d, s1, delta in itertools.product(
+            range(-3, 4 * g + 2), range(-2, 2 * g + 2), (False, True)
+        ):
+            yield (f"h0_rank2_bound({c!r}, {d}, {s1}, use_delta={delta})",
+                   _outcome(c3.h0_rank2_bound, c, d, s1, use_delta=delta))
+            if (s1 - d) % 2 == 0:
+                yield (f"bound({c!r}, rank 2, {d}, {s1}, delta={delta})",
+                       _outcome(c3.bound, c, B(2, d, (s1,)), delta=delta))
+        for d, s1, s2 in itertools.product(
+            range(-3, 6 * g + 1), range(-g - 1, 2 * g + 2), range(-g - 1, 2 * g + 2)
+        ):
+            yield from _rank3(c3, c, d, (s1, s2))
+
+
+def _rank3(c3, c, d, s):
+    where = f"{c!r}, {d}, {s}"
+    made = _outcome(c3.BundleInvariants, 3, d, s)
+    yield f"BundleInvariants(3, {d}, {s})", made
+    if not made.startswith("BundleInvariants("):
+        return
+    inv = c3.BundleInvariants(3, d, s)
+    hyp = c.hyperelliptic
+    plain = c3.Rank3Query(c, inv, use_hyperelliptic_sharpening=hyp)
+    for other in (d - 3, d + 1, d + 3):
+        yield (f"h0_rank3_semistable_bound({where}, degree={other})",
+               _outcome(c3.h0_rank3_semistable_bound, plain, degree=other))
+    for s1f, delta in itertools.product((None, *range(-c.genus - 2, c.genus + 3)), (False, True)):
+        at = f"{where}, s1f={s1f}, delta={delta}"
+        yield f"bound({at})", _outcome(c3.bound, c, inv, s1f=s1f, delta=delta)
+        query = _outcome(c3.Rank3Query, c, inv, s1f, delta, hyp)
+        yield f"Rank3Query({at})", query
+        if not query.startswith("Rank3Query("):
+            continue
+        q = c3.Rank3Query(c, inv, s1f, delta, hyp)
+        for f in (c3.h0_rank3_semistable_bound, c3.h0_prop21_bound, c3.h0_rank3_unstable_bound):
+            yield f"{f.__name__}({at})", _outcome(f, q)
+
+
+def session(argvs):
+    """(label, outcome) of ``cli.main`` on each argv, run in-process."""
+    from clifford3 import cli
+
+    for argv in argvs:
+        out, err = StringIO(), StringIO()
+        escaped = None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code, escaped = None, f"{type(exc).__name__}: {exc}"
+        yield f"cli.main({argv!r})", repr((code, out.getvalue(), err.getvalue(), escaped))
+
+
+def worker(job_file: str) -> None:
+    """Print ``label<TAB>outcome`` for every call of the job, with the
+    ``clifford3`` found on sys.path."""
+    import clifford3 as c3
+
+    job = json.loads(Path(job_file).read_text())
+    calls = itertools.chain(session(job["argvs"]), library(c3, GRIDS[job["grid"]]))
+    write = sys.stdout.write
+    for label, outcome in calls:
+        write(f"{label}\t{outcome}\n")
+
+
+def session_argvs(seeds=SESSION_SEEDS) -> list:
+    """Every argv of the session workload at ``seeds``, in script order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    try:
+        from workloads import Session
+    finally:
+        del sys.path[:2]
+    return [argv for seed in seeds for _, argv in Session(seed).ops_list]
+
+
+def compare(python: str, base_src, change_src, grid: str, argvs: list) -> dict:
+    """Run one worker per tree and compare their lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        job_file = Path(tmp, "job.json")
+        job_file.write_text(json.dumps({"argvs": argvs, "grid": grid}))
+        procs = []
+        for src in (base_src, change_src):
+            env = dict(
+                os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8"
+            )
+            cmd = [python, str(Path(__file__).resolve()), "--worker", str(job_file)]
+            procs.append(subprocess.Popen(
+                cmd, env=env, cwd=tmp, stdout=subprocess.PIPE, text=True, encoding="utf-8"
+            ))
+        count, diffs = 0, []
+        for a, b in itertools.zip_longest(procs[0].stdout, procs[1].stdout):
+            count += 1
+            if a != b:
+                diffs.append((a, b))
+        codes = [p.wait() for p in procs]
+    if codes != [0, 0]:
+        raise SystemExit(f"a worker failed: exit statuses {codes}")
+    shown = []
+    for a, b in diffs[:SHOWN]:
+        label, _, base = (a or "\t(missing)").rstrip("\n").partition("\t")
+        other, _, change = (b or "\t(missing)").rstrip("\n").partition("\t")
+        shown.append({"call": label or other, "base": base, "change": change})
+    return {"outcomes": count, "session_argvs": len(argvs), "differences": len(diffs),
+            "first": shown}
+
+
+def _git(*args) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+@contextmanager
+def checkout(rev: str):
+    """REV checked out in a temporary ``git worktree``, removed on exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "base")
+        _git("worktree", "add", "--detach", str(path), rev)
+        try:
+            yield path
+        finally:
+            _git("worktree", "remove", "--force", str(path))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="the revision to compare with this tree")
+    parser.add_argument("--python", default=sys.executable, help="interpreter of both workers")
+    parser.add_argument("--worker", metavar="JOB_FILE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+    with checkout(args.base) as base:
+        summary = compare(args.python, base / "src", ROOT / "src", "full", session_argvs())
+    summary = {"base": args.base, "base_commit": _git("rev-parse", args.base),
+               "python": args.python, **summary}
+    print(json.dumps(summary))
+    return 1 if summary["differences"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
