@@ -33,7 +33,7 @@ from .invariants import (
     Curve,
     _Record,
     _congruence_violation,
-    _slot_setters,
+    _store,
     serre_dual,
 )
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
@@ -65,8 +65,8 @@ def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
     """The degree (2d + s1)/3 of a minimal rank-2 quotient and the least
     admissible s1f: ceil((2*s2 - s1)/3), raised to the quotient degree's
     parity."""
-    s1, s2 = inv.s
-    deg_f = (2 * inv.degree + s1) // 3
+    _, d, (s1, s2) = inv._values
+    deg_f = (2 * d + s1) // 3
     least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
     return deg_f, least + (least - deg_f) % 2
 
@@ -82,7 +82,8 @@ class Rank3Query(_Record):
     reported value is attributable.
     """
 
-    __slots__ = ("curve", "inv", "s1f", "use_delta", "use_hyperelliptic_sharpening")
+    __slots__ = ()
+    _fields = ("curve", "inv", "s1f", "use_delta", "use_hyperelliptic_sharpening")
 
     def __init__(
         self,
@@ -92,10 +93,11 @@ class Rank3Query(_Record):
         use_delta: bool = False,
         use_hyperelliptic_sharpening: bool = False,
     ):
-        if inv.rank != 3:
+        rank, _, s = inv._values
+        if rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
         if s1f is not None:
-            s1, s2 = inv.s
+            s1, s2 = s
             if not s2 < 0 <= s1:
                 deg_f, least = _quotient_s1f(inv)
                 if (s1f - deg_f) % 2 != 0:
@@ -106,22 +108,14 @@ class Rank3Query(_Record):
                     raise HypothesisFailed(
                         f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2"
                     )
-        _set_curve(self, curve)
-        _set_inv(self, inv)
-        _set_s1f(self, s1f)
-        _set_use_delta(self, use_delta)
-        _set_use_hyperelliptic_sharpening(self, use_hyperelliptic_sharpening)
-
-
-_set_curve, _set_inv, _set_s1f, _set_use_delta, _set_use_hyperelliptic_sharpening = (
-    _slot_setters(Rank3Query)
-)
+        _store(self, (curve, inv, s1f, use_delta, use_hyperelliptic_sharpening))
 
 
 def suggested_min_s1f(inv: BundleInvariants) -> int:
     """Smallest admissible s1f: at least (2*s2 - s1)/3, with the parity of
     the minimal quotient degree.  Offered as a hint, never substituted."""
-    if inv.rank != 3:
+    rank, _, _ = inv._values
+    if rank != 3:
         raise RankUnsupported("s1f only makes sense for rank 3")
     return _quotient_s1f(inv)[1]
 
@@ -129,7 +123,7 @@ def suggested_min_s1f(inv: BundleInvariants) -> int:
 def h0_line_bound(c: Curve, d: int) -> BoundResult:
     """h^0 of a line bundle of degree d: exact 0 below degree 0, the Clifford
     bound floor(d/2)+1 in the special range, exact d+1-g above 2g-2."""
-    g = c.genus
+    g, _ = c._values
     if not 0 <= d <= 2 * g - 2:
         return _exact_tail(d, 0, d + 1 - g)
     return _result(d // 2 + 1, "CLIFFORD-LINE")
@@ -142,15 +136,15 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
     s1 > 0, else by 1 if ``use_delta``, s1 <= g and K_{(d-s1)/2+1}(g, 2g-s1) != 0.
     """
+    g, hyp = c._values
     if (s1 - d) % 2 != 0:
         raise _congruence_violation(2, d, 1, s1)
     if s1 < 0:
         raise NotSemistable(f"rank-2 bound needs s1 >= 0, got {s1}")
-    g = c.genus
     if not s1 <= d <= 4 * g - 4 - s1:
         return _exact_tail(d, s1, d + 2 - 2 * g)
     half = (d - s1) // 2
-    if c.hyperelliptic and s1 > 0:
+    if hyp and s1 > 0:
         return _result(half + 1, "RANK2-HYP", False, ("hyperelliptic", "s1>0"))
     if use_delta and s1 <= g and krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) != 0:
         return _result(half + 1, "RANK2-KRAWTCHOUK", False, ("krawtchouk-refinement",))
@@ -176,17 +170,15 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     not specialize a call to a function with keyword-only parameters, and
     that cost the one-argument calls of a rank-3 grid sweep about 2%.
     """
-    inv = q.inv
-    s1, s2 = inv.s
-    if degree is None:
-        d = inv.degree
-    elif (degree - inv.degree) % 3:
-        raise _congruence_violation(3, degree, 1, s1)
-    else:
+    curve, inv, s1f, use_delta, sharpen = q._values
+    _, d, (s1, s2) = inv._values
+    if degree is not None:
+        if (degree - d) % 3:
+            raise _congruence_violation(3, degree, 1, s1)
         d = degree
     if s1 < 0 or s2 < 0:
-        raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {inv.s}")
-    g = q.curve.genus
+        raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {(s1, s2)}")
+    g, hyp = curve._values
     if not s1 <= d <= 6 * g - 6 - s2:
         return _exact_tail(d, s1, d + 3 - 3 * g)
     if s2 > 2 * s1 and d < s2 - s1:
@@ -195,16 +187,16 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
         return _result((d - s2) // 2 + 1, "RANK3-LINE-ONLY-DUAL")
     skew = max(2 * s2 - s1, 2 * s1 - s2)
     base = (3 * d - skew) // 6 + 3
-    if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and not s1 == s2 == 0:
+    if sharpen and hyp and not s1 == s2 == 0:
         return _result(base - 1, "RANK3-MAIN-SHARP", False, ("hyperelliptic-sharpening",))
     if (
-        q.use_delta
-        and q.s1f is not None
-        and q.s1f <= g
-        and 2 * d + s1 >= 3 * q.s1f
-        and not delta_vanishes(g, d, s1, q.s1f)
+        use_delta
+        and s1f is not None
+        and s1f <= g
+        and 2 * d + s1 >= 3 * s1f
+        and not delta_vanishes(g, d, s1, s1f)
     ):
-        return _result(base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={q.s1f}"))
+        return _result(base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={s1f}"))
     return _result(base, "RANK3-MAIN")
 
 
@@ -217,23 +209,22 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     Requires s1 <= 2*s2 and the degree window
     max(s1, (3*s1f - s1)/2) <= d <= 6g - 6 - (3*s1f + s1)/2.
     """
-    if q.s1f is None:
+    curve, inv, s1f, use_delta, sharpen = q._values
+    if s1f is None:
         raise MissingS1F("this bound needs s1f")
-    inv = q.inv
-    d = inv.degree
-    s1, s2 = inv.s
-    g = q.curve.genus
+    _, d, (s1, s2) = inv._values
+    g, hyp = curve._values
     if s1 > 2 * s2:
         raise HypothesisFailed(f"needs s1 <= 2*s2, got s1={s1}, s2={s2}")
-    lo2 = max(2 * s1, 3 * q.s1f - s1)  # doubled lower end of the window
-    hi2 = 12 * g - 12 - 3 * q.s1f - s1
+    lo2 = max(2 * s1, 3 * s1f - s1)  # doubled lower end of the window
+    hi2 = 12 * g - 12 - 3 * s1f - s1
     if not lo2 <= 2 * d <= hi2:
         raise HypothesisFailed(f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]")
-    half = (d - q.s1f) // 2
-    note = f"s1f={q.s1f}"
-    if q.use_hyperelliptic_sharpening and q.curve.hyperelliptic and q.s1f > 0:
+    half = (d - s1f) // 2
+    note = f"s1f={s1f}"
+    if sharpen and hyp and s1f > 0:
         return _result(half + 2, "RANK3-QUOTIENT-SHARP", False, (note, "hyperelliptic", "s1f>0"))
-    if q.use_delta and q.s1f <= g and not delta_vanishes(g, d, s1, q.s1f):
+    if use_delta and s1f <= g and not delta_vanishes(g, d, s1, s1f):
         return _result(
             half + 2, "RANK3-QUOTIENT-KRAWTCHOUK", False, (note, "krawtchouk-refinement")
         )
@@ -251,30 +242,28 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     unstable), each floored.  ``q.s1f`` refers to the bundle actually
     bounded, i.e. the dual when the reduction applies.
     """
-    inv = q.inv
-    d = inv.degree
-    s1, s2 = inv.s
-    g = q.curve.genus
+    curve, inv, s1f, _, _ = q._values
+    _, d, (s1, s2) = inv._values
+    g, _ = curve._values
     if s1 >= 0 and s2 >= 0:
-        raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {inv.s}")
+        raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {(s1, s2)}")
     if s1 >= 0:
-        dual = q._replace(inv=serre_dual(q.curve, inv))
-        sub = h0_rank3_unstable_bound(dual)
+        dual = q._replace(inv=serre_dual(curve, inv))
+        value, case, exact, assumptions = h0_rank3_unstable_bound(dual)._values
         return _result(
-            max(0, sub.value + d + 3 - 3 * g),
-            sub.case,
-            sub.exact,
-            sub.assumptions + ("serre-dual-reduction",),
+            max(0, value + d + 3 - 3 * g),
+            case,
+            exact,
+            assumptions + ("serre-dual-reduction",),
         )
-    if q.s1f is None:
+    if s1f is None:
         raise MissingS1F("unstable bound needs s1f")
-    s1f = q.s1f
     if not s1 <= d <= 6 * g - 6 - s2:
         return _exact_tail(d, s1, d + 3 - 3 * g)
 
     # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
-    line = h0_line_bound(q.curve, (d - s1) // 3)
-    l_branch = "clifford" if line.case == "CLIFFORD-LINE" else "riemann-roch"
+    line_value, line_case, _, _ = h0_line_bound(curve, (d - s1) // 3)._values
+    l_branch = "clifford" if line_case == "CLIFFORD-LINE" else "riemann-roch"
 
     # quotient part, dispatched on doubled degree thresholds; the unstable
     # sub-clifford range lies below the Riemann-Roch range for every g >= 2
@@ -293,7 +282,7 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
         h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
 
     return _result(
-        max(0, line.value + h0_f),
+        max(0, line_value + h0_f),
         case,
         False,
         (f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
@@ -308,18 +297,14 @@ def bound(
     semistable bound.  ``delta`` turns on the Krawtchouk refinements, ``s1f``
     is read at rank 3 only, and hyperelliptic sharpening follows
     ``curve.hyperelliptic``."""
-    if inv.rank == 1:
-        return h0_line_bound(curve, inv.degree)
-    if inv.rank == 2:
-        return h0_rank2_bound(curve, inv.degree, inv.s[0], use_delta=delta)
-    q = Rank3Query(
-        curve,
-        inv,
-        s1f=s1f,
-        use_delta=delta,
-        use_hyperelliptic_sharpening=curve.hyperelliptic,
-    )
-    s1, s2 = inv.s
+    rank, d, s = inv._values
+    _, hyp = curve._values
+    if rank == 1:
+        return h0_line_bound(curve, d)
+    if rank == 2:
+        return h0_rank2_bound(curve, d, s[0], use_delta=delta)
+    q = Rank3Query(curve, inv, s1f=s1f, use_delta=delta, use_hyperelliptic_sharpening=hyp)
+    s1, s2 = s
     if s1 < 0 or s2 < 0:
         return h0_rank3_unstable_bound(q)
     return h0_rank3_semistable_bound(q)

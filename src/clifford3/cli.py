@@ -124,10 +124,11 @@ def _bound_line(r: BoundResult) -> str:
     """``bound``'s output line, byte for byte ``json.dumps(r.to_dict())``
     and a newline: ``value`` is an int, ``exact`` a bool, and each string
     is quoted by the encoder ``json.dumps`` uses by default."""
-    assumptions = ", ".join([_quote(a) for a in r.assumptions])
+    value, case, exact, assumptions = r._values
+    quoted = ", ".join([_quote(a) for a in assumptions])
     return (
-        f'{{"value": {r.value}, "case": {_quote(r.case)}, '
-        f'"exact": {"true" if r.exact else "false"}, "assumptions": [{assumptions}]}}\n'
+        f'{{"value": {value}, "case": {_quote(case)}, '
+        f'"exact": {"true" if exact else "false"}, "assumptions": [{quoted}]}}\n'
     )
 
 
@@ -212,8 +213,8 @@ def cmd_table(args) -> int:
         # they share its residue mod 3, so they pass the same checks
         q = Rank3Query(curve, BundleInvariants(3, first, (s1, s2)))
         for d in range(first, d_max + 1, 3):
-            r = h0_rank3_semistable_bound(q, degree=d)
-            lines.append(f"{d},{r.value},{r.case},{'true' if r.exact else 'false'}\n")
+            value, case, exact, _ = h0_rank3_semistable_bound(q, degree=d)._values
+            lines.append(f"{d},{value},{case},{'true' if exact else 'false'}\n")
     sys.stdout.write("".join(lines))
     return 0
 

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import le, sub
 
 from .errors import HypothesisUnverifiable, RankUnsupported
-from .invariants import BundleInvariants, Curve, _Record, _slot_setters
+from .invariants import BundleInvariants, Curve, _Record, _store
 
 
 class ElmState(_Record):
@@ -34,7 +34,8 @@ class ElmState(_Record):
     and steps return fresh states.
     """
 
-    __slots__ = ("inv", "sb_dim_upper", "step_count")
+    __slots__ = ()
+    _fields = ("inv", "sb_dim_upper", "step_count")
 
     def __init__(
         self,
@@ -48,16 +49,11 @@ class ElmState(_Record):
             sb_dim_upper = tuple([tuple(b) for b in sb_dim_upper])
         if len(sb_dim_upper) != inv.rank - 1:
             raise ValueError(f"need {inv.rank - 1} bound tuples for rank {inv.rank}")
-        _set_inv(self, inv)
-        _set_sb_dim_upper(self, sb_dim_upper)
-        _set_step_count(self, step_count)
+        _store(self, (inv, sb_dim_upper, step_count))
 
     def upper(self, r: int, i: int) -> int | None:
         bounds = self.sb_dim_upper[r - 1] if 0 < r < self.inv.rank else ()
         return bounds[i] if 0 <= i < len(bounds) else None
-
-
-_set_inv, _set_sb_dim_upper, _set_step_count = _slot_setters(ElmState)
 
 
 def _step(
@@ -117,8 +113,8 @@ def trajectory(
     congruent to r*d mod n and ``start``'s checks hold for every state.  A
     choice of the wrong length raises :func:`step`'s ``ValueError``.
     """
-    n = start.inv.rank
-    d, s, sb = start.inv.degree, start.inv.s, start.sb_dim_upper
+    inv, sb, _ = start._values
+    n, d, s = inv._values
     walk = [(d, s, sb)]
     for hits in choices:
         s, sb = _step(n, s, sb, hits)

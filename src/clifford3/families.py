@@ -26,7 +26,7 @@ from .invariants import (
     BundleInvariants,
     Curve,
     _Record,
-    _slot_setters,
+    _store,
     h0_hyperelliptic_power,
 )
 
@@ -37,7 +37,8 @@ class ExampleReport(_Record):
     (name, value) pairs, so that the record hashes; ``params`` and ``notes``
     are stored as tuples whatever sequences they are given."""
 
-    __slots__ = ("family", "curve", "inv", "exact_h0", "bound", "params", "slope", "notes")
+    __slots__ = ()
+    _fields = ("family", "curve", "inv", "exact_h0", "bound", "params", "slope", "notes")
 
     def __init__(
         self,
@@ -52,34 +53,31 @@ class ExampleReport(_Record):
     ):
         if exact_h0 > bound.value:
             raise ValueError(f"exact h0 {exact_h0} exceeds the bound {bound.value}")
-        for setter, value in zip(
-            _SETTERS, (family, curve, inv, exact_h0, bound, tuple(params), slope, tuple(notes))
-        ):
-            setter(self, value)
+        _store(self, (family, curve, inv, exact_h0, bound, tuple(params), slope, tuple(notes)))
 
     @property
     def sharp(self) -> bool:
         return self.exact_h0 == self.bound.value
 
     def to_dict(self) -> dict:
+        family, curve, inv, exact_h0, bound, params, slope, notes = self._values
+        genus, _ = curve._values
+        rank, degree, s = inv._values
         out = {
-            "family": self.family,
-            "genus": self.curve.genus,
-            "params": dict(self.params),
-            "rank": self.inv.rank,
-            "degree": self.inv.degree,
-            "s": list(self.inv.s),
-            "exact_h0": self.exact_h0,
-            "bound": self.bound.to_dict(),
+            "family": family,
+            "genus": genus,
+            "params": dict(params),
+            "rank": rank,
+            "degree": degree,
+            "s": list(s),
+            "exact_h0": exact_h0,
+            "bound": bound.to_dict(),
             "sharp": self.sharp,
-            "notes": list(self.notes),
+            "notes": list(notes),
         }
-        if self.slope is not None:
-            out["slope_bound"] = self.slope.to_dict()
+        if slope is not None:
+            out["slope_bound"] = slope.to_dict()
         return out
-
-
-_SETTERS = _slot_setters(ExampleReport)
 
 
 def family_a(g: int, n: int, k: int) -> ExampleReport:

@@ -2,52 +2,67 @@
 
 Everything here is an immutable value; operations are pure functions.
 
-The engine's records derive from the private slotted base :class:`_Record`.
-Each record names its fields in ``__slots__`` and has a hand-written
-``__init__``: it checks its arguments first, then stores each field through
-its slot's ``__set__`` (see :func:`_slot_setters`), because the record's
-``__setattr__`` refuses every assignment.  The base class gives equality
-and hashing over the field tuple, the ``repr``, pickling and ``_replace``.
-The package does not import ``dataclasses``: that module, with ``inspect``,
-and one decoration per record were most of the package's import time.
+The engine's records derive from the private base :class:`_Record`, whose
+one slot ``_values`` holds a record's field tuple.  Each record names its
+fields in ``_fields`` and has a hand-written ``__init__``: it checks its
+arguments first, then stores the whole tuple with one call of
+:func:`_store`, because the record's ``__setattr__`` refuses every
+assignment.  Each field reads as a read-only property.  The base class gives
+equality and hashing over the field tuple, the ``repr``, pickling and
+``_replace``.  The package does not import ``dataclasses``: that module,
+with ``inspect``, and one decoration per record were most of the package's
+import time.
 """
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .errors import CongruenceViolation, OutOfModeledRange, RankUnsupported
+
+
+def _field(i: int) -> property:
+    """The read-only property of a record's field ``i``."""
+    return property(lambda self: self._values[i])
 
 
 class _Record:
     """Base of the engine's immutable records.
 
-    A subclass lists two or more fields in ``__slots__``, in the order of its
-    ``__init__`` parameters.  Records of one class are equal when their field
-    tuples are, and hash as that tuple.  The ``repr`` reads
-    ``Name(field=value, ...)``.  Pickling and :meth:`_replace` build the new
-    record through ``__init__``, so its checks run again.  Assigning or
-    deleting an attribute raises ``AttributeError``.
+    A subclass declares ``__slots__ = ()`` and lists two or more field names
+    in ``_fields``, in the order of its ``__init__`` parameters; its
+    ``__init__`` stores them once, as one tuple, with :func:`_store`.  Each
+    field reads as a read-only property of that tuple.  Records of one class
+    are equal when their field tuples are, and hash as that tuple.  The
+    ``repr`` reads ``Name(field=value, ...)``.  Pickling and :meth:`_replace`
+    build the new record through ``__init__``, so its checks run again.
+    Assigning or deleting an attribute raises ``AttributeError``.
+
+    A property read is a Python call, dearer than a slot read, so the
+    engine's hot readers unpack ``rec._values`` once instead: every function
+    of ``bounds`` and ``krawtchouk``, ``cli``'s ``bound`` line and ``table``
+    rows, ``elmtrans.trajectory``, ``BundleInvariants.semistable`` and
+    ``stable``, and the ``to_dict`` methods.  Every other reader uses the
+    public fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("_values",)
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)  # the field tuple
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _field(i))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(self._values)
 
     def __repr__(self):
-        fields = zip(self.__slots__, self._values(self))
+        fields = zip(self._fields, self._values)
         return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
     def __reduce__(self):
-        return self.__class__, self._values(self)
+        return self.__class__, self._values
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,39 +72,35 @@ class _Record:
 
     def _replace(self, **changes):
         """A new record with ``changes`` applied, checked by ``__init__``."""
-        return self.__class__(**dict(zip(self.__slots__, self._values(self)), **changes))
+        return self.__class__(**dict(zip(self._fields, self._values), **changes))
 
 
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot of the record class ``cls``, in
-    field order."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+# The ``__set__`` of the ``_values`` slot: each record's ``__init__`` stores its
+# field tuple with one call of it, since ``__setattr__`` refuses assignment.
+_store = _Record.__dict__["_values"].__set__
 
 
 class Curve(_Record):
     """A smooth projective curve of genus >= 2, known only through its genus
     and whether it carries a degree-2 pencil (hyperelliptic)."""
 
-    __slots__ = ("genus", "hyperelliptic")
+    __slots__ = ()
+    _fields = ("genus", "hyperelliptic")
 
     def __init__(self, genus: int, hyperelliptic: bool = False):
         if genus < 2:
             raise ValueError(f"genus must be >= 2, got {genus}")
-        _set_genus(self, genus)
-        _set_hyperelliptic(self, hyperelliptic)
+        _store(self, (genus, hyperelliptic))
 
     @property
     def canonical_degree(self) -> int:
         return 2 * self.genus - 2
 
 
-_set_genus, _set_hyperelliptic = _slot_setters(Curve)
-
-
 def _congruence_violation(n: int, d: int, r: int, sr: int) -> CongruenceViolation:
     """The error for s_r != r*d (mod n).  Callers test the congruence inline:
     a check function called for s_1 and s_2 would add about 0.08 us to a
-    rank-3 construction that costs 0.48 us, some 5% of the 1.7 us validated
+    rank-3 construction that costs 0.43 us, some 5% of the 1.5 us validated
     bound call at a middle grid point (timeit, fastest of 15 rounds, shared
     2-core Xeon, Python 3.11)."""
     return CongruenceViolation(
@@ -108,7 +119,8 @@ class BundleInvariants(_Record):
     results downstream are conditional on existence.
     """
 
-    __slots__ = ("rank", "degree", "s")
+    __slots__ = ()
+    _fields = ("rank", "degree", "s")
 
     def __init__(self, rank: int, degree: int, s: tuple[int, ...] = ()):
         if type(s) is not tuple:
@@ -130,18 +142,15 @@ class BundleInvariants(_Record):
             )
         elif rank == 2 and (s[0] - degree) % rank:
             raise _congruence_violation(rank, degree, 1, s[0])
-        _set_rank(self, rank)
-        _set_degree(self, degree)
-        _set_s(self, s)
+        _store(self, (rank, degree, s))
 
     def semistable(self) -> bool:
-        return all(v >= 0 for v in self.s)
+        _, _, s = self._values
+        return all(v >= 0 for v in s)
 
     def stable(self) -> bool:
-        return all(v > 0 for v in self.s)
-
-
-_set_rank, _set_degree, _set_s = _slot_setters(BundleInvariants)
+        _, _, s = self._values
+        return all(v > 0 for v in s)
 
 
 def serre_dual(c: Curve, inv: BundleInvariants) -> BundleInvariants:
@@ -196,7 +205,8 @@ class BoundResult(_Record):
     so callers compare results with ``==``, never with ``is``.
     """
 
-    __slots__ = ("value", "case", "exact", "assumptions")
+    __slots__ = ()
+    _fields = ("value", "case", "exact", "assumptions")
 
     def __init__(
         self, value: int, case: str, exact: bool = False, assumptions: tuple[str, ...] = ()
@@ -205,18 +215,8 @@ class BoundResult(_Record):
             raise ValueError(f"bound value must be nonnegative, got {value}")
         if type(assumptions) is not tuple:
             assumptions = tuple(assumptions)
-        _set_value(self, value)
-        _set_case(self, case)
-        _set_exact(self, exact)
-        _set_assumptions(self, assumptions)
+        _store(self, (value, case, exact, assumptions))
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "case": self.case,
-            "exact": self.exact,
-            "assumptions": list(self.assumptions),
-        }
-
-
-_set_value, _set_case, _set_exact, _set_assumptions = _slot_setters(BoundResult)
+        value, case, exact, assumptions = self._values
+        return {"value": value, "case": case, "exact": exact, "assumptions": list(assumptions)}

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
-from .invariants import _Record, _slot_setters
+from .invariants import _Record, _store
 
 ORACLE_MAX_N = 64
 
@@ -18,19 +18,15 @@ ORACLE_MAX_N = 64
 class KrawtchoukQuery(_Record):
     """Coefficient index r and generating-function exponents n <= N."""
 
-    __slots__ = ("r", "n", "N")
+    __slots__ = ()
+    _fields = ("r", "n", "N")
 
     def __init__(self, r: int, n: int, N: int):
         if r < 0 or n < 0 or N < 0:
             raise ValueError("r, n, N must be nonnegative")
         if n > N:
             raise ValueError(f"need n <= N, got n={n}, N={N}")
-        _set_r(self, r)
-        _set_n(self, n)
-        _set_N(self, N)
-
-
-_set_r, _set_n, _set_N = _slot_setters(KrawtchoukQuery)
+        _store(self, (r, n, N))
 
 
 def krawtchouk(q: KrawtchoukQuery) -> int:
@@ -40,7 +36,7 @@ def krawtchouk(q: KrawtchoukQuery) -> int:
     (1-z^2)^n, so the coefficient is 0 for odd r and (-1)^(r/2) C(n, r/2)
     for even r: one binomial instead of min(n, r) + 1 products.
     """
-    r, n, N = q.r, q.n, q.N
+    r, n, N = q._values
     if N == 2 * n:
         if r % 2:
             return 0
@@ -76,10 +72,11 @@ def krawtchouk_oracle(q: KrawtchoukQuery) -> int:
     Uses no binomial identities, so it serves as an independent check on
     :func:`krawtchouk`.  Capped at N <= 64 (the expansions are cached).
     """
-    if q.N > ORACLE_MAX_N:
+    r, n, N = q._values
+    if N > ORACLE_MAX_N:
         raise OracleRangeExceeded(f"oracle capped at N <= {ORACLE_MAX_N}")
-    poly = _expand(q.n, q.N)
-    return poly[q.r] if q.r < len(poly) else 0
+    poly = _expand(n, N)
+    return poly[r] if r < len(poly) else 0
 
 
 def delta_vanishes(g: int, d: int, s1: int, s1f: int) -> bool:

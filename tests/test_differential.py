@@ -48,6 +48,22 @@ def test_an_off_by_one_tail_is_a_difference(tmp_path, argvs):
     assert any("RR-EXACT" in d["change"] for d in summary["first"])
 
 
+def test_the_argv_grid_reaches_the_bound_line(tmp_path):
+    # no session argv and no library call goes through cli: only the named
+    # argv grid can see this fault
+    base, change = _copy(tmp_path, "base"), _copy(tmp_path, "change")
+    path = change / "clifford3" / "cli.py"
+    text = path.read_text()
+    unpack = "value, case, exact, assumptions = r._values"
+    assert text.count(unpack) == 1
+    path.write_text(text.replace(unpack, "value, case, _, assumptions = r._values\n"
+                                         "    exact = r._values[3]"))
+    summary = differential.compare(sys.executable, base, change, "smoke", [])
+    assert summary["session_argvs"] == 0 and summary["grid_argvs"] > 400
+    assert summary["differences"] > 0
+    assert all(d["call"].startswith("cli.main(['bound'") for d in summary["first"])
+
+
 def test_checkout_is_a_temporary_worktree():
     try:
         differential._git("rev-parse", "--verify", "HEAD")

@@ -271,7 +271,8 @@ def _outcome(cls, args, kwargs):
         rec = cls(*args, **kwargs)
     except Exception as exc:  # the exception is the outcome compared
         return ("raised", type(exc), getattr(exc, "r", None), str(exc))
-    values = [(type(v), v) for v in (getattr(rec, name) for name in rec.__slots__)]
+    names = getattr(rec, "_fields", rec.__slots__)  # a reference names its fields in __slots__
+    values = [(type(v), v) for v in (getattr(rec, name) for name in names)]
     # every record turns its sequences into tuples, so each one built hashes
     return ("built", values, repr(rec).removeprefix("Reference."), hash(rec))
 
@@ -289,7 +290,7 @@ def test_matches_the_generated_init(cls, data):
 def test_signature_lists_the_fields(cls):
     # a field added without an __init__ parameter, or a default changed, fails here
     params = inspect.signature(cls).parameters.values()
-    assert tuple(p.name for p in params) == cls.__slots__
+    assert tuple(p.name for p in params) == cls._fields
     assert [(p.name, p.default, p.kind) for p in params] == [
         (
             f.name,
@@ -326,7 +327,7 @@ REPLACE = [
 @pytest.mark.parametrize("rec, change, bad, error", REPLACE, ids=IDS)
 def test_replace_checks_and_stores(rec, change, bad, error):
     new = rec._replace(**change)
-    fields = {name: getattr(rec, name) for name in rec.__slots__}
+    fields = {name: getattr(rec, name) for name in rec._fields}
     assert new == type(rec)(**{**fields, **change}) != rec
     with pytest.raises(error):
         rec._replace(**bad)
@@ -337,7 +338,7 @@ def test_pickle_round_trip(rec):
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and hash(back) == hash(rec) and repr(back) == repr(rec)
     # the pickle holds the class and the field values, so loading re-runs __init__
-    assert rec.__reduce__() == (type(rec), tuple(getattr(rec, name) for name in rec.__slots__))
+    assert rec.__reduce__() == (type(rec), tuple(getattr(rec, name) for name in rec._fields))
 
 
 def _refusal(act):
@@ -350,13 +351,13 @@ def _refusal(act):
 
 @pytest.mark.parametrize("rec", [r[0] for r in REPLACE], ids=IDS)
 def test_assignment_refused_as_before(rec):
-    fields = {name: getattr(rec, name) for name in rec.__slots__}
+    fields = {name: getattr(rec, name) for name in rec._fields}
     ref = getattr(Reference, type(rec).__name__)(**fields)
-    for name in rec.__slots__:
+    for name in rec._fields:
         for obj in (rec, ref):
             assert _refusal(lambda: setattr(obj, name, 0)) == f"cannot assign to field {name!r}"
             assert _refusal(lambda: delattr(obj, name)) == f"cannot delete field {name!r}"
     # a slotted dataclass raised TypeError from super() for any other name
     assert _refusal(lambda: setattr(rec, "extra", 0)) == "cannot assign to field 'extra'"
     assert _refusal(lambda: delattr(rec, "extra")) == "cannot delete field 'extra'"
-    assert {name: getattr(rec, name) for name in rec.__slots__} == fields
+    assert {name: getattr(rec, name) for name in rec._fields} == fields

@@ -7,6 +7,7 @@ from clifford3 import (
     BundleInvariants,
     Curve,
     ElmState,
+    ExampleReport,
     KrawtchoukQuery,
     Rank3Query,
     family_a,
@@ -52,7 +53,7 @@ def test_equal_values_compare_and_hash_equal(build, name):
 @pytest.mark.parametrize("build, name", RECORDS, ids=IDS)
 def test_field_tuple_hashes_alike_but_is_not_equal(build, name):
     rec = build()
-    values = tuple(getattr(rec, field) for field in rec.__slots__)
+    values = tuple(getattr(rec, field) for field in rec._fields)
     assert rec != values and values != rec
     assert hash(rec) == hash(values)  # the hash is the field tuple's
 
@@ -60,6 +61,30 @@ def test_field_tuple_hashes_alike_but_is_not_equal(build, name):
 @pytest.mark.parametrize("build, name", RECORDS, ids=IDS)
 def test_slotted(build, name):
     assert not hasattr(build(), "__dict__")
+
+
+# each record built from arguments, all distinct, of the types it stores
+STORED = [
+    (Curve, (4, True)),
+    (BundleInvariants, (3, 6, (0, 0))),
+    (BoundResult, (3, "RANK3-MAIN", True, ("x",))),
+    (Rank3Query, (Curve(4), _inv(), 2, True, False)),
+    (KrawtchoukQuery, (2, 3, 6)),
+    (ElmState, (_inv(), ((1, 2), ()), 5)),
+    (ExampleReport, ("a", Curve(5, True), _inv(), 3, BoundResult(4, "X"), (("n", 0),), None, ("y",))),
+]
+
+
+@pytest.mark.parametrize("cls, args", STORED, ids=[cls.__name__ for cls, _ in STORED])
+def test_one_slot_holds_the_fields(cls, args):
+    rec = cls(*args)
+    assert cls.__dict__["__slots__"] == ()
+    assert not hasattr(rec, "__dict__")
+    assert rec._values == tuple(getattr(rec, f) for f in rec._fields)
+    assert rec._values == args  # each field is stored in its own place
+    for f in rec._fields:
+        prop = cls.__dict__[f]
+        assert isinstance(prop, property) and prop.fset is None and prop.fdel is None
 
 
 def test_sequences_become_tuples():

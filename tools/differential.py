@@ -6,8 +6,9 @@ REV's ``src/clifford3`` is checked out in a temporary ``git worktree``.  One
 worker process per tree imports that tree's ``clifford3`` (through
 PYTHONPATH, with PYTHONHASHSEED=0) and prints one line per call:
 
-* ``cli.main`` on every session argv of the benchmark's seeds 1-10: exit
-  status, stdout, stderr and any escaping exception;
+* ``cli.main`` on every session argv of the benchmark's seeds 1-10, and on
+  the named argv grid at the library grid's genera (see ``argv_grid``):
+  exit status, stdout, stderr and any escaping exception;
 * ``BundleInvariants``, ``Rank3Query``, ``bound`` and each ``h0_*`` function
   over the library grid named "full" (see GRIDS): the ``repr`` of the record
   or result, or the exception's type, ``r`` and message.
@@ -99,6 +100,32 @@ def _rank3(c3, c, d, s):
             yield f"{f.__name__}({at})", _outcome(f, q)
 
 
+def argv_grid(genera):
+    """``bound`` at ranks 1-3 and ``table`` at each genus: every congruent
+    degree of each special range and the nearest degree of each tail, over
+    semistable s1, s2 <= 2g; ``bound`` with and without ``--hyperelliptic``
+    (ranks 2 and 3) and ``--delta`` (rank 2), ``table`` with and without
+    ``--hyperelliptic`` and ``--d-min``/``--d-max``."""
+    for g in genera:
+        gen = ["--genus", str(g)]
+        for d in range(-1, 2 * g):
+            yield ["bound", *gen, "--rank", "1", "--degree", str(d)]
+        for s1, flags in itertools.product(range(2 * g + 1), ([], ["--hyperelliptic"], ["--delta"])):
+            for d in range(s1 - 2, 4 * g - 4 - s1 + 3, 2):
+                yield ["bound", *gen, "--rank", "2", "--degree", str(d), "--s1", str(s1), *flags]
+        for s1, s2 in itertools.product(range(2 * g + 1), repeat=2):
+            if (s2 - 2 * s1) % 3:
+                continue
+            s = ["--s1", str(s1), "--s2", str(s2)]
+            for d, flags in itertools.product(
+                range(s1 - 3, 6 * g - 6 - s2 + 4, 3), ([], ["--hyperelliptic"])
+            ):
+                yield ["bound", *gen, "--rank", "3", "--degree", str(d), *s, *flags]
+            window = ["--d-min", str(s1 - 4), "--d-max", str(6 * g - 6 - s2 + 4)]
+            for flags in ([], ["--hyperelliptic"], window, [*window, "--hyperelliptic"]):
+                yield ["table", *gen, *s, *flags]
+
+
 def session(argvs):
     """(label, outcome) of ``cli.main`` on each argv, run in-process."""
     from clifford3 import cli
@@ -122,7 +149,10 @@ def worker(job_file: str) -> None:
     import clifford3 as c3
 
     job = json.loads(Path(job_file).read_text())
-    calls = itertools.chain(session(job["argvs"]), library(c3, GRIDS[job["grid"]]))
+    genera = GRIDS[job["grid"]]
+    calls = itertools.chain(
+        session(job["argvs"]), session(argv_grid(genera)), library(c3, genera)
+    )
     write = sys.stdout.write
     for label, outcome in calls:
         write(f"{label}\t{outcome}\n")
@@ -165,7 +195,8 @@ def compare(python: str, base_src, change_src, grid: str, argvs: list) -> dict:
         label, _, base = (a or "\t(missing)").rstrip("\n").partition("\t")
         other, _, change = (b or "\t(missing)").rstrip("\n").partition("\t")
         shown.append({"call": label or other, "base": base, "change": change})
-    return {"outcomes": count, "session_argvs": len(argvs), "differences": len(diffs),
+    return {"outcomes": count, "session_argvs": len(argvs),
+            "grid_argvs": sum(1 for _ in argv_grid(GRIDS[grid])), "differences": len(diffs),
             "first": shown}
 
 
