@@ -34,7 +34,6 @@ from .invariants import (
     _Record,
     _congruence_violation,
     _store,
-    serre_dual,
 )
 from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
 
@@ -61,14 +60,18 @@ def _exact_tail(d: int, low: int, rr: int) -> BoundResult:
     return _result(max(0, rr), "RR-EXACT", True)
 
 
-def _quotient_s1f(inv: BundleInvariants) -> tuple[int, int]:
-    """The degree (2d + s1)/3 of a minimal rank-2 quotient and the least
-    admissible s1f: ceil((2*s2 - s1)/3), raised to the quotient degree's
-    parity."""
-    _, d, (s1, s2) = inv._values
+def _check_s1f(d: int, s1: int, s2: int, s1f: int) -> None:
+    """The s1f rule for a rank-3 bundle (d, s1, s2): s1f has the parity of
+    the minimal quotient degree (2d + s1)/3 and is at least
+    ceil((2*s2 - s1)/3).  Parity is checked first, so the least value needs
+    no raising to it."""
     deg_f = (2 * d + s1) // 3
-    least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
-    return deg_f, least + (least - deg_f) % 2
+    if (s1f - deg_f) % 2:
+        raise CongruenceViolation(
+            1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}"
+        )
+    if s1f < -((s1 - 2 * s2) // 3):
+        raise HypothesisFailed(f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2")
 
 
 class Rank3Query(_Record):
@@ -77,9 +80,9 @@ class Rank3Query(_Record):
     ``s1f`` is the first stability degree of a minimal-degree rank-2
     quotient, when the caller knows it.  It must match the parity of the
     quotient degree (2d + s1)/3 and satisfy 3*s1f >= 2*s2 - s1.  For
-    s2 < 0 <= s1 the unstable bound reads s1f as the twisted dual's, and the
-    dual's own query checks it.  Refinements are opt-in flags so that every
-    reported value is attributable.
+    s2 < 0 <= s1 s1f is the twisted dual's, and the unstable bound checks
+    it against the dual by the same rule.  Refinements are opt-in flags so
+    that every reported value is attributable.
     """
 
     __slots__ = ()
@@ -93,31 +96,30 @@ class Rank3Query(_Record):
         use_delta: bool = False,
         use_hyperelliptic_sharpening: bool = False,
     ):
-        rank, _, s = inv._values
+        rank, d, s = inv._values
         if rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
         if s1f is not None:
             s1, s2 = s
             if not s2 < 0 <= s1:
-                deg_f, least = _quotient_s1f(inv)
-                if (s1f - deg_f) % 2 != 0:
-                    raise CongruenceViolation(
-                        1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}"
-                    )
-                if s1f < least:
-                    raise HypothesisFailed(
-                        f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2"
-                    )
+                _check_s1f(d, s1, s2, s1f)
         _store(self, (curve, inv, s1f, use_delta, use_hyperelliptic_sharpening))
 
 
 def suggested_min_s1f(inv: BundleInvariants) -> int:
-    """Smallest admissible s1f: at least (2*s2 - s1)/3, with the parity of
-    the minimal quotient degree.  Offered as a hint, never substituted."""
-    rank, _, _ = inv._values
+    """The least s1f that the bound of ``inv`` accepts: at least
+    (2*s2 - s1)/3, with the parity of the quotient degree (2d + s1)/3.  For
+    s2 < 0 <= s1 it is the twisted dual's, which the unstable bound checks
+    by the same rule: at least (2*s1 - s2)/3, with the parity of
+    4g-4 + (s2 - 2d)/3.  Offered as a hint, never substituted."""
+    rank, d, s = inv._values
     if rank != 3:
         raise RankUnsupported("s1f only makes sense for rank 3")
-    return _quotient_s1f(inv)[1]
+    s1, s2 = s
+    if s2 < 0 <= s1:
+        d, s1, s2 = -d, s2, s1  # the dual less 6g-6: its quotient degree less 4g-4
+    least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
+    return least + (least - (2 * d + s1) // 3) % 2
 
 
 def h0_line_bound(c: Curve, d: int) -> BoundResult:
@@ -234,59 +236,56 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
 def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 of a non-semistable rank-3 bundle.
 
-    When s1 >= 0 (so s2 < 0) the computation passes to the twisted dual and
-    transfers back through the exact Euler characteristic.  With s1 < 0 the
-    bundle is an extension of a rank-2 quotient F by its maximal line
-    subbundle; the value is the line bound plus the piecewise bound for F
-    (three ranges when F is semistable, i.e. s1f >= 0, five when it is
-    unstable), each floored.  ``q.s1f`` refers to the bundle actually
-    bounded, i.e. the dual when the reduction applies.
+    When s1 >= 0 (so s2 < 0) the computation passes to the twisted dual
+    (6g-6-d, s2, s1) and transfers back through the exact Euler
+    characteristic; ``q.s1f`` is the dual's, checked by :class:`Rank3Query`'s
+    rule.  With s1 < 0 the bundle is an extension of a rank-2 quotient F by
+    its maximal line subbundle; the value is the line bound plus the
+    piecewise bound for F (three ranges when F is semistable, i.e. s1f >= 0,
+    five when it is unstable), each floored.
     """
     curve, inv, s1f, _, _ = q._values
     _, d, (s1, s2) = inv._values
     g, _ = curve._values
-    if s1 >= 0 and s2 >= 0:
-        raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {(s1, s2)}")
+    shift = None
     if s1 >= 0:
-        dual = q._replace(inv=serre_dual(curve, inv))
-        value, case, exact, assumptions = h0_rank3_unstable_bound(dual)._values
-        return _result(
-            max(0, value + d + 3 - 3 * g),
-            case,
-            exact,
-            assumptions + ("serre-dual-reduction",),
-        )
+        if s2 >= 0:
+            raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {(s1, s2)}")
+        # bound the twisted dual; h^0 moves back by chi = d + 3 - 3g
+        shift = d + 3 - 3 * g
+        d, s1, s2 = 6 * g - 6 - d, s2, s1
+        if s1f is not None:
+            _check_s1f(d, s1, s2, s1f)
     if s1f is None:
         raise MissingS1F("unstable bound needs s1f")
     if not s1 <= d <= 6 * g - 6 - s2:
-        return _exact_tail(d, s1, d + 3 - 3 * g)
-
-    # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
-    line_value, line_case, _, _ = h0_line_bound(curve, (d - s1) // 3)._values
-    l_branch = "clifford" if line_case == "CLIFFORD-LINE" else "riemann-roch"
-
-    # quotient part, dispatched on doubled degree thresholds; the unstable
-    # sub-clifford range lies below the Riemann-Roch range for every g >= 2
-    case = "UNSTABLE-SS-QUOTIENT" if s1f >= 0 else "UNSTABLE-UNSTABLE-QUOTIENT"
-    if 2 * d < 3 * s1f - s1:
-        h0_f, f_branch = 0, "vanishing"
-    elif 2 * d > 12 * g - 12 - 3 * s1f - s1:
-        h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
-    elif s1f >= 0:
-        h0_f, f_branch = (d + s1 - s2) // 3 + 2, "clifford"
-    elif 2 * d < -(3 * s1f + s1):
-        h0_f, f_branch = (d + s1 - s2) // 6 + 1, "sub-clifford"
-    elif 2 * d <= 12 * g - 12 + 3 * s1f - s1:
-        h0_f, f_branch = (2 * d + s1) // 6 + 2, "clifford"
+        result = _exact_tail(d, s1, d + 3 - 3 * g)
     else:
-        h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
+        # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
+        line_value, line_case, _, _ = h0_line_bound(curve, (d - s1) // 3)._values
+        l_branch = "clifford" if line_case == "CLIFFORD-LINE" else "riemann-roch"
 
-    return _result(
-        max(0, line_value + h0_f),
-        case,
-        False,
-        (f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}"),
-    )
+        # quotient part, dispatched on doubled degree thresholds; the unstable
+        # sub-clifford range lies below the Riemann-Roch range for every g >= 2
+        case = "UNSTABLE-SS-QUOTIENT" if s1f >= 0 else "UNSTABLE-UNSTABLE-QUOTIENT"
+        if 2 * d < 3 * s1f - s1:
+            h0_f, f_branch = 0, "vanishing"
+        elif 2 * d > 12 * g - 12 - 3 * s1f - s1:
+            h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
+        elif s1f >= 0:
+            h0_f, f_branch = (d + s1 - s2) // 3 + 2, "clifford"
+        elif 2 * d < -(3 * s1f + s1):
+            h0_f, f_branch = (d + s1 - s2) // 6 + 1, "sub-clifford"
+        elif 2 * d <= 12 * g - 12 + 3 * s1f - s1:
+            h0_f, f_branch = (2 * d + s1) // 6 + 2, "clifford"
+        else:
+            h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
+        notes = (f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}")
+        result = _result(max(0, line_value + h0_f), case, False, notes)
+    if shift is None:
+        return result
+    value, case, exact, notes = result._values
+    return _result(max(0, value + shift), case, exact, notes + ("serre-dual-reduction",))
 
 
 def bound(

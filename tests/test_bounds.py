@@ -171,6 +171,8 @@ class TestRank3Query:
         assert s1f == 1  # ceil(3/3) = 1, parity of 7
         inv = BundleInvariants(3, 4, (1, 8))
         assert suggested_min_s1f(inv) == 5  # ceil(15/3) = 5, parity of 3
+        # s2 < 0 <= s1: the twisted dual's, (35, (-1, 4)): ceil(9/3) = 3, parity of 23
+        assert suggested_min_s1f(BundleInvariants(3, 19, (4, -1))) == 3
 
 
 class TestRank3SemistableBound:
@@ -471,11 +473,12 @@ class TestUnstableBound:
 
 
 def _outcome(fn, *args, **kwargs):
-    """What a call returns, or the type of the exception it raises."""
+    """What a call returns, or the type, ``r`` and message of the exception it
+    raises."""
     try:
         return fn(*args, **kwargs)
     except Exception as exc:
-        return type(exc)
+        return type(exc), getattr(exc, "r", None), str(exc)
 
 
 class TestBound:
@@ -568,8 +571,8 @@ def _rank3_points(max_genus):
     """(curve, inv, s1f, delta) at every congruence-valid rank-3 point with
     g <= max_genus, both curve types, s1, s2 in [-g, 3g] and d from s1 - 6
     to 6g - s2: semistable with s1f None (and with the least admissible s1f
-    and delta), unstable with the least admissible s1f of the bundle the
-    unstable bound reads, with and without delta."""
+    and delta), unstable with the least admissible s1f, with and without
+    delta."""
     for g in range(2, max_genus + 1):
         for hyper in (False, True):
             c = Curve(g, hyper)
@@ -583,9 +586,51 @@ def _rank3_points(max_genus):
                             yield c, inv, None, False
                             yield c, inv, suggested_min_s1f(inv), True
                             continue
-                        read = serre_dual(c, inv) if s1 >= 0 else inv
                         for delta in (False, True):
-                            yield c, inv, suggested_min_s1f(read), delta
+                            yield c, inv, suggested_min_s1f(inv), delta
+
+
+def _bound_of_dual(c, inv, s1f):
+    """The unstable bound of the twisted dual's own query, moved back by the
+    Euler characteristic d + 3 - 3g."""
+    r = h0_rank3_unstable_bound(Rank3Query(c, serre_dual(c, inv), s1f=s1f))
+    value = max(0, r.value + inv.degree + 3 - 3 * c.genus)
+    return BoundResult(value, r.case, r.exact, r.assumptions + ("serre-dual-reduction",))
+
+
+class TestSerreDualPath:
+    """s2 < 0 <= s1: the unstable bound reads s1f as the twisted dual's."""
+
+    def test_suggested_min_s1f_is_the_least_the_bound_accepts(self):
+        points = 0
+        for c, inv, s1f, delta in _rank3_points(8):
+            s1, s2 = inv.s
+            if delta or not s2 < 0 <= s1:
+                continue
+            assert isinstance(bound(c, inv, s1f=s1f), BoundResult)
+            with pytest.raises(HypothesisFailed):
+                bound(c, inv, s1f=s1f - 2)
+            points += 1
+        assert points == 5846
+
+    def test_equals_the_bound_of_the_dual(self):
+        # the differential's window: d in [-3, 6g], s1, s2 in [-g-1, 2g+1]
+        seen = set()
+        for g in range(2, 9):
+            for hyper in (False, True):
+                c = Curve(g, hyper)
+                for d, s1, s2 in product(range(-3, 6 * g + 1), range(2 * g + 2), range(-g - 1, 0)):
+                    if (s1 - d) % 3 or (s2 - 2 * d) % 3:
+                        continue
+                    inv = BundleInvariants(3, d, (s1, s2))
+                    for s1f in (None, *range(-g - 2, g + 3)):
+                        direct = _outcome(h0_rank3_unstable_bound, Rank3Query(c, inv, s1f=s1f))
+                        assert direct == _outcome(_bound_of_dual, c, inv, s1f), (c, inv, s1f)
+                        seen.add(direct.case if isinstance(direct, BoundResult) else direct[0])
+        # the dual's least s1f, ceil((2*s1 - s2)/3), is positive: F is semistable
+        assert seen == {
+            "VANISHING", "RR-EXACT", SS, CongruenceViolation, HypothesisFailed, MissingS1F
+        }
 
 
 class TestSharedResults:

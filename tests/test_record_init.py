@@ -24,7 +24,6 @@ from clifford3 import (
     Rank3Query,
     family_a,
 )
-from clifford3.bounds import _quotient_s1f
 from clifford3.errors import (
     CongruenceViolation,
     HypothesisFailed,
@@ -100,7 +99,9 @@ class Reference:
             s1, s2 = self.inv.s
             if s2 < 0 <= s1:
                 return
-            deg_f, least = _quotient_s1f(self.inv)
+            deg_f = (2 * self.inv.degree + s1) // 3
+            least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
+            least += (least - deg_f) % 2
             if (self.s1f - deg_f) % 2 != 0:
                 raise CongruenceViolation(
                     1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
@@ -218,7 +219,8 @@ def _query_call(draw):
     inv = draw(st.one_of(_valid_inv((3,)), _valid_inv()))
     near = st.nothing()
     if inv.rank == 3:
-        near = st.integers(-6, 6).map(lambda k: _quotient_s1f(inv)[1] + k)
+        s1, s2 = inv.s
+        near = st.integers(-6, 6).map(lambda k: k - (s1 - 2 * s2) // 3)
     return draw(_call([
         ("curve", st.builds(Curve, st.integers(2, 8), st.booleans()), True),
         ("inv", st.just(inv), True),
