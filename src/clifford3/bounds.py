@@ -4,9 +4,11 @@ Exact section counts where they are forced (vanishing, zero h^1) and
 Clifford-type upper bounds everywhere else: the classical line-bundle bound,
 the rank-2 bound with its hyperelliptic and Krawtchouk refinements, the
 rank-3 semistable bound in stability-degree form, the rank-3 bound through a
-minimal-degree rank-2 quotient, the unstable-rank-3 bounds, and the slope
-bound for stable bundles of small slope.  :func:`bound` is the one place
-that picks the bound for given invariants.
+minimal-degree rank-2 quotient, the unstable-rank-3 bound (the line bound of
+the maximal line subbundle plus the rank-2 bound of the quotient, or two
+line bounds when the quotient is unstable), and the slope bound for stable
+bundles of small slope.  :func:`bound` is the one place that picks the
+bound for given invariants.
 
 Each refined bound is its base value, lowered by one by the first guard that
 holds; the hyperelliptic guard is checked before the Krawtchouk one.
@@ -62,15 +64,15 @@ def _exact_tail(d: int, low: int, rr: int) -> BoundResult:
 
 def _check_s1f(d: int, s1: int, s2: int, s1f: int) -> None:
     """The s1f rule for a rank-3 bundle (d, s1, s2): s1f has the parity of
-    the minimal quotient degree (2d + s1)/3 and is at least
-    ceil((2*s2 - s1)/3).  Parity is checked first, so the least value needs
-    no raising to it."""
+    the minimal quotient degree (2d + s1)/3 and is at least (2*s2 - s1)/3,
+    an integer for congruence-valid (d, s1, s2).  Parity is checked first,
+    so the least value needs no raising to it."""
     deg_f = (2 * d + s1) // 3
     if (s1f - deg_f) % 2:
         raise CongruenceViolation(
             1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}"
         )
-    if s1f < -((s1 - 2 * s2) // 3):
+    if s1f < (2 * s2 - s1) // 3:
         raise HypothesisFailed(f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2")
 
 
@@ -82,7 +84,9 @@ class Rank3Query(_Record):
     quotient degree (2d + s1)/3 and satisfy 3*s1f >= 2*s2 - s1.  For
     s2 < 0 <= s1 s1f is the twisted dual's, and the unstable bound checks
     it against the dual by the same rule.  Refinements are opt-in flags so
-    that every reported value is attributable.
+    that every reported value is attributable.  Only the semistable and the
+    quotient bound read ``use_hyperelliptic_sharpening``; the unstable bound
+    sharpens its rank-2 part by the curve alone, as the rank-2 bound does.
     """
 
     __slots__ = ()
@@ -118,7 +122,7 @@ def suggested_min_s1f(inv: BundleInvariants) -> int:
     s1, s2 = s
     if s2 < 0 <= s1:
         d, s1, s2 = -d, s2, s1  # the dual less 6g-6: its quotient degree less 4g-4
-    least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
+    least = (2 * s2 - s1) // 3
     return least + (least - (2 * d + s1) // 3) % 2
 
 
@@ -239,10 +243,13 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     When s1 >= 0 (so s2 < 0) the computation passes to the twisted dual
     (6g-6-d, s2, s1) and transfers back through the exact Euler
     characteristic; ``q.s1f`` is the dual's, checked by :class:`Rank3Query`'s
-    rule.  With s1 < 0 the bundle is an extension of a rank-2 quotient F by
-    its maximal line subbundle; the value is the line bound plus the
-    piecewise bound for F (three ranges when F is semistable, i.e. s1f >= 0,
-    five when it is unstable), each floored.
+    rule.  With s1 < 0 the bundle is an extension 0 -> L -> E -> F -> 0 of
+    F, of degree (2d + s1)/3 with s1(F) = s1f, by a maximal line subbundle L
+    of degree (d - s1)/3.  The value is L's line bound plus F's rank-2 bound
+    (no Krawtchouk refinement) when s1f >= 0, else plus the line bounds of
+    F's maximal line subbundle and its quotient, of degrees (deg F -+ s1f)/2.
+    The notes name each part's case: ``line:<case>``, then ``quotient:<case>``
+    or ``quotient:<sub case>+<quotient case>``.
     """
     curve, inv, s1f, _, _ = q._values
     _, d, (s1, s2) = inv._values
@@ -261,27 +268,18 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     if not s1 <= d <= 6 * g - 6 - s2:
         result = _exact_tail(d, s1, d + 3 - 3 * g)
     else:
-        # line part: subbundle of degree (d - s1)/3 >= 0, past the tail above
         line_value, line_case, _, _ = h0_line_bound(curve, (d - s1) // 3)._values
-        l_branch = "clifford" if line_case == "CLIFFORD-LINE" else "riemann-roch"
-
-        # quotient part, dispatched on doubled degree thresholds; the unstable
-        # sub-clifford range lies below the Riemann-Roch range for every g >= 2
-        case = "UNSTABLE-SS-QUOTIENT" if s1f >= 0 else "UNSTABLE-UNSTABLE-QUOTIENT"
-        if 2 * d < 3 * s1f - s1:
-            h0_f, f_branch = 0, "vanishing"
-        elif 2 * d > 12 * g - 12 - 3 * s1f - s1:
-            h0_f, f_branch = (2 * d + s1) // 3 + 2 - 2 * g, "riemann-roch"
-        elif s1f >= 0:
-            h0_f, f_branch = (d + s1 - s2) // 3 + 2, "clifford"
-        elif 2 * d < -(3 * s1f + s1):
-            h0_f, f_branch = (d + s1 - s2) // 6 + 1, "sub-clifford"
-        elif 2 * d <= 12 * g - 12 + 3 * s1f - s1:
-            h0_f, f_branch = (2 * d + s1) // 6 + 2, "clifford"
+        deg_f = (2 * d + s1) // 3
+        if s1f >= 0:
+            case = "UNSTABLE-SS-QUOTIENT"
+            f_value, f_case, _, _ = h0_rank2_bound(curve, deg_f, s1f)._values
         else:
-            h0_f, f_branch = (6 * d + 4 * s1 - 2 * s2) // 12 - g + 2, "mixed"
-        notes = (f"s1f={s1f}", f"line:{l_branch}", f"quotient:{f_branch}")
-        result = _result(max(0, line_value + h0_f), case, False, notes)
+            case = "UNSTABLE-UNSTABLE-QUOTIENT"
+            sub_value, sub_case, _, _ = h0_line_bound(curve, (deg_f - s1f) // 2)._values
+            quo_value, quo_case, _, _ = h0_line_bound(curve, (deg_f + s1f) // 2)._values
+            f_value, f_case = sub_value + quo_value, f"{sub_case}+{quo_case}"
+        notes = (f"s1f={s1f}", f"line:{line_case}", f"quotient:{f_case}")
+        result = _result(line_value + f_value, case, False, notes)
     if shift is None:
         return result
     value, case, exact, notes = result._values

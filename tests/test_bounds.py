@@ -30,6 +30,7 @@ from clifford3.errors import (
     NotUnstable,
     SlopeOutOfRange,
 )
+from witnesses import split_sums
 
 
 def rank3_query(g, d, s1, s2, **kw):
@@ -168,10 +169,10 @@ class TestRank3Query:
     def test_suggested_min_s1f(self):
         inv = BundleInvariants(3, 10, (1, 2))
         s1f = suggested_min_s1f(inv)
-        assert s1f == 1  # ceil(3/3) = 1, parity of 7
+        assert s1f == 1  # (2*2 - 1)/3 = 1, parity of 7
         inv = BundleInvariants(3, 4, (1, 8))
-        assert suggested_min_s1f(inv) == 5  # ceil(15/3) = 5, parity of 3
-        # s2 < 0 <= s1: the twisted dual's, (35, (-1, 4)): ceil(9/3) = 3, parity of 23
+        assert suggested_min_s1f(inv) == 5  # (2*8 - 1)/3 = 5, parity of 3
+        # s2 < 0 <= s1: the twisted dual's, (35, (-1, 4)): (2*4 + 1)/3 = 3, parity of 23
         assert suggested_min_s1f(BundleInvariants(3, 19, (4, -1))) == 3
 
 
@@ -439,37 +440,88 @@ class TestUnstableBound:
 
     def test_unstable_quotient_value(self):
         # invariants of pencil^2 + (trivial + pencil) at genus 3: the line
-        # part gives 3, the unstable quotient's mid-range bound gives 3,
-        # matching the exact split count 3 + 1 + 2
+        # part gives 3 and the quotient's two line parts 2 + 1, matching the
+        # exact split count 3 + 1 + 2
         q = rank3_query(3, 6, -6, -6, s1f=-2)
         r = h0_rank3_unstable_bound(q)
         assert r.value == 6
 
-    # one input per reachable (case, line, quotient) combination
+    # one input per reachable (case, line part, quotient part) combination
+    # with s1 < 0.  L has degree (d - s1)/3 and F degree (2d + s1)/3; for
+    # s1f < 0, F's maximal line subbundle M has degree (deg F - s1f)/2 and
+    # F/M degree (deg F + s1f)/2.  A line bundle of degree e gets 0 below 0,
+    # e//2 + 1 up to 2g-2 and e + 1 - g above; F with s1f >= 0 gets the
+    # rank-2 bound at (deg F, s1f).  "hyp" is a hyperelliptic curve.
     @pytest.mark.parametrize(
-        "case, g, d, s1, s2, s1f, value, line, quotient",
+        "case, hyper, g, d, s1, s2, s1f, value, line, quotient",
         [
-            (SS, 2, 2, -4, -5, 0, 5, "clifford", "clifford"),
-            (SS, 3, 11, -1, -8, 3, 6, "clifford", "riemann-roch"),
-            (SS, 2, -6, -6, -6, 0, 1, "clifford", "vanishing"),
-            (SS, 2, 3, -6, -6, 0, 5, "riemann-roch", "clifford"),
-            (SS, 2, 9, -6, -6, 2, 6, "riemann-roch", "riemann-roch"),
-            (SS, 2, 3, -6, -6, 2, 2, "riemann-roch", "vanishing"),
-            (UU, 2, 3, -3, -6, -1, 4, "clifford", "clifford"),
-            (UU, 2, 5, -1, -5, -3, 5, "clifford", "mixed"),
-            (UU, 2, 0, -6, -6, -2, 3, "clifford", "sub-clifford"),
-            (UU, 2, -6, -6, -6, -2, 1, "clifford", "vanishing"),
-            (UU, 2, 6, -6, -6, -2, 6, "riemann-roch", "clifford"),
-            (UU, 2, 9, -6, -6, -2, 7, "riemann-roch", "mixed"),
-            (UU, 2, 12, -3, -6, -1, 9, "riemann-roch", "riemann-roch"),
-            (UU, 2, 3, -6, -6, -2, 3, "riemann-roch", "sub-clifford"),
+            # L deg 2: 2; F (0, 0): 0/2 + 2 = 2
+            (SS, False, 2, 2, -4, -5, 0, 4, "CLIFFORD-LINE", "RANK2-CLIFFORD"),
+            # hyp, L deg 1: 1; F (1, 1) with s1f > 0: 0/2 + 1 = 1
+            (SS, True, 2, 2, -1, 1, 1, 2, "CLIFFORD-LINE", "RANK2-HYP"),
+            # L deg 4: 3; F deg 7 > 4g-4-3 = 5: 7 + 2 - 6 = 3
+            (SS, False, 3, 11, -1, -8, 3, 6, "CLIFFORD-LINE", "RR-EXACT"),
+            # L deg 0: 1; F deg -6 < s1f: 0
+            (SS, False, 2, -6, -6, -6, 0, 1, "CLIFFORD-LINE", "VANISHING"),
+            # L deg 3: 3 + 1 - 2 = 2; F (0, 0): 2
+            (SS, False, 2, 3, -6, -6, 0, 4, "RR-EXACT", "RANK2-CLIFFORD"),
+            # hyp, L deg 3: 2; F (3, 1) with s1f > 0: 2/2 + 1 = 2
+            (SS, True, 2, 6, -3, 0, 1, 4, "RR-EXACT", "RANK2-HYP"),
+            # L deg 5: 4; F deg 4 > 4g-4-2 = 2: 4 + 2 - 4 = 2
+            (SS, False, 2, 9, -6, -6, 2, 6, "RR-EXACT", "RR-EXACT"),
+            # L deg 3: 2; F deg 0 < s1f: 0
+            (SS, False, 2, 3, -6, -6, 2, 2, "RR-EXACT", "VANISHING"),
+            # L deg 2: 2; M deg 1: 1, F/M deg 0: 1
+            (UU, False, 2, 3, -3, -6, -1, 4, "CLIFFORD-LINE", "CLIFFORD-LINE+CLIFFORD-LINE"),
+            # L deg 2: 2; M deg 0: 1, F/M deg -2: 0
+            (UU, False, 2, 0, -6, -6, -2, 3, "CLIFFORD-LINE", "CLIFFORD-LINE+VANISHING"),
+            # L deg 2: 2; M deg 3: 2, F/M deg 0: 1
+            (UU, False, 2, 5, -1, -5, -3, 5, "CLIFFORD-LINE", "RR-EXACT+CLIFFORD-LINE"),
+            # L deg 1: 1; M deg 3: 2, F/M deg -2: 0
+            (UU, False, 2, 2, -1, -8, -5, 3, "CLIFFORD-LINE", "RR-EXACT+VANISHING"),
+            # L deg 0: 1; M deg -2: 0, F/M deg -4: 0
+            (UU, False, 2, -6, -6, -6, -2, 1, "CLIFFORD-LINE", "VANISHING+VANISHING"),
+            # L deg 4: 3; M deg 2: 2, F/M deg 0: 1
+            (UU, False, 2, 6, -6, -6, -2, 6, "RR-EXACT", "CLIFFORD-LINE+CLIFFORD-LINE"),
+            # L deg 3: 2; M deg 1: 1, F/M deg -1: 0
+            (UU, False, 2, 3, -6, -6, -2, 3, "RR-EXACT", "CLIFFORD-LINE+VANISHING"),
+            # L deg 5: 4; M deg 3: 2, F/M deg 1: 1
+            (UU, False, 2, 9, -6, -6, -2, 7, "RR-EXACT", "RR-EXACT+CLIFFORD-LINE"),
+            # L deg 5: 4; M deg 4: 3, F/M deg 3: 2
+            (UU, False, 2, 12, -3, -6, -1, 9, "RR-EXACT", "RR-EXACT+RR-EXACT"),
+            # L deg 3: 2; M deg 3: 2, F/M deg -1: 0
+            (UU, False, 2, 5, -4, -8, -4, 4, "RR-EXACT", "RR-EXACT+VANISHING"),
+            # L deg 3: 2; M deg -1: 0, F/M deg -2: 0
+            (UU, False, 2, 0, -9, -6, -1, 2, "RR-EXACT", "VANISHING+VANISHING"),
         ],
     )
-    def test_every_branch(self, case, g, d, s1, s2, s1f, value, line, quotient):
-        r = h0_rank3_unstable_bound(rank3_query(g, d, s1, s2, s1f=s1f))
+    def test_every_branch(self, case, hyper, g, d, s1, s2, s1f, value, line, quotient):
+        r = h0_rank3_unstable_bound(rank3_query(g, d, s1, s2, s1f=s1f, hyperelliptic=hyper))
         assert r == BoundResult(
             value, case, assumptions=(f"s1f={s1f}", f"line:{line}", f"quotient:{quotient}")
         )
+
+
+class TestSplitWitnesses:
+    """No bound falls below the h^0 of a sum of line bundles whose h^0 is
+    known (``tests/witnesses.py``), at g = 2..8 on both curve types, with
+    summand degrees in [-2g-2, 4g+2], with and without ``delta``.  At rank 2
+    only the semistable sums (equal degrees) have a bound."""
+
+    @pytest.mark.parametrize("rank, sums", [(1, 539), (2, 588), (3, 191611)])
+    def test_bound_is_at_least_h0(self, rank, sums):
+        checked = 0
+        for g in range(2, 9):
+            for hyper in (False, True):
+                c = Curve(g, hyper)
+                for inv, s1f, h0 in split_sums(c, rank, range(-2 * g - 2, 4 * g + 3)):
+                    if rank == 2 and inv.s[0] < 0:
+                        continue
+                    for delta in (False, True):
+                        r = bound(c, inv, s1f=s1f, delta=delta)
+                        assert r.value >= h0, (c, inv, s1f, delta, h0, r)
+                    checked += 1
+        assert checked == sums
 
 
 def _outcome(fn, *args, **kwargs):
@@ -492,10 +544,11 @@ class TestBound:
         r = bound(Curve(4), BundleInvariants(3, 6, (-3, 0)), s1f=1)
         assert r == h0_rank3_unstable_bound(rank3_query(4, 6, -3, 0, s1f=1))
         assert (r.value, r.case) == (5, "UNSTABLE-SS-QUOTIENT")
-        # s2 < 0 <= s1: s1f is the twisted dual's, and no sharpening applies
+        # s2 < 0 <= s1: s1f is the twisted dual's; the dual's quotient (5, 3)
+        # gets the rank-2 bound of the curve, hyperelliptic here
         r = bound(Curve(3, hyperelliptic=True), BundleInvariants(3, 4, (4, -1)), s1f=3)
-        assert r == h0_rank3_unstable_bound(rank3_query(3, 4, 4, -1, s1f=3))
-        assert r.value == 3 and r.assumptions[-1] == "serre-dual-reduction"
+        assert r == h0_rank3_unstable_bound(rank3_query(3, 4, 4, -1, s1f=3, hyperelliptic=True))
+        assert (r.value, r.assumptions[2:]) == (2, ("quotient:RANK2-HYP", "serre-dual-reduction"))
 
     @given(
         g=st.integers(2, 6),
@@ -627,7 +680,7 @@ class TestSerreDualPath:
                         direct = _outcome(h0_rank3_unstable_bound, Rank3Query(c, inv, s1f=s1f))
                         assert direct == _outcome(_bound_of_dual, c, inv, s1f), (c, inv, s1f)
                         seen.add(direct.case if isinstance(direct, BoundResult) else direct[0])
-        # the dual's least s1f, ceil((2*s1 - s2)/3), is positive: F is semistable
+        # the dual's least s1f, (2*s1 - s2)/3, is positive: F is semistable
         assert seen == {
             "VANISHING", "RR-EXACT", SS, CongruenceViolation, HypothesisFailed, MissingS1F
         }

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -163,6 +165,25 @@ class TestUnstableSharpness:
     def test_dominance_required(self):
         with pytest.raises(ParamsOutOfRange):
             unstable_sharpness(3, 2, 4, 0)
+
+    def test_every_report_has_the_forced_s1f_and_is_sharp(self):
+        # every report with dL, dF in [0, 4g-2] and s1F in [-(4g-2), 0] at
+        # g = 2..15; the family takes dF = 2a + 2b and s1F = 2a - 2b with
+        # 0 <= a <= b.  3*s1F = 2*s2 - s1 is the s1f forced when s1 + s2 < 0.
+        reports = 0
+        for g in range(2, 16):
+            top = 4 * g - 2
+            for dL, b in product(range(top + 1), range(top // 2 + 1)):
+                for a in range(min(b, top // 2 - b) + 1):
+                    try:
+                        r = unstable_sharpness(g, dL, 2 * a + 2 * b, 2 * a - 2 * b)
+                    except (ParamsOutOfRange, UnrealizableF):
+                        continue
+                    s1, s2 = r.inv.s
+                    assert 3 * (2 * a - 2 * b) == 2 * s2 - s1, r
+                    assert r.sharp, r
+                    reports += 1
+        assert reports == 18578
 
 
 class TestSuite:
