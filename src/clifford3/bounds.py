@@ -62,31 +62,43 @@ def _exact_tail(d: int, low: int, rr: int) -> BoundResult:
     return _result(max(0, rr), "RR-EXACT", True)
 
 
-def _check_s1f(d: int, s1: int, s2: int, s1f: int) -> None:
-    """The s1f rule for a rank-3 bundle (d, s1, s2): s1f has the parity of
-    the minimal quotient degree (2d + s1)/3 and is at least (2*s2 - s1)/3,
-    an integer for congruence-valid (d, s1, s2).  Parity is checked first,
-    so the least value needs no raising to it."""
+def _s1f_frame(g: int, d: int, s1: int, s2: int) -> tuple[int, int, int, int | None]:
+    """(d, s1, s2, shift) of the rank-3 bundle whose minimal quotient s1f
+    describes: the input, with shift None, or for s2 < 0 <= s1 its twisted
+    dual (6g-6-d, s2, s1), whose h^0 plus shift = d + 3 - 3g is the input's."""
+    if s2 < 0 <= s1:
+        return 6 * g - 6 - d, s2, s1, d + 3 - 3 * g
+    return d, s1, s2, None
+
+
+def _check_s1f(g: int, d: int, s1: int, s2: int, s1f: int) -> None:
+    """The s1f rule, on the bundle of :func:`_s1f_frame`: the parity of its
+    quotient degree (2d + s1)/3, then the least value (2*s2 - s1)/3, an
+    integer for congruence-valid input.  Errors on the twisted dual name it."""
+    d, s1, s2, shift = _s1f_frame(g, d, s1, s2)
+    dual = "" if shift is None else f" of the twisted dual {(d, s1, s2)}"
     deg_f = (2 * d + s1) // 3
     if (s1f - deg_f) % 2:
         raise CongruenceViolation(
-            1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}"
+            1, f"s1f={s1f} must have the parity of the quotient degree {deg_f}{dual}"
         )
-    if s1f < (2 * s2 - s1) // 3:
-        raise HypothesisFailed(f"s1f={s1f} is below the minimum (2*s2-s1)/3 forced by s2")
+    least = (2 * s2 - s1) // 3
+    if s1f < least:  # in the input's s1 and s2, which the dual swaps
+        forced = (f"{least} = (2*s1-s2)/3 forced by s1, as s1f" if dual
+                  else "(2*s2-s1)/3 forced by s2")
+        raise HypothesisFailed(f"s1f={s1f} is below the minimum {forced}{dual}")
 
 
 class Rank3Query(_Record):
     """A rank-3 bound request.
 
     ``s1f`` is the first stability degree of a minimal-degree rank-2
-    quotient, when the caller knows it.  It must match the parity of the
-    quotient degree (2d + s1)/3 and satisfy 3*s1f >= 2*s2 - s1.  For
-    s2 < 0 <= s1 s1f is the twisted dual's, and the unstable bound checks
-    it against the dual by the same rule.  Refinements are opt-in flags so
-    that every reported value is attributable.  Only the semistable and the
-    quotient bound read ``use_hyperelliptic_sharpening``; the unstable bound
-    sharpens its rank-2 part by the curve alone, as the rank-2 bound does.
+    quotient, when the caller knows it: the input's, or for s2 < 0 <= s1 its
+    twisted dual's (:func:`_s1f_frame`).  It is checked here, by
+    :func:`_check_s1f`.  Refinements are opt-in flags so that every reported
+    value is attributable.  Only the semistable and the quotient bound read
+    ``use_hyperelliptic_sharpening``; the unstable bound sharpens its rank-2
+    part by the curve alone, as the rank-2 bound does.
     """
 
     __slots__ = ()
@@ -104,24 +116,19 @@ class Rank3Query(_Record):
         if rank != 3:
             raise RankUnsupported("rank-3 query requires rank 3 invariants")
         if s1f is not None:
-            s1, s2 = s
-            if not s2 < 0 <= s1:
-                _check_s1f(d, s1, s2, s1f)
+            _check_s1f(curve._values[0], d, *s, s1f)
         _store(self, (curve, inv, s1f, use_delta, use_hyperelliptic_sharpening))
 
 
 def suggested_min_s1f(inv: BundleInvariants) -> int:
-    """The least s1f that the bound of ``inv`` accepts: at least
-    (2*s2 - s1)/3, with the parity of the quotient degree (2d + s1)/3.  For
-    s2 < 0 <= s1 it is the twisted dual's, which the unstable bound checks
-    by the same rule: at least (2*s1 - s2)/3, with the parity of
-    4g-4 + (s2 - 2d)/3.  Offered as a hint, never substituted."""
+    """The least s1f that :class:`Rank3Query` accepts: (2*s2 - s1)/3, or one
+    more for the parity of the quotient degree (2d + s1)/3, on the bundle of
+    :func:`_s1f_frame`.  Offered as a hint, never substituted."""
     rank, d, s = inv._values
     if rank != 3:
         raise RankUnsupported("s1f only makes sense for rank 3")
-    s1, s2 = s
-    if s2 < 0 <= s1:
-        d, s1, s2 = -d, s2, s1  # the dual less 6g-6: its quotient degree less 4g-4
+    # any genus gives it: one more adds 4 to the dual's quotient degree
+    d, s1, s2, _ = _s1f_frame(1, d, *s)
     least = (2 * s2 - s1) // 3
     return least + (least - (2 * d + s1) // 3) % 2
 
@@ -240,31 +247,24 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
 def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 of a non-semistable rank-3 bundle.
 
-    When s1 >= 0 (so s2 < 0) the computation passes to the twisted dual
-    (6g-6-d, s2, s1) and transfers back through the exact Euler
-    characteristic; ``q.s1f`` is the dual's, checked by :class:`Rank3Query`'s
-    rule.  With s1 < 0 the bundle is an extension 0 -> L -> E -> F -> 0 of
-    F, of degree (2d + s1)/3 with s1(F) = s1f, by a maximal line subbundle L
-    of degree (d - s1)/3.  The value is L's line bound plus F's rank-2 bound
-    (no Krawtchouk refinement) when s1f >= 0, else plus the line bounds of
-    F's maximal line subbundle and its quotient, of degrees (deg F -+ s1f)/2.
-    The notes name each part's case: ``line:<case>``, then ``quotient:<case>``
-    or ``quotient:<sub case>+<quotient case>``.
+    For s2 < 0 <= s1 it bounds the twisted dual of :func:`_s1f_frame`, which
+    ``q.s1f`` describes, and moves the result back by the Euler
+    characteristic.  With s1 < 0 the bundle is an extension 0 -> L -> E -> F
+    -> 0 of F, of degree (2d + s1)/3 with s1(F) = s1f, by a maximal line
+    subbundle L of degree (d - s1)/3.  The value is L's line bound plus F's
+    rank-2 bound (no Krawtchouk refinement) when s1f >= 0, else plus the line
+    bounds of F's maximal line subbundle and its quotient, of degrees
+    (deg F -+ s1f)/2.  The notes name each part's case: ``line:<case>``, then
+    ``quotient:<case>`` or ``quotient:<sub case>+<quotient case>``.
     """
     curve, inv, s1f, _, _ = q._values
     _, d, (s1, s2) = inv._values
-    g, _ = curve._values
-    shift = None
-    if s1 >= 0:
-        if s2 >= 0:
-            raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {(s1, s2)}")
-        # bound the twisted dual; h^0 moves back by chi = d + 3 - 3g
-        shift = d + 3 - 3 * g
-        d, s1, s2 = 6 * g - 6 - d, s2, s1
-        if s1f is not None:
-            _check_s1f(d, s1, s2, s1f)
+    if s1 >= 0 and s2 >= 0:
+        raise NotUnstable(f"unstable bound needs s1 < 0 or s2 < 0, got {(s1, s2)}")
     if s1f is None:
         raise MissingS1F("unstable bound needs s1f")
+    g, _ = curve._values
+    d, s1, s2, shift = _s1f_frame(g, d, s1, s2)
     if not s1 <= d <= 6 * g - 6 - s2:
         result = _exact_tail(d, s1, d + 3 - 3 * g)
     else:

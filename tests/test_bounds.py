@@ -652,7 +652,7 @@ def _bound_of_dual(c, inv, s1f):
 
 
 class TestSerreDualPath:
-    """s2 < 0 <= s1: the unstable bound reads s1f as the twisted dual's."""
+    """s2 < 0 <= s1: s1f is the twisted dual's, checked by ``Rank3Query``."""
 
     def test_suggested_min_s1f_is_the_least_the_bound_accepts(self):
         points = 0
@@ -676,14 +676,55 @@ class TestSerreDualPath:
                     if (s1 - d) % 3 or (s2 - 2 * d) % 3:
                         continue
                     inv = BundleInvariants(3, d, (s1, s2))
+                    dual = serre_dual(c, inv)
                     for s1f in (None, *range(-g - 2, g + 3)):
-                        direct = _outcome(h0_rank3_unstable_bound, Rank3Query(c, inv, s1f=s1f))
-                        assert direct == _outcome(_bound_of_dual, c, inv, s1f), (c, inv, s1f)
+                        direct = _outcome(
+                            lambda: h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=s1f))
+                        )
+                        expected = _outcome(_bound_of_dual, c, inv, s1f)
+                        if isinstance(direct, BoundResult) or direct[0] is MissingS1F:
+                            assert direct == expected, (c, inv, s1f)
+                        else:  # the s1f rule judged on the dual, whose errors name it
+                            assert direct[:2] == expected[:2], (c, inv, s1f)
+                            assert direct[2].startswith(f"s1f={s1f} ")
+                            assert direct[2].endswith(
+                                f" of the twisted dual {(dual.degree, *dual.s)}"
+                            )
                         seen.add(direct.case if isinstance(direct, BoundResult) else direct[0])
         # the dual's least s1f, (2*s1 - s2)/3, is positive: F is semistable
         assert seen == {
             "VANISHING", "RR-EXACT", SS, CongruenceViolation, HypothesisFailed, MissingS1F
         }
+
+
+@st.composite
+def _s1f_points(draw):
+    """(curve, inv, s1f): congruence-valid rank-3 invariants at g <= 12 in
+    both frames of s1f, with s1f in [-3g, 3g]."""
+    g = draw(st.integers(2, 12))
+    s1 = draw(st.integers(-3 * g, 3 * g))
+    s2 = draw(st.integers(-3 * g, 3 * g).map(lambda s: s + (2 * s1 - s) % 3))
+    k = draw(st.integers(-3, max(-3, (6 * g - s1 - s2) // 3 + 3)))
+    inv = BundleInvariants(3, s1 + 3 * k, (s1, s2))
+    return Curve(g, draw(st.booleans())), inv, draw(st.integers(-3 * g, 3 * g))
+
+
+@settings(max_examples=500)
+@given(point=_s1f_points())
+def test_rank3_query_accepts_exactly_the_s1f_the_bound_accepts(point):
+    c, inv, s1f = point
+    query = _outcome(Rank3Query, c, inv, s1f=s1f)
+    result = _outcome(bound, c, inv, s1f=s1f)
+    if isinstance(query, Rank3Query):
+        assert isinstance(result, BoundResult)
+        assert s1f >= suggested_min_s1f(inv)
+    else:  # the one s1f error, raised by both
+        assert query[0] in (CongruenceViolation, HypothesisFailed)
+        assert query[2].startswith(f"s1f={s1f} ") and result == query
+    least = suggested_min_s1f(inv)
+    assert isinstance(Rank3Query(c, inv, s1f=least), Rank3Query)
+    for below in (least - 2, least - 1):
+        assert not isinstance(_outcome(Rank3Query, c, inv, s1f=below), Rank3Query)
 
 
 class TestSharedResults:

@@ -1,5 +1,5 @@
-"""Self-tests of ``tools/differential.py``: it finds a planted difference
-and reports none between equal trees."""
+"""Self-tests of ``tools/differential.py``: it finds a planted difference,
+only where it was planted, and reports none between equal trees."""
 import importlib.util
 import shutil
 import subprocess
@@ -46,6 +46,32 @@ def test_an_off_by_one_tail_is_a_difference(tmp_path, argvs):
     first = summary["first"][0]
     assert first["base"] != first["change"]
     assert any("RR-EXACT" in d["change"] for d in summary["first"])
+
+
+def test_a_query_that_raises_changes_only_its_own_lines(tmp_path, monkeypatch):
+    # each call is listed whatever the outcomes, so a constructor that raises
+    # at more points shifts no later line
+    base, change = _copy(tmp_path, "base"), _copy(tmp_path, "change")
+    path = change / "clifford3" / "bounds.py"
+    text = path.read_text()
+    store = "        _store(self, (curve, inv, s1f, use_delta, use_hyperelliptic_sharpening))\n"
+    assert text.count(store) == 1
+    planted = '        if s1f == 0:\n            raise HypothesisFailed("planted")\n'
+    path.write_text(text.replace(store, planted + store))
+    monkeypatch.setattr(differential, "SHOWN", 10**6)
+    summary = differential.compare(sys.executable, base, change, "smoke", [])
+    points = {}
+    for d in summary["first"]:
+        name, _, at = d["call"].partition("(")
+        assert ", s1f=0, " in at and d["base"] != d["change"], d
+        points.setdefault(at, set()).add(name)
+        if name == "Rank3Query":
+            assert d["change"] == "HypothesisFailed r=None: planted", d
+        elif name != "bound":  # each h0_* of a query that was not built
+            assert d["change"] == differential.SKIPPED, d
+    assert len(points) > 100 and summary["differences"] == 5 * len(points)
+    assert all(names == {"bound", "Rank3Query", "h0_rank3_semistable_bound", "h0_prop21_bound",
+                         "h0_rank3_unstable_bound"} for names in points.values())
 
 
 def test_the_argv_grid_reaches_the_bound_line(tmp_path):

@@ -97,6 +97,17 @@ INVALID = [
     ("query-s1f-below-minimum",
      lambda: Rank3Query(Curve(4), BundleInvariants(3, 4, (1, 5)), s1f=1),
      HypothesisFailed, None, "s1f=1 is below the minimum (2*s2-s1)/3 forced by s2"),
+    # s2 < 0 <= s1: judged on the twisted dual (35, -1, 4), whose quotient
+    # degree is 23; the input's is 14
+    ("query-dual-s1f-parity",
+     lambda: Rank3Query(Curve(10), BundleInvariants(3, 19, (4, -1)), s1f=2),
+     CongruenceViolation, 1,
+     "s1f=2 must have the parity of the quotient degree 23 of the twisted dual (35, -1, 4)"),
+    ("query-dual-s1f-below-minimum",
+     lambda: Rank3Query(Curve(10), BundleInvariants(3, 19, (4, -1)), s1f=1),
+     HypothesisFailed, None,
+     "s1f=1 is below the minimum 3 = (2*s1-s2)/3 forced by s1, as s1f of the twisted dual "
+     "(35, -1, 4)"),
 ]
 
 
@@ -111,11 +122,15 @@ def test_invalid_input_error(call, error, r, message):
     assert str(info.value) == message
 
 
-def test_s1f_of_the_twisted_dual_is_not_checked():
-    # for s2 < 0 <= s1 the unstable bound reads s1f as the twisted dual's,
-    # so neither its parity nor its minimum is checked here
-    q = Rank3Query(Curve(4), BundleInvariants(3, 4, (1, -1)), s1f=-7)
-    assert q.s1f == -7
+def test_s1f_of_the_twisted_dual_is_checked_when_the_query_is_built():
+    # for s2 < 0 <= s1, s1f describes the twisted dual's quotient, and the
+    # input's own rule would judge each of these s1f the other way
+    c, inv = Curve(10), BundleInvariants(3, 19, (4, -1))
+    assert Rank3Query(c, inv, s1f=3).s1f == 3  # the input's parity of 14 refuses it
+    with pytest.raises(CongruenceViolation, match=r"twisted dual \(35, -1, 4\)"):
+        Rank3Query(c, inv, s1f=-2)  # the input's least, -2, with its parity
+    with pytest.raises(HypothesisFailed, match=r"twisted dual \(14, -1, 1\)"):
+        Rank3Query(Curve(4), BundleInvariants(3, 4, (1, -1)), s1f=-7)
 
 
 class TestSerreDual:

@@ -96,20 +96,23 @@ class Reference:
                 raise RankUnsupported("rank-3 query requires rank 3 invariants")
             if self.s1f is None:
                 return
-            s1, s2 = self.inv.s
-            if s2 < 0 <= s1:
-                return
-            deg_f = (2 * self.inv.degree + s1) // 3
+            d, (s1, s2) = self.inv.degree, self.inv.s
+            dual = s2 < 0 <= s1  # then s1f is the twisted dual's
+            if dual:
+                d, s1, s2 = 6 * self.curve.genus - 6 - d, s2, s1
+            named = f" of the twisted dual {(d, s1, s2)}" if dual else ""
+            deg_f = (2 * d + s1) // 3
             least = -((s1 - 2 * s2) // 3)  # ceil((2*s2 - s1)/3)
             least += (least - deg_f) % 2
             if (self.s1f - deg_f) % 2 != 0:
                 raise CongruenceViolation(
-                    1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}"
+                    1, f"s1f={self.s1f} must have the parity of the quotient degree {deg_f}{named}"
                 )
             if self.s1f < least:
-                raise HypothesisFailed(
-                    f"s1f={self.s1f} is below the minimum (2*s2-s1)/3 forced by s2"
-                )
+                forced = "(2*s2-s1)/3 forced by s2"  # in the input's s1 and s2
+                if dual:
+                    forced = f"{(2 * s2 - s1) // 3} = (2*s1-s2)/3 forced by s1, as s1f"
+                raise HypothesisFailed(f"s1f={self.s1f} is below the minimum {forced}{named}")
 
     @dataclasses.dataclass(frozen=True, slots=True)
     class KrawtchoukQuery:
@@ -215,11 +218,14 @@ def _valid_inv(draw, ranks=(1, 2, 3)):
 @st.composite
 def _query_call(draw):
     """Rank3Query arguments; s1f is None, any small integer, or near the
-    least admissible one, so both parities and values below it occur."""
+    least admissible one (the twisted dual's for s2 < 0 <= s1), so both
+    parities and values below it occur."""
     inv = draw(st.one_of(_valid_inv((3,)), _valid_inv()))
     near = st.nothing()
     if inv.rank == 3:
         s1, s2 = inv.s
+        if s2 < 0 <= s1:  # the twisted dual's least
+            s1, s2 = s2, s1
         near = st.integers(-6, 6).map(lambda k: k - (s1 - 2 * s2) // 3)
     return draw(_call([
         ("curve", st.builds(Curve, st.integers(2, 8), st.booleans()), True),

@@ -10,11 +10,14 @@ PYTHONPATH, with PYTHONHASHSEED=0) and prints one line per call:
   the named argv grid at the library grid's genera (see ``argv_grid``):
   exit status, stdout, stderr and any escaping exception;
 * ``BundleInvariants``, ``Rank3Query``, ``bound`` and each ``h0_*`` function
-  over the library grid named "full" (see GRIDS): the ``repr`` of the record
-  or result, or the exception's type, ``r`` and message.
+  over the library grid named "full" (see GRIDS and DEEP): the ``repr`` of
+  the record or result, or the exception's type, ``r`` and message.
 
-The two streams are compared line by line.  The summary is one JSON line on
-stdout; the exit status is 0 when every outcome is the same, 1 otherwise.
+Which calls are made, and so each line's label, depends only on the grid:
+a call that needs a record that could not be built is still listed, with
+the outcome SKIPPED.  So the two streams are compared line by line.  The
+summary is one JSON line on stdout; the exit status is 0 when every outcome
+is the same, 1 otherwise.
 ``--python`` runs both workers under another interpreter, which needs only
 the standard library.  Nothing under ``src`` or ``bench`` is changed.
 """
@@ -36,18 +39,30 @@ SESSION_SEEDS = range(1, 11)
 # genera of each library grid; each genus takes both curve types.  The
 # self-tests run "smoke".
 GRIDS = {"smoke": range(2, 4), "full": range(2, 9)}
+# genera of each grid's deep unstable band (see ``deep_band``)
+DEEP = {"smoke": range(0), "full": range(2, 5)}
+# the outcome of a call whose record could not be built
+SKIPPED = "(not called)"
 SHOWN = 10  # differences printed in the summary
 
 
-def _outcome(call, *args, **kwargs) -> str:
+def _made(call, *args, **kwargs) -> tuple:
+    """(what the call returns or None, its outcome): the ``repr`` of what it
+    returns, or the exception's type, ``r`` and message."""
     try:
-        return repr(call(*args, **kwargs))
+        made = call(*args, **kwargs)
     except Exception as exc:
-        return f"{type(exc).__name__} r={getattr(exc, 'r', None)!r}: {exc}"
+        return None, f"{type(exc).__name__} r={getattr(exc, 'r', None)!r}: {exc}"
+    return made, repr(made)
 
 
-def library(c3, genera):
-    """(label, outcome) for every call of the library grid at ``genera``."""
+def _outcome(call, *args, **kwargs) -> str:
+    return _made(call, *args, **kwargs)[1]
+
+
+def library(c3, genera, deep=()):
+    """(label, outcome) for every call of the library grid at ``genera``,
+    then of the deep unstable band at ``deep``."""
     B = c3.BundleInvariants
     for rank, s in [(0, ()), (0, (0,)), (4, (0, 0, 0)), (1, (0,)), (2, ()), (3, (0,)), (3, [2])]:
         yield f"BundleInvariants({rank}, 0, {s!r})", _outcome(B, rank, 0, s)
@@ -74,30 +89,50 @@ def library(c3, genera):
             range(-3, 6 * g + 1), range(-g - 1, 2 * g + 2), range(-g - 1, 2 * g + 2)
         ):
             yield from _rank3(c3, c, d, (s1, s2))
+    for g, hyp in itertools.product(deep, (False, True)):
+        c = c3.Curve(g, hyp)
+        for d, s in deep_band(g):
+            yield from _rank3(c3, c, d, s)
+
+
+def deep_band(g):
+    """(d, s) of the deep unstable band at genus g, which the library grid's
+    window misses: s1 or s2 in [-8g, -g-2] and the other in [-8g, 2g+1],
+    congruence-valid, at every congruent degree of the special range
+    [s1, 6g-6-s2] and the nearest one outside each end."""
+    for s1, s2 in itertools.product(range(-8 * g, 2 * g + 2), repeat=2):
+        if min(s1, s2) < -g - 1 and (s2 - 2 * s1) % 3 == 0:
+            for d in range(s1 - 3, 6 * g - 6 - s2 + 4, 3):
+                yield d, (s1, s2)
 
 
 def _rank3(c3, c, d, s):
+    """Every call at the rank-3 point (c, d, s).  Which calls are listed
+    depends on the congruences of (d, s) alone; a call whose record could
+    not be built is listed with the outcome SKIPPED."""
     where = f"{c!r}, {d}, {s}"
-    made = _outcome(c3.BundleInvariants, 3, d, s)
+    inv, made = _made(c3.BundleInvariants, 3, d, s)
     yield f"BundleInvariants(3, {d}, {s})", made
-    if not made.startswith("BundleInvariants("):
+    s1, s2 = s
+    if (s1 - d) % 3 or (s2 - 2 * d) % 3:
         return
-    inv = c3.BundleInvariants(3, d, s)
     hyp = c.hyperelliptic
-    plain = c3.Rank3Query(c, inv, use_hyperelliptic_sharpening=hyp)
+    plain = inv and _made(c3.Rank3Query, c, inv, use_hyperelliptic_sharpening=hyp)[0]
     for other in (d - 3, d + 1, d + 3):
         yield (f"h0_rank3_semistable_bound({where}, degree={other})",
-               _outcome(c3.h0_rank3_semistable_bound, plain, degree=other))
+               SKIPPED if plain is None
+               else _outcome(c3.h0_rank3_semistable_bound, plain, degree=other))
     for s1f, delta in itertools.product((None, *range(-c.genus - 2, c.genus + 3)), (False, True)):
         at = f"{where}, s1f={s1f}, delta={delta}"
-        yield f"bound({at})", _outcome(c3.bound, c, inv, s1f=s1f, delta=delta)
-        query = _outcome(c3.Rank3Query, c, inv, s1f, delta, hyp)
+        if inv is None:
+            result, q, query = SKIPPED, None, SKIPPED
+        else:
+            result = _outcome(c3.bound, c, inv, s1f=s1f, delta=delta)
+            q, query = _made(c3.Rank3Query, c, inv, s1f, delta, hyp)
+        yield f"bound({at})", result
         yield f"Rank3Query({at})", query
-        if not query.startswith("Rank3Query("):
-            continue
-        q = c3.Rank3Query(c, inv, s1f, delta, hyp)
         for f in (c3.h0_rank3_semistable_bound, c3.h0_prop21_bound, c3.h0_rank3_unstable_bound):
-            yield f"{f.__name__}({at})", _outcome(f, q)
+            yield f"{f.__name__}({at})", SKIPPED if q is None else _outcome(f, q)
 
 
 def argv_grid(genera):
@@ -151,7 +186,8 @@ def worker(job_file: str) -> None:
     job = json.loads(Path(job_file).read_text())
     genera = GRIDS[job["grid"]]
     calls = itertools.chain(
-        session(job["argvs"]), session(argv_grid(genera)), library(c3, genera)
+        session(job["argvs"]), session(argv_grid(genera)),
+        library(c3, genera, DEEP[job["grid"]]),
     )
     write = sys.stdout.write
     for label, outcome in calls:
@@ -182,21 +218,23 @@ def compare(python: str, base_src, change_src, grid: str, argvs: list) -> dict:
             procs.append(subprocess.Popen(
                 cmd, env=env, cwd=tmp, stdout=subprocess.PIPE, text=True, encoding="utf-8"
             ))
-        count, diffs = 0, []
+        count, differences, diffs = 0, 0, []  # diffs: the first SHOWN
         for a, b in itertools.zip_longest(procs[0].stdout, procs[1].stdout):
             count += 1
             if a != b:
-                diffs.append((a, b))
+                differences += 1
+                if len(diffs) < SHOWN:
+                    diffs.append((a, b))
         codes = [p.wait() for p in procs]
     if codes != [0, 0]:
         raise SystemExit(f"a worker failed: exit statuses {codes}")
     shown = []
-    for a, b in diffs[:SHOWN]:
+    for a, b in diffs:
         label, _, base = (a or "\t(missing)").rstrip("\n").partition("\t")
         other, _, change = (b or "\t(missing)").rstrip("\n").partition("\t")
         shown.append({"call": label or other, "base": base, "change": change})
     return {"outcomes": count, "session_argvs": len(argvs),
-            "grid_argvs": sum(1 for _ in argv_grid(GRIDS[grid])), "differences": len(diffs),
+            "grid_argvs": sum(1 for _ in argv_grid(GRIDS[grid])), "differences": differences,
             "first": shown}
 
 
