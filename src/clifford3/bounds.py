@@ -12,6 +12,11 @@ bound for given invariants.
 
 Each refined bound is its base value, lowered by one by the first guard that
 holds; the hyperelliptic guard is checked before the Krawtchouk one.
+The Krawtchouk guard, :func:`_krawtchouk_refines`, is the rank-2 refinement
+of a bundle of degree deg with s1 = t: it holds when t <= g (Nagata), t <= deg
+and K_{(deg-t)/2+1}(g, 2g-t) != 0.  The rank-2 bound passes (deg, t) = (d, s1)
+of E; the rank-3 semistable and quotient bounds pass ((2d+s1)/3, s1f) of the
+quotient F = E/L.
 
 All arithmetic is exact; half-integer quantities are floored once, at the
 end of each formula.
@@ -37,7 +42,7 @@ from .invariants import (
     _congruence_violation,
     _store,
 )
-from .krawtchouk import KrawtchoukQuery, delta_vanishes, krawtchouk
+from .krawtchouk import delta_vanishes
 
 # Every result this module returns is VANISHING or comes from _result, which
 # hands out one shared instance per distinct (value, case, exact,
@@ -60,6 +65,11 @@ def _exact_tail(d: int, low: int, rr: int) -> BoundResult:
     if d < low:
         return VANISHING
     return _result(max(0, rr), "RR-EXACT", True)
+
+
+def _krawtchouk_refines(g: int, deg: int, t: int) -> bool:
+    """The Krawtchouk guard; t <= deg makes the coefficient's index >= 1."""
+    return t <= g and t <= deg and not delta_vanishes(g, deg, t)
 
 
 def _s1f_frame(g: int, d: int, s1: int, s2: int) -> tuple[int, int, int, int | None]:
@@ -147,7 +157,7 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
 
     Exact 0 for d < s1 and exact d+2-2g for d > 4g-4-s1; in between the
     bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
-    s1 > 0, else by 1 if ``use_delta``, s1 <= g and K_{(d-s1)/2+1}(g, 2g-s1) != 0.
+    s1 > 0, else by 1 if ``use_delta`` and the Krawtchouk guard holds at (d, s1).
     """
     g, hyp = c._values
     if (s1 - d) % 2 != 0:
@@ -159,7 +169,7 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     half = (d - s1) // 2
     if hyp and s1 > 0:
         return _result(half + 1, "RANK2-HYP", False, ("hyperelliptic", "s1>0"))
-    if use_delta and s1 <= g and krawtchouk(KrawtchoukQuery(half + 1, g, 2 * g - s1)) != 0:
+    if use_delta and _krawtchouk_refines(g, d, s1):
         return _result(half + 1, "RANK2-KRAWTCHOUK", False, ("krawtchouk-refinement",))
     return _result(half + 2, "RANK2-CLIFFORD", False, ())
 
@@ -171,8 +181,8 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     6g-6-s2; the line-only tails where the quotient contributes nothing
     (s2 > 2*s1 with d < s2-s1, and its dual); otherwise the main bound
     floor(d/2 - max(2*s2-s1, 2*s1-s2)/6) + 3, sharpened to +2 on a
-    hyperelliptic curve (unless s1 = s2 = 0) or via a nonzero Krawtchouk
-    coefficient when s1f is supplied.
+    hyperelliptic curve (unless s1 = s2 = 0), else with ``use_delta`` when
+    the Krawtchouk guard holds at the quotient's ((2d+s1)/3, s1f).
 
     ``degree`` bounds q at another degree d, without building a query for
     it: the result for ``Rank3Query`` at ``BundleInvariants(3, d, q.inv.s)``
@@ -202,13 +212,7 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     base = (3 * d - skew) // 6 + 3
     if sharpen and hyp and not s1 == s2 == 0:
         return _result(base - 1, "RANK3-MAIN-SHARP", False, ("hyperelliptic-sharpening",))
-    if (
-        use_delta
-        and s1f is not None
-        and s1f <= g
-        and 2 * d + s1 >= 3 * s1f
-        and not delta_vanishes(g, d, s1, s1f)
-    ):
+    if use_delta and s1f is not None and _krawtchouk_refines(g, (2 * d + s1) // 3, s1f):
         return _result(base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={s1f}"))
     return _result(base, "RANK3-MAIN")
 
@@ -216,8 +220,8 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
 def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 through a minimal-degree rank-2 quotient with known
     s1f: floor(d/2 - s1f/2) + 3, lowered by 1 on a hyperelliptic curve with
-    sharpening on when s1f > 0, else by 1 when ``use_delta``, s1f <= g and
-    the Krawtchouk coefficient of :func:`delta_vanishes` is nonzero.
+    sharpening on when s1f > 0, else by 1 when ``use_delta`` and the
+    Krawtchouk guard holds at the quotient's ((2d+s1)/3, s1f).
 
     Requires s1 <= 2*s2 and the degree window
     max(s1, (3*s1f - s1)/2) <= d <= 6g - 6 - (3*s1f + s1)/2.
@@ -237,7 +241,7 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     note = f"s1f={s1f}"
     if sharpen and hyp and s1f > 0:
         return _result(half + 2, "RANK3-QUOTIENT-SHARP", False, (note, "hyperelliptic", "s1f>0"))
-    if use_delta and s1f <= g and not delta_vanishes(g, d, s1, s1f):
+    if use_delta and _krawtchouk_refines(g, (2 * d + s1) // 3, s1f):
         return _result(
             half + 2, "RANK3-QUOTIENT-KRAWTCHOUK", False, (note, "krawtchouk-refinement")
         )

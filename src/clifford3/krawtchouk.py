@@ -3,6 +3,9 @@
 K_r(n, N) is the coefficient of z^r in (1-z)^n (1+z)^(N-n).  Everything is
 big-integer arithmetic; the zero test must be exact, so no floating point
 appears anywhere in this module.
+
+:func:`delta_vanishes` is the refinement's zero test, K_{(deg-t)/2+1}(g, 2g-t)
+of a rank-2 bundle of degree deg with s1 = t; ``bounds`` states its domain.
 """
 from __future__ import annotations
 
@@ -79,19 +82,12 @@ def krawtchouk_oracle(q: KrawtchoukQuery) -> int:
     return poly[r] if r < len(poly) else 0
 
 
-def delta_vanishes(g: int, d: int, s1: int, s1f: int) -> bool:
-    """Whether the refinement coefficient K_{(2d+s1-3*s1f)/6 + 1}(g, 2g-s1f)
-    is exactly zero.
-
-    The index is an integer whenever the rank-3 congruences and the parity
-    of s1f hold; a non-integer index is rejected.
-    """
-    num = 2 * d + s1 - 3 * s1f
-    if num % 6 != 0:
-        raise CongruenceViolation(
-            1, f"2d+s1-3*s1f = {num} is not divisible by 6"
-        )
-    idx = num // 6 + 1
+def delta_vanishes(g: int, deg: int, t: int) -> bool:
+    """Whether K_{(deg-t)/2 + 1}(g, 2g-t), the refinement coefficient of a rank-2
+    bundle of degree deg with s1 = t, is zero; odd deg - t or index < 0 raise."""
+    if (deg - t) % 2:
+        raise CongruenceViolation(1, f"deg - t = {deg - t} is odd")
+    idx = (deg - t) // 2 + 1
     if idx < 0:
         raise IndexNegative(f"coefficient index {idx} is negative")
-    return krawtchouk(KrawtchoukQuery(idx, g, 2 * g - s1f)) == 0
+    return krawtchouk(KrawtchoukQuery(idx, g, 2 * g - t)) == 0

@@ -1,3 +1,4 @@
+import importlib
 from functools import partial
 from itertools import product
 
@@ -202,10 +203,20 @@ class TestRank3SemistableBound:
         assert r.case == "RANK3-MAIN"
 
     def test_delta_sharpening(self):
-        # coefficient index 4, K_4(3,5) = (1-z)^3(1+z)^2 -> z^4 coeff 1 != 0
+        # coefficient index 4, K_4(3,5) = (1-z)^3(1+z)^2 -> z^4 coeff 1 != 0.
+        # It is the rank-2 rule on the quotient F, of degree (2d+s1)/3 = 7
+        # with s1(F) = 1, so the rank-2 bound of F takes its Krawtchouk guard
+        assert h0_rank2_bound(Curve(3), 7, 1, use_delta=True).case == "RANK2-KRAWTCHOUK"
         q = rank3_query(3, 10, 1, 2, s1f=1, use_delta=True)
-        r = h0_rank3_semistable_bound(q)
-        assert r.value == 6 and "krawtchouk-nonzero" in r.assumptions
+        assert h0_rank3_semistable_bound(q) == BoundResult(
+            6, "RANK3-MAIN-SHARP", assumptions=("krawtchouk-nonzero", "s1f=1")
+        )
+        assert h0_prop21_bound(q) == BoundResult(
+            6, "RANK3-QUOTIENT-KRAWTCHOUK", assumptions=("s1f=1", "krawtchouk-refinement")
+        )
+        # s1f = 5 > g: outside the rule's domain, the base value stands
+        q = rank3_query(3, 10, 1, 2, s1f=5, use_delta=True)
+        assert h0_rank3_semistable_bound(q) == BoundResult(7, "RANK3-MAIN")
 
     def test_rejects_unstable(self):
         with pytest.raises(NotSemistable):
@@ -390,14 +401,62 @@ def test_hyperelliptic_sharpening_computes_no_coefficient(monkeypatch):
     def no_coefficient(*args):
         raise AssertionError("a Krawtchouk coefficient was computed")
 
-    monkeypatch.setattr(bounds, "krawtchouk", no_coefficient)
+    # the one name the bounds call, and the evaluation it reaches
     monkeypatch.setattr(bounds, "delta_vanishes", no_coefficient)
+    monkeypatch.setattr(importlib.import_module("clifford3.krawtchouk"), "krawtchouk",
+                        no_coefficient)
     assert h0_rank2_bound(Curve(3, True), 1, 1, use_delta=True).case == "RANK2-HYP"
     both = dict(use_delta=True, use_hyperelliptic_sharpening=True, hyperelliptic=True)
     q = rank3_query(3, 3, 0, 0, s1f=2, **both)
     assert h0_prop21_bound(q).case == "RANK3-QUOTIENT-SHARP"
     q = rank3_query(3, 4, 1, 2, s1f=1, **both)
     assert h0_rank3_semistable_bound(q).case == "RANK3-MAIN-SHARP"
+
+
+_KRAWTCHOUK_CASES = {"RANK2-KRAWTCHOUK", "RANK3-QUOTIENT-KRAWTCHOUK"}
+
+
+def _krawtchouk_case(r):
+    return r.case in _KRAWTCHOUK_CASES or "krawtchouk-nonzero" in r.assumptions
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), g=st.integers(2, 12), hyper=st.booleans(), sharpen=st.booleans())
+def test_krawtchouk_case_exactly_where_the_rank2_rule_holds(data, g, hyper, sharpen):
+    # one rule, K_{(deg-t)/2+1}(g, 2g-t) != 0 with t <= g and t <= deg,
+    # checked with the oracle: (deg, t) = (d, s1) at rank 2 and the
+    # quotient's ((2d+s1)/3, s1f) at rank 3
+    def rule(deg, t):
+        return t <= g and t <= deg and krawtchouk_oracle(
+            KrawtchoukQuery((deg - t) // 2 + 1, g, 2 * g - t)
+        ) != 0
+
+    c = Curve(g, hyper)
+    s1 = data.draw(st.integers(0, 2 * g + 1), label="rank-2 s1")
+    d = s1 + 2 * data.draw(st.integers(-1, 2 * g - s1), label="rank-2 (d-s1)/2")
+    special = s1 <= d <= 4 * g - 4 - s1
+    r = h0_rank2_bound(c, d, s1, use_delta=True)
+    assert _krawtchouk_case(r) == (special and not (hyper and s1 > 0) and rule(d, s1)), r
+
+    s1 = data.draw(st.integers(0, 2 * g), label="s1")
+    s2 = (2 * s1) % 3 + 3 * data.draw(st.integers(0, 2 * g // 3), label="(s2 - 2s1 mod 3)/3")
+    d = s1 + 3 * data.draw(st.integers(-1, 2 * g), label="(d-s1)/3")
+    inv = BundleInvariants(3, d, (s1, s2))
+    s1f = suggested_min_s1f(inv) + 2 * data.draw(st.integers(0, g + 2), label="s1f step")
+    q = Rank3Query(c, inv, s1f=s1f, use_delta=True, use_hyperelliptic_sharpening=sharpen)
+    deg = (2 * d + s1) // 3
+    main = (
+        s1 <= d <= 6 * g - 6 - s2
+        and not (s2 > 2 * s1 and d < s2 - s1)
+        and not (2 * s2 < s1 and d > 6 * g - 6 - (s1 - s2))
+    )
+    hyp_fired = sharpen and hyper and not s1 == s2 == 0
+    r = h0_rank3_semistable_bound(q)
+    assert _krawtchouk_case(r) == (main and not hyp_fired and rule(deg, s1f)), r
+    if s1 <= 2 * s2 and 3 * s1f - s1 <= 2 * d <= 12 * g - 12 - 3 * s1f - s1 and d >= s1:
+        hyp_fired = sharpen and hyper and s1f > 0
+        r = h0_prop21_bound(q)
+        assert _krawtchouk_case(r) == (not hyp_fired and rule(deg, s1f)), r
 
 
 SS, UU = "UNSTABLE-SS-QUOTIENT", "UNSTABLE-UNSTABLE-QUOTIENT"

@@ -277,6 +277,42 @@ class TestCaps:
         )
         assert code == 0 and json.loads(out)["case"] == "RANK2-KRAWTCHOUK"
 
+    def test_delta_evaluates_no_coefficient_above_4g_minus_2(self, monkeypatch):
+        # the claim behind MAX_DELTA_GENUS = MAX_KRAWTCHOUK_N // 4: every
+        # coefficient a refinement evaluates has N = 2g - t <= 4g - 2.  Over
+        # the criterion-2 genera with every semistable (s1, s2) that has a
+        # special range, the largest N is 3g - 1: the quotient bound needs
+        # s1 <= 2*s2, so s1f >= 0, and the main bound with s1 > 2*s2 needs
+        # 2*s1 - s2 <= 6g - 6, so s1f >= (2*s2 - s1)/3 >= 1 - g
+        original, calls = clifford3.bounds.delta_vanishes, []
+
+        def recorded(g, deg, t):
+            calls.append((g, t))
+            return original(g, deg, t)
+
+        monkeypatch.setattr(clifford3.bounds, "delta_vanishes", recorded)
+        for g in range(2, 7):
+            c = clifford3.Curve(g)
+            for s1 in range(4 * g - 3):
+                for d in range(s1, 4 * g - 3 - s1, 2):
+                    clifford3.bound(c, clifford3.BundleInvariants(2, d, (s1,)), delta=True)
+            for s1 in range(6 * g - 5):
+                for s2 in range((2 * s1) % 3, 6 * g - 5 - s1, 3):
+                    for d in range(s1, 6 * g - 5 - s2, 3):
+                        inv = clifford3.BundleInvariants(3, d, (s1, s2))
+                        for s1f in range(clifford3.suggested_min_s1f(inv), g + 1, 2):
+                            clifford3.bound(c, inv, s1f=s1f, delta=True)
+                            q = clifford3.Rank3Query(c, inv, s1f=s1f, use_delta=True)
+                            try:
+                                clifford3.h0_prop21_bound(q)
+                            except clifford3.errors.HypothesisFailed:
+                                pass
+        assert all(2 * g - t <= 4 * g - 2 for g, t in calls)
+        largest = {}
+        for g, t in calls:
+            largest[g] = max(largest.get(g, 0), 2 * g - t)
+        assert largest == {g: 3 * g - 1 for g in range(2, 7)}
+
     def test_elmtrans_at_genus_cap_runs(self, capsys):
         code, out, _ = run(
             capsys,

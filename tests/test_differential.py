@@ -100,3 +100,33 @@ def test_checkout_is_a_temporary_worktree():
         assert str(path) in differential._git("worktree", "list")
     assert not path.exists()
     assert str(path) not in differential._git("worktree", "list")
+
+
+def test_every_twisted_dual_point_lists_an_accepted_s1f():
+    # where s2 < 0 <= s1, s1f is the twisted dual's, whose least value
+    # (2*s1 - s2)/3 can lie above the fixed window [-g-2, g+2]; the sweep
+    # lists it, so every such point of the smoke grid has a query built
+    from clifford3 import BundleInvariants, Curve, Rank3Query
+    from clifford3.errors import Clifford3Error
+
+    def accepted(c, inv, s1f):
+        try:
+            Rank3Query(c, inv, s1f=s1f)
+        except Clifford3Error:
+            return False
+        return True
+
+    points = only_added = 0
+    for g in differential.GRIDS["smoke"]:
+        c = Curve(g)
+        for d, (s1, s2) in differential.rank3_grid(g):
+            if not s2 < 0 <= s1 or (s1 - d) % 3 or (s2 - 2 * d) % 3:
+                continue
+            inv = BundleInvariants(3, d, (s1, s2))
+            sweep = differential.s1f_sweep(g, d, (s1, s2))
+            assert sweep[0] is None
+            listed = [s1f for s1f in sweep[1:] if accepted(c, inv, s1f)]
+            assert listed, (g, d, s1, s2, sweep)
+            points += 1
+            only_added += all(s1f > g + 2 for s1f in listed)
+    assert points > 100 and only_added > 0

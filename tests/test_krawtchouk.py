@@ -121,33 +121,36 @@ class TestOracle:
 
 
 class TestDeltaVanishes:
+    # delta_vanishes(g, deg, t) tests K_{(deg-t)/2+1}(g, 2g-t) of a rank-2
+    # bundle of degree deg with s1 = t
     def test_index_beyond_degree_vanishes(self):
-        # index (2*20+0-0)/6 + 1 = 7 exceeds N = 2g = 6
-        assert delta_vanishes(3, 18, 0, 0) is True
+        # index (12-0)/2 + 1 = 7 exceeds N = 2g = 6
+        assert delta_vanishes(3, 12, 0) is True
 
     def test_oracle_checked_value(self):
-        # index (20+1-3)/6 + 1 = 4; coefficient of z^4 in (1-z)^3 (1+z)^2
+        # index (7-1)/2 + 1 = 4; coefficient of z^4 in (1-z)^3 (1+z)^2
         expected = krawtchouk_oracle(KrawtchoukQuery(4, 3, 5))
-        assert delta_vanishes(3, 10, 1, 1) is (expected == 0)
+        assert delta_vanishes(3, 7, 1) is (expected == 0)
 
     def test_squared_difference_zero(self):
-        assert delta_vanishes(2, 6, 0, 0) is True
+        # index (4-0)/2 + 1 = 3: z^3 in (1-z)^2 (1+z)^2 = 1 - 2 z^2 + z^4
+        assert delta_vanishes(2, 4, 0) is True
 
     def test_at_s1f_zero_matches_the_alternating_sum(self):
-        # s1f = 0 gives N = 2g, the one-binomial path
+        # t = 0 gives N = 2g, the one-binomial path, at every index 0..2g+1
         sums = dict(_alternating_sums_at_half(12))
         for g in range(2, 13):
-            for s1 in range(3 * g + 1):
-                for d in range(-s1 // 2, 6 * g - s1 // 2 + 1):
-                    if (2 * d + s1) % 6 == 0:
-                        idx = (2 * d + s1) // 6 + 1  # at most 2g + 1
-                        want = sums[g][idx] == 0
-                        assert delta_vanishes(g, d, s1, 0) is want, (g, d, s1)
+            for deg in range(-2, 4 * g + 1, 2):
+                want = sums[g][deg // 2 + 1] == 0
+                assert delta_vanishes(g, deg, 0) is want, (g, deg)
 
     def test_rejects_nondivisible_index(self):
-        with pytest.raises(CongruenceViolation):
-            delta_vanishes(3, 10, 0, 1)
+        # an odd deg - t leaves the index (deg-t)/2 + 1 fractional
+        with pytest.raises(CongruenceViolation) as exc:
+            delta_vanishes(3, 7, 0)
+        assert exc.value.r == 1
 
     def test_negative_index(self):
+        # index (0-4)/2 + 1 = -1
         with pytest.raises(IndexNegative):
-            delta_vanishes(3, 0, 0, 4)
+            delta_vanishes(3, 0, 4)

@@ -10,8 +10,9 @@ PYTHONPATH, with PYTHONHASHSEED=0) and prints one line per call:
   the named argv grid at the library grid's genera (see ``argv_grid``):
   exit status, stdout, stderr and any escaping exception;
 * ``BundleInvariants``, ``Rank3Query``, ``bound`` and each ``h0_*`` function
-  over the library grid named "full" (see GRIDS and DEEP): the ``repr`` of
-  the record or result, or the exception's type, ``r`` and message.
+  over the library grid named "full" (see GRIDS, DEEP and ``s1f_sweep``):
+  the ``repr`` of the record or result, or the exception's type, ``r`` and
+  message.
 
 Which calls are made, and so each line's label, depends only on the grid:
 a call that needs a record that could not be built is still listed, with
@@ -85,14 +86,37 @@ def library(c3, genera, deep=()):
             if (s1 - d) % 2 == 0:
                 yield (f"bound({c!r}, rank 2, {d}, {s1}, delta={delta})",
                        _outcome(c3.bound, c, B(2, d, (s1,)), delta=delta))
-        for d, s1, s2 in itertools.product(
-            range(-3, 6 * g + 1), range(-g - 1, 2 * g + 2), range(-g - 1, 2 * g + 2)
-        ):
-            yield from _rank3(c3, c, d, (s1, s2))
+        for d, s in rank3_grid(g):
+            yield from _rank3(c3, c, d, s)
     for g, hyp in itertools.product(deep, (False, True)):
         c = c3.Curve(g, hyp)
         for d, s in deep_band(g):
             yield from _rank3(c3, c, d, s)
+
+
+def rank3_grid(g):
+    """(d, s) of the library grid's rank-3 points at genus g: d in
+    [-3, 6g] and s1, s2 in [-g-1, 2g+1]."""
+    window = range(-g - 1, 2 * g + 2)
+    for d, s1, s2 in itertools.product(range(-3, 6 * g + 1), window, window):
+        yield d, (s1, s2)
+
+
+def s1f_sweep(g, d, s):
+    """The s1f of the calls at the congruence-valid rank-3 point (d, s) at
+    genus g: None and every value in [-g-2, g+2], then, where s2 < 0 <= s1,
+    the least s1f of the twisted dual (6g-6-d, s2, s1), which is what s1f
+    describes there, and the next two of its parity, each one only if it lies
+    above that window.  The values come from the grid's arithmetic alone,
+    never from the tree under test, so that labels do not depend on outcomes."""
+    sweep = (None, *range(-g - 2, g + 3))
+    s1, s2 = s
+    if not s2 < 0 <= s1:
+        return sweep
+    least = (2 * s1 - s2) // 3  # the dual's (2*s2 - s1)/3, at least 1
+    deg_f = (2 * (6 * g - 6 - d) + s2) // 3  # the dual's quotient degree
+    least += (least - deg_f) % 2
+    return sweep + tuple(v for v in range(least, least + 5, 2) if v > g + 2)
 
 
 def deep_band(g):
@@ -122,7 +146,7 @@ def _rank3(c3, c, d, s):
         yield (f"h0_rank3_semistable_bound({where}, degree={other})",
                SKIPPED if plain is None
                else _outcome(c3.h0_rank3_semistable_bound, plain, degree=other))
-    for s1f, delta in itertools.product((None, *range(-c.genus - 2, c.genus + 3)), (False, True)):
+    for s1f, delta in itertools.product(s1f_sweep(c.genus, d, s), (False, True)):
         at = f"{where}, s1f={s1f}, delta={delta}"
         if inv is None:
             result, q, query = SKIPPED, None, SKIPPED
