@@ -3,20 +3,19 @@
 Exact section counts where they are forced (vanishing, zero h^1) and
 Clifford-type upper bounds everywhere else: the classical line-bundle bound,
 the rank-2 bound with its hyperelliptic and Krawtchouk refinements, the
-rank-3 semistable bound in stability-degree form, the rank-3 bound through a
-minimal-degree rank-2 quotient, the unstable-rank-3 bound (the line bound of
-the maximal line subbundle plus the rank-2 bound of the quotient, or two
-line bounds when the quotient is unstable), and the slope bound for stable
-bundles of small slope.  :func:`bound` is the one place that picks the
-bound for given invariants.
+rank-3 semistable bound in stability-degree form, the quotient and the
+unstable rank-3 bounds (each the line bound of a maximal line subbundle L
+plus a bound of the quotient F = E/L: its rank-2 bound, or two line bounds
+when F is unstable), and the slope bound for stable bundles of small slope.
+:func:`bound` is the one place that picks the bound for given invariants.
 
 Each refined bound is its base value, lowered by one by the first guard that
 holds; the hyperelliptic guard is checked before the Krawtchouk one.
 The Krawtchouk guard, :func:`_krawtchouk_refines`, is the rank-2 refinement
 of a bundle of degree deg with s1 = t: it holds when t <= g (Nagata), t <= deg
 and K_{(deg-t)/2+1}(g, 2g-t) != 0.  The rank-2 bound passes (deg, t) = (d, s1)
-of E; the rank-3 semistable and quotient bounds pass ((2d+s1)/3, s1f) of the
-quotient F = E/L.
+of E, the rank-3 semistable bound ((2d+s1)/3, s1f) of F.  The quotient bound
+has no rungs of its own: F's rank-2 bound passes the same ((2d+s1)/3, s1f).
 
 All arithmetic is exact; half-integer quantities are floored once, at the
 end of each formula.
@@ -217,11 +216,21 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     return _result(base, "RANK3-MAIN")
 
 
+# F's rank-2 case -> the quotient bound's case and notes after s1f=<s1f>;
+# the degree window keeps F in its special range, so no other case occurs.
+_QUOTIENT_CASES = {
+    "RANK2-CLIFFORD": ("RANK3-QUOTIENT", ()),
+    "RANK2-HYP": ("RANK3-QUOTIENT-SHARP", ("hyperelliptic", "s1f>0")),
+    "RANK2-KRAWTCHOUK": ("RANK3-QUOTIENT-KRAWTCHOUK", ("krawtchouk-refinement",)),
+}
+
+
 def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 through a minimal-degree rank-2 quotient with known
-    s1f: floor(d/2 - s1f/2) + 3, lowered by 1 on a hyperelliptic curve with
-    sharpening on when s1f > 0, else by 1 when ``use_delta`` and the
-    Krawtchouk guard holds at the quotient's ((2d+s1)/3, s1f).
+    s1f: the line bound of L, of degree (d - s1)/3, plus the rank-2 bound of
+    F, of degree (2d + s1)/3 with s1(F) = s1f.  F's rungs are the rank-2
+    bound's, at (deg, t) = ((2d+s1)/3, s1f): hyperelliptic (only with
+    sharpening on) when s1f > 0, else Krawtchouk with ``use_delta``.
 
     Requires s1 <= 2*s2 and the degree window
     max(s1, (3*s1f - s1)/2) <= d <= 6g - 6 - (3*s1f + s1)/2.
@@ -237,15 +246,11 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     hi2 = 12 * g - 12 - 3 * s1f - s1
     if not lo2 <= 2 * d <= hi2:
         raise HypothesisFailed(f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]")
-    half = (d - s1f) // 2
-    note = f"s1f={s1f}"
-    if sharpen and hyp and s1f > 0:
-        return _result(half + 2, "RANK3-QUOTIENT-SHARP", False, (note, "hyperelliptic", "s1f>0"))
-    if use_delta and _krawtchouk_refines(g, (2 * d + s1) // 3, s1f):
-        return _result(
-            half + 2, "RANK3-QUOTIENT-KRAWTCHOUK", False, (note, "krawtchouk-refinement")
-        )
-    return _result(half + 3, "RANK3-QUOTIENT", False, (note,))
+    f_curve = curve if sharpen or not hyp else Curve(g)  # sharpening gates F's hyperelliptic rung
+    f_value, f_case, _, _ = h0_rank2_bound(f_curve, (2 * d + s1) // 3, s1f, use_delta)._values
+    case, notes = _QUOTIENT_CASES[f_case]
+    value = h0_line_bound(curve, (d - s1) // 3)._values[0] + f_value
+    return _result(value, case, False, (f"s1f={s1f}",) + notes)
 
 
 def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:

@@ -59,9 +59,9 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # at rank 3 with random choices, a 100,000-row table in 0.19 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
-# N <= 4g - 2, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
+# N = 2g - t <= 3g - 1, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
 MAX_KRAWTCHOUK_N = 4096
-MAX_DELTA_GENUS = MAX_KRAWTCHOUK_N // 4
+MAX_DELTA_GENUS = (MAX_KRAWTCHOUK_N + 1) // 3
 MAX_ELMTRANS_STEPS = 10_000
 MAX_ELMTRANS_GENUS = 1_000
 MAX_TABLE_ROWS = 100_000

@@ -286,6 +286,10 @@ class TestProp21Bound:
         q = rank3_query(5, 18, 0, 0, s1f=2, hyperelliptic=True,
                         use_hyperelliptic_sharpening=True)
         assert h0_prop21_bound(q).value == 10
+        # F's hyperelliptic rung needs sharpening: without it a hyperelliptic
+        # curve gets the value of a general one
+        q = rank3_query(5, 18, 0, 0, s1f=2, hyperelliptic=True)
+        assert h0_prop21_bound(q) == BoundResult(11, "RANK3-QUOTIENT", assumptions=("s1f=2",))
 
     def test_stable_example_value(self):
         q = rank3_query(4, 5, 2, 1, s1f=2, hyperelliptic=True,
@@ -393,6 +397,82 @@ class TestProp21Bound:
                             continue
                         main = h0_rank3_semistable_bound(q)
                         assert quot.value >= main.value - 1
+
+    def test_equals_the_former_formula_on_semistable_input(self):
+        # the line bound of L plus the rank-2 bound of F is, on semistable
+        # input, the formula it replaced: value, case and notes at every call
+        # it answers, sharpening and delta both ways, s1f in [-g-2, g+2]
+        calls = 0
+        for g in range(2, 9):
+            for hyper in (False, True):
+                c = Curve(g, hyper)
+                for s1 in range(3 * g + 1):
+                    for s2 in range(-(-s1 // 2), 3 * g + 1):  # s1 <= 2*s2
+                        if (s2 - 2 * s1) % 3:
+                            continue
+                        for d in range(s1, 6 * g - 5, 3):
+                            inv = BundleInvariants(3, d, (s1, s2))
+                            flags = product(range(-g - 2, g + 3), (False, True), (False, True))
+                            for s1f, delta, sharpen in flags:
+                                try:
+                                    q = Rank3Query(c, inv, s1f=s1f, use_delta=delta,
+                                                   use_hyperelliptic_sharpening=sharpen)
+                                    r = h0_prop21_bound(q)
+                                except (CongruenceViolation, HypothesisFailed):
+                                    continue
+                                assert r == _former_quotient_bound(q), q
+                                calls += 1
+        assert calls == 42_768
+
+    def test_unstable_input_bounds_a_split_bundle(self):
+        # L + K + K at g = 2 with deg L = 7 has h0 = 6 + 2 + 2; the former
+        # formula floor((d - s1f)/2) + 3 gave 8.  L's degree is above 2g - 2,
+        # where Riemann-Roch, not Clifford, gives its h0
+        q = rank3_query(2, 11, -10, -5, s1f=0)
+        assert h0_prop21_bound(q) == BoundResult(10, "RANK3-QUOTIENT", assumptions=("s1f=0",))
+        assert h0_rank3_unstable_bound(q).value == 10
+
+
+def _former_quotient_bound(q):
+    """The quotient bound's own formula before it became the line bound of L
+    plus the rank-2 bound of F: floor((d - s1f)/2) + 3, lowered by 1 with
+    sharpening on a hyperelliptic curve when s1f > 0, else with ``use_delta``
+    when the coefficient of F's ((2d+s1)/3, s1f) is nonzero (by the oracle)."""
+    g, hyper = q.curve.genus, q.curve.hyperelliptic
+    d, s1, s1f = q.inv.degree, q.inv.s[0], q.s1f
+    deg_f, half, note = (2 * d + s1) // 3, (d - s1f) // 2, f"s1f={s1f}"
+    if q.use_hyperelliptic_sharpening and hyper and s1f > 0:
+        return BoundResult(half + 2, "RANK3-QUOTIENT-SHARP",
+                           assumptions=(note, "hyperelliptic", "s1f>0"))
+    if q.use_delta and s1f <= g and s1f <= deg_f and krawtchouk_oracle(
+        KrawtchoukQuery((deg_f - s1f) // 2 + 1, g, 2 * g - s1f)
+    ) != 0:
+        return BoundResult(half + 2, "RANK3-QUOTIENT-KRAWTCHOUK",
+                           assumptions=(note, "krawtchouk-refinement"))
+    return BoundResult(half + 3, "RANK3-QUOTIENT", assumptions=(note,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=st.integers(2, 8), hyper=st.booleans())
+def test_unstable_quotient_bound_is_the_unstable_bound(data, g, hyper):
+    # with s1 < 0 <= s1f both bounds are the line bound of L plus the rank-2
+    # bound of F; with delta off and sharpening as the curve's, F's rungs
+    # agree, so wherever both answer their values are equal
+    s1 = data.draw(st.integers(-4 * g, -1), label="s1")
+    low = -(-s1 // 2)  # s1 <= 2*s2
+    step = data.draw(st.integers(0, (3 * g - low) // 3), label="(s2 - least s2)/3")
+    s2 = low + (2 * s1 - low) % 3 + 3 * step
+    c = Curve(g, hyper)
+    for d in range(s1, 6 * g - 5 - s1, 3):
+        inv = BundleInvariants(3, d, (s1, s2))
+        for s1f in range(suggested_min_s1f(inv), 2 * g, 2):
+            assert s1 < 0 <= s1f
+            q = Rank3Query(c, inv, s1f=s1f, use_hyperelliptic_sharpening=hyper)
+            try:
+                quotient = h0_prop21_bound(q)
+            except HypothesisFailed:
+                continue
+            assert quotient.value == h0_rank3_unstable_bound(q).value, q
 
 
 def test_hyperelliptic_sharpening_computes_no_coefficient(monkeypatch):
@@ -564,8 +644,9 @@ class TestUnstableBound:
 class TestSplitWitnesses:
     """No bound falls below the h^0 of a sum of line bundles whose h^0 is
     known (``tests/witnesses.py``), at g = 2..8 on both curve types, with
-    summand degrees in [-2g-2, 4g+2], with and without ``delta``.  At rank 2
-    only the semistable sums (equal degrees) have a bound."""
+    summand degrees in [-2g-2, 4g+2], with and without ``delta``: ``bound``
+    at every rank, and the quotient bound at rank 3.  At rank 2 only the
+    semistable sums (equal degrees) have a bound."""
 
     @pytest.mark.parametrize("rank, sums", [(1, 539), (2, 588), (3, 191611)])
     def test_bound_is_at_least_h0(self, rank, sums):
@@ -581,6 +662,25 @@ class TestSplitWitnesses:
                         assert r.value >= h0, (c, inv, s1f, delta, h0, r)
                     checked += 1
         assert checked == sums
+
+    def test_quotient_bound_is_at_least_h0(self):
+        # h0_prop21_bound at every sum it accepts, with sharpening and delta
+        # both ways; most sums are unstable (s1 < 0)
+        calls = 0
+        for g in range(2, 9):
+            for hyper in (False, True):
+                c = Curve(g, hyper)
+                for inv, s1f, h0 in split_sums(c, 3, range(-2 * g - 2, 4 * g + 3)):
+                    for delta, sharpen in product((False, True), repeat=2):
+                        q = Rank3Query(c, inv, s1f=s1f, use_delta=delta,
+                                       use_hyperelliptic_sharpening=sharpen)
+                        try:
+                            r = h0_prop21_bound(q)
+                        except HypothesisFailed:
+                            continue
+                        assert r.value >= h0, (q, h0, r)
+                        calls += 1
+        assert calls == 20_860
 
 
 def _outcome(fn, *args, **kwargs):

@@ -268,22 +268,36 @@ class TestCaps:
         assert code == 0 and len(out.splitlines()) == cli.MAX_ELMTRANS_STEPS + 1
 
     def test_delta_at_genus_cap_runs(self, capsys):
-        # K_r(g, 2g) with r = g even is nonzero, so the refinement applies
+        # K_r(g, 2g) with r even is nonzero, so the refinement applies; at
+        # s1 = 0, r = d/2 + 1 is the largest even r <= g (the cap is odd)
         g = cli.MAX_DELTA_GENUS
+        r = g - g % 2
         code, out, _ = run(
             capsys,
-            "bound", "--rank", "2", "--genus", str(g), "--degree", str(2 * g - 2),
+            "bound", "--rank", "2", "--genus", str(g), "--degree", str(2 * r - 2),
             "--s1", "0", "--delta",
         )
         assert code == 0 and json.loads(out)["case"] == "RANK2-KRAWTCHOUK"
 
-    def test_delta_evaluates_no_coefficient_above_4g_minus_2(self, monkeypatch):
-        # the claim behind MAX_DELTA_GENUS = MAX_KRAWTCHOUK_N // 4: every
-        # coefficient a refinement evaluates has N = 2g - t <= 4g - 2.  Over
-        # the criterion-2 genera with every semistable (s1, s2) that has a
-        # special range, the largest N is 3g - 1: the quotient bound needs
-        # s1 <= 2*s2, so s1f >= 0, and the main bound with s1 > 2*s2 needs
-        # 2*s1 - s2 <= 6g - 6, so s1f >= (2*s2 - s1)/3 >= 1 - g
+    def test_delta_genus_cap_keeps_n_within_the_krawtchouk_cap(self, capsys):
+        # 1365 is the largest genus whose largest N, 3g - 1, is at most 4096
+        assert cli.MAX_DELTA_GENUS == 1365 and cli.MAX_KRAWTCHOUK_N == 4096
+        argv = ("bound", "--rank", "2", "--degree", "3", "--s1", "1", "--delta")
+        code, out, _ = run(capsys, *argv, "--genus", "1365")
+        assert code == 0 and json.loads(out)["case"] == "RANK2-KRAWTCHOUK"
+        code, out, err = run(capsys, *argv, "--genus", "1366")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "UsageError", "message": "--genus with --delta must be <= 1365, got 1366"
+        }
+
+    def test_delta_evaluates_no_coefficient_above_3g_minus_1(self, monkeypatch):
+        # the claim behind MAX_DELTA_GENUS = (MAX_KRAWTCHOUK_N + 1) // 3:
+        # every coefficient a refinement evaluates has N = 2g - t <= 3g - 1.
+        # Over the criterion-2 genera with every semistable (s1, s2) that has
+        # a special range, the largest N is 3g - 1: the rank-2 bound and the
+        # quotient's rank-2 part need t >= 0, and the main bound with
+        # s1 > 2*s2 needs 2*s1 - s2 <= 6g - 6, so s1f >= (2*s2 - s1)/3 >= 1 - g
         original, calls = clifford3.bounds.delta_vanishes, []
 
         def recorded(g, deg, t):
@@ -307,7 +321,7 @@ class TestCaps:
                                 clifford3.h0_prop21_bound(q)
                             except clifford3.errors.HypothesisFailed:
                                 pass
-        assert all(2 * g - t <= 4 * g - 2 for g, t in calls)
+        assert all(2 * g - t <= 3 * g - 1 for g, t in calls)
         largest = {}
         for g, t in calls:
             largest[g] = max(largest.get(g, 0), 2 * g - t)
