@@ -4,10 +4,12 @@ Exact section counts where they are forced (vanishing, zero h^1) and
 Clifford-type upper bounds everywhere else: the classical line-bundle bound,
 the rank-2 bound with its hyperelliptic and Krawtchouk refinements, the
 rank-3 semistable bound in stability-degree form, the quotient and the
-unstable rank-3 bounds (each the line bound of a maximal line subbundle L
-plus a bound of the quotient F = E/L: its rank-2 bound, or two line bounds
-when F is unstable), and the slope bound for stable bundles of small slope.
-:func:`bound` is the one place that picks the bound for given invariants.
+unstable rank-3 bounds, and the slope bound for stable bundles of small slope.
+The quotient and the unstable bound read :func:`_split_sum`, the one place
+for L and F in the extension 0 -> L -> E -> F -> 0 by a maximal line
+subbundle L: L's line bound plus F's rank-2 bound, or two line bounds when F
+is unstable.  :func:`bound` is the one place that picks the bound for given
+invariants.
 
 Each refined bound is its base value, lowered by one by the first guard that
 holds; the hyperelliptic guard is checked before the Krawtchouk one.
@@ -216,6 +218,24 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     return _result(base, "RANK3-MAIN")
 
 
+def _split_sum(c: Curve, d: int, s1: int, s1f: int, use_delta: bool) -> tuple[int, str, str]:
+    """(value, L's case, F's case) for an extension 0 -> L -> E -> F -> 0 of
+    F, of degree (2d + s1)/3 with s1(F) = s1f, by a line bundle L of degree
+    (d - s1)/3.  The value is L's line bound plus F's bound: its rank-2 bound
+    under ``use_delta`` when s1f >= 0, else the line bounds of its maximal
+    line subbundle and its quotient, of degrees (deg F -+ s1f)/2, whose
+    cases F's case joins by "+"."""
+    line_value, line_case, _, _ = h0_line_bound(c, (d - s1) // 3)._values
+    deg_f = (2 * d + s1) // 3
+    if s1f >= 0:
+        f_value, f_case, _, _ = h0_rank2_bound(c, deg_f, s1f, use_delta)._values
+    else:
+        sub_value, sub_case, _, _ = h0_line_bound(c, (deg_f - s1f) // 2)._values
+        quo_value, quo_case, _, _ = h0_line_bound(c, (deg_f + s1f) // 2)._values
+        f_value, f_case = sub_value + quo_value, f"{sub_case}+{quo_case}"
+    return line_value + f_value, line_case, f_case
+
+
 # F's rank-2 case -> the quotient bound's case and notes after s1f=<s1f>;
 # the degree window keeps F in its special range, so no other case occurs.
 _QUOTIENT_CASES = {
@@ -226,11 +246,11 @@ _QUOTIENT_CASES = {
 
 
 def h0_prop21_bound(q: Rank3Query) -> BoundResult:
-    """Upper bound on h^0 through a minimal-degree rank-2 quotient with known
-    s1f: the line bound of L, of degree (d - s1)/3, plus the rank-2 bound of
-    F, of degree (2d + s1)/3 with s1(F) = s1f.  F's rungs are the rank-2
-    bound's, at (deg, t) = ((2d+s1)/3, s1f): hyperelliptic (only with
-    sharpening on) when s1f > 0, else Krawtchouk with ``use_delta``.
+    """Upper bound on h^0 through a minimal-degree rank-2 quotient F with
+    known s1f = s1(F): the split sum of :func:`_split_sum`, L's line bound
+    plus F's rank-2 bound.  F's rungs are the rank-2 bound's, at (deg, t) =
+    (deg F, s1f): hyperelliptic (only with sharpening on) when s1f > 0, else
+    Krawtchouk with ``use_delta``.
 
     Requires s1 <= 2*s2 and the degree window
     max(s1, (3*s1f - s1)/2) <= d <= 6g - 6 - (3*s1f + s1)/2.
@@ -246,10 +266,10 @@ def h0_prop21_bound(q: Rank3Query) -> BoundResult:
     hi2 = 12 * g - 12 - 3 * s1f - s1
     if not lo2 <= 2 * d <= hi2:
         raise HypothesisFailed(f"degree {d} outside the quotient window [{lo2}/2, {hi2}/2]")
-    f_curve = curve if sharpen or not hyp else Curve(g)  # sharpening gates F's hyperelliptic rung
-    f_value, f_case, _, _ = h0_rank2_bound(f_curve, (2 * d + s1) // 3, s1f, use_delta)._values
+    # sharpening gates F's hyperelliptic rung; L's line bound reads only the genus
+    f_curve = curve if sharpen or not hyp else Curve(g)
+    value, _, f_case = _split_sum(f_curve, d, s1, s1f, use_delta)
     case, notes = _QUOTIENT_CASES[f_case]
-    value = h0_line_bound(curve, (d - s1) // 3)._values[0] + f_value
     return _result(value, case, False, (f"s1f={s1f}",) + notes)
 
 
@@ -258,13 +278,12 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
 
     For s2 < 0 <= s1 it bounds the twisted dual of :func:`_s1f_frame`, which
     ``q.s1f`` describes, and moves the result back by the Euler
-    characteristic.  With s1 < 0 the bundle is an extension 0 -> L -> E -> F
-    -> 0 of F, of degree (2d + s1)/3 with s1(F) = s1f, by a maximal line
-    subbundle L of degree (d - s1)/3.  The value is L's line bound plus F's
-    rank-2 bound (no Krawtchouk refinement) when s1f >= 0, else plus the line
-    bounds of F's maximal line subbundle and its quotient, of degrees
-    (deg F -+ s1f)/2.  The notes name each part's case: ``line:<case>``, then
-    ``quotient:<case>`` or ``quotient:<sub case>+<quotient case>``.
+    characteristic.  With s1 < 0 the bundle is an extension of its quotient
+    F, with s1(F) = s1f, by a maximal line subbundle L, and the value is the
+    split sum of :func:`_split_sum` with no Krawtchouk refinement: F's
+    rank-2 bound when s1f >= 0, else two line bounds.  The notes name each
+    part's case: ``line:<case>``, then ``quotient:<case>`` or
+    ``quotient:<sub case>+<quotient case>``.
     """
     curve, inv, s1f, _, _ = q._values
     _, d, (s1, s2) = inv._values
@@ -277,18 +296,10 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     if not s1 <= d <= 6 * g - 6 - s2:
         result = _exact_tail(d, s1, d + 3 - 3 * g)
     else:
-        line_value, line_case, _, _ = h0_line_bound(curve, (d - s1) // 3)._values
-        deg_f = (2 * d + s1) // 3
-        if s1f >= 0:
-            case = "UNSTABLE-SS-QUOTIENT"
-            f_value, f_case, _, _ = h0_rank2_bound(curve, deg_f, s1f)._values
-        else:
-            case = "UNSTABLE-UNSTABLE-QUOTIENT"
-            sub_value, sub_case, _, _ = h0_line_bound(curve, (deg_f - s1f) // 2)._values
-            quo_value, quo_case, _, _ = h0_line_bound(curve, (deg_f + s1f) // 2)._values
-            f_value, f_case = sub_value + quo_value, f"{sub_case}+{quo_case}"
+        value, line_case, f_case = _split_sum(curve, d, s1, s1f, False)
+        case = "UNSTABLE-SS-QUOTIENT" if s1f >= 0 else "UNSTABLE-UNSTABLE-QUOTIENT"
         notes = (f"s1f={s1f}", f"line:{line_case}", f"quotient:{f_case}")
-        result = _result(line_value + f_value, case, False, notes)
+        result = _result(value, case, False, notes)
     if shift is None:
         return result
     value, case, exact, notes = result._values

@@ -53,10 +53,11 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # Largest accepted inputs, with the slowest command each allows, timed as
 # one ``main`` call in a fresh process with the output kept in memory, the
 # larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
-# coefficient at N = 4096 in 1.1 s (r = n = N, the full alternating sum; at
-# N = 2n it is one binomial), a 10,000-step trajectory at genus 1,000 in
-# 0.08 s at rank 2 with every choice a miss (7.5 MB of output) and in 0.044 s
-# at rank 3 with random choices, a 100,000-row table in 0.19 s (every row a
+# coefficient at N = 4096 in 1.02 s (r = n = N, the full alternating sum,
+# whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
+# binomial), a 10,000-step trajectory at genus 1,000 in 0.08 s at rank 2
+# with every choice a miss (7.5 MB of output) and in 0.044 s at rank 3 with
+# random choices, a 100,000-row table in 0.19 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N = 2g - t <= 3g - 1, so its genus cap keeps N within MAX_KRAWTCHOUK_N.

@@ -9,8 +9,9 @@ bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
 The rule is written once, in ``_step``, on plain values.  :func:`step`
-builds a checked state from it; :func:`trajectory` and
-:func:`generic_sequence` walk it without building a record per step.
+builds a checked state from it; :func:`trajectory` walks it without
+building a record per step, and :func:`generic_sequence` is the last state
+of that walk.
 """
 from __future__ import annotations
 
@@ -153,12 +154,9 @@ def generic_sequence(start: ElmState, m: int) -> ElmState:
         raise HypothesisUnverifiable(
             f"no rank has dimension bounds certifying {m} generic steps"
         )
-    inv = start.inv
-    misses = (False,) * (inv.rank - 1)
-    s, sb = inv.s, start.sb_dim_upper
-    for _ in range(m):
-        s, sb = _step(inv.rank, s, sb, misses)
-    return ElmState(BundleInvariants(inv.rank, inv.degree + m, s), sb, start.step_count + m)
+    n = start.inv.rank
+    d, s, sb = trajectory(start, repeat((False,) * (n - 1), m))[-1]
+    return ElmState(BundleInvariants(n, d, s), sb, start.step_count + m)
 
 
 def seed_state_lemma36(c: Curve, n: int) -> ElmState:

@@ -31,7 +31,7 @@ def test_equal_trees_have_no_difference(tmp_path, argvs):
     summary = differential.compare(sys.executable, a, b, "smoke", argvs)
     assert summary["session_argvs"] == 200
     assert summary["outcomes"] > 50000
-    assert summary["differences"] == 0 and summary["first"] == []
+    assert summary["differences"] == 0 and summary["first"] == [] and summary["by_call"] == {}
 
 
 def test_an_off_by_one_tail_is_a_difference(tmp_path, argvs):
@@ -70,8 +70,10 @@ def test_a_query_that_raises_changes_only_its_own_lines(tmp_path, monkeypatch):
         elif name != "bound":  # each h0_* of a query that was not built
             assert d["change"] == differential.SKIPPED, d
     assert len(points) > 100 and summary["differences"] == 5 * len(points)
-    assert all(names == {"bound", "Rank3Query", "h0_rank3_semistable_bound", "h0_prop21_bound",
-                         "h0_rank3_unstable_bound"} for names in points.values())
+    names = {"bound", "Rank3Query", "h0_rank3_semistable_bound", "h0_prop21_bound",
+             "h0_rank3_unstable_bound"}
+    assert all(at_point == names for at_point in points.values())
+    assert summary["by_call"] == {name: len(points) for name in names}
 
 
 def test_the_argv_grid_reaches_the_bound_line(tmp_path):

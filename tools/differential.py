@@ -17,8 +17,9 @@ PYTHONPATH, with PYTHONHASHSEED=0) and prints one line per call:
 Which calls are made, and so each line's label, depends only on the grid:
 a call that needs a record that could not be built is still listed, with
 the outcome SKIPPED.  So the two streams are compared line by line.  The
-summary is one JSON line on stdout; the exit status is 0 when every outcome
-is the same, 1 otherwise.
+summary is one JSON line on stdout, with the number of differing outcomes of
+each call name (``by_call``, the label before its ``(``) and the first
+differences; the exit status is 0 when every outcome is the same, 1 otherwise.
 ``--python`` runs both workers under another interpreter, which needs only
 the standard library.  Nothing under ``src`` or ``bench`` is changed.
 """
@@ -242,11 +243,12 @@ def compare(python: str, base_src, change_src, grid: str, argvs: list) -> dict:
             procs.append(subprocess.Popen(
                 cmd, env=env, cwd=tmp, stdout=subprocess.PIPE, text=True, encoding="utf-8"
             ))
-        count, differences, diffs = 0, 0, []  # diffs: the first SHOWN
+        count, by_call, diffs = 0, {}, []  # diffs: the first SHOWN
         for a, b in itertools.zip_longest(procs[0].stdout, procs[1].stdout):
             count += 1
             if a != b:
-                differences += 1
+                name = (a or b).partition("(")[0]
+                by_call[name] = by_call.get(name, 0) + 1
                 if len(diffs) < SHOWN:
                     diffs.append((a, b))
         codes = [p.wait() for p in procs]
@@ -258,8 +260,8 @@ def compare(python: str, base_src, change_src, grid: str, argvs: list) -> dict:
         other, _, change = (b or "\t(missing)").rstrip("\n").partition("\t")
         shown.append({"call": label or other, "base": base, "change": change})
     return {"outcomes": count, "session_argvs": len(argvs),
-            "grid_argvs": sum(1 for _ in argv_grid(GRIDS[grid])), "differences": differences,
-            "first": shown}
+            "grid_argvs": sum(1 for _ in argv_grid(GRIDS[grid])),
+            "differences": sum(by_call.values()), "by_call": by_call, "first": shown}
 
 
 def _git(*args) -> str:
