@@ -2,14 +2,14 @@
 
 Exact section counts where they are forced (vanishing, zero h^1) and
 Clifford-type upper bounds everywhere else: the classical line-bundle bound,
-the rank-2 bound with its hyperelliptic and Krawtchouk refinements, the
-rank-3 semistable bound in stability-degree form, the quotient and the
-unstable rank-3 bounds, and the slope bound for stable bundles of small slope.
-The quotient and the unstable bound read :func:`_split_sum`, the one place
-for L and F in the extension 0 -> L -> E -> F -> 0 by a maximal line
-subbundle L: L's line bound plus F's rank-2 bound, or two line bounds when F
-is unstable.  :func:`bound` is the one place that picks the bound for given
-invariants.
+the rank-2 bound (two line bounds when unstable) with its hyperelliptic and
+Krawtchouk refinements, the rank-3 semistable bound in stability-degree
+form, the quotient and the unstable rank-3 bounds, and the slope bound for
+stable bundles of small slope.  The quotient and the unstable bound read
+:func:`_split_sum`, the one place for L and F in the extension
+0 -> L -> E -> F -> 0 by a maximal line subbundle L: L's line bound plus
+F's :func:`h0_rank2_bound`, at every s1f.  :func:`bound` is the one place
+that picks the bound for given invariants.
 
 Each refined bound is its base value, lowered by one by the first guard that
 holds; the hyperelliptic guard is checked before the Krawtchouk one.
@@ -154,17 +154,24 @@ def h0_line_bound(c: Curve, d: int) -> BoundResult:
 
 
 def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundResult:
-    """Upper bound on h^0 of a semistable rank-2 bundle with invariants (d, s1).
+    """Upper bound on h^0 of a rank-2 bundle with invariants (d, s1).
 
-    Exact 0 for d < s1 and exact d+2-2g for d > 4g-4-s1; in between the
-    bound is (d-s1)/2 + 2, lowered by 1 on a hyperelliptic curve when
-    s1 > 0, else by 1 if ``use_delta`` and the Krawtchouk guard holds at (d, s1).
+    For s1 < 0 the bundle is an extension of a line bundle of degree
+    (d + s1)/2 by its maximal line subbundle, of degree (d - s1)/2, and the
+    bound is the sum of their line bounds, whose cases it joins by "+"; it
+    is exact when both are.  For s1 >= 0 it is exact 0 for d < s1 and exact
+    d+2-2g for d > 4g-4-s1; in between it is (d-s1)/2 + 2, lowered by 1 on
+    a hyperelliptic curve when s1 > 0, else by 1 if ``use_delta`` and the
+    Krawtchouk guard holds at (d, s1).
     """
     g, hyp = c._values
     if (s1 - d) % 2 != 0:
         raise _congruence_violation(2, d, 1, s1)
     if s1 < 0:
-        raise NotSemistable(f"rank-2 bound needs s1 >= 0, got {s1}")
+        sub_value, sub_case, sub_exact, _ = h0_line_bound(c, (d - s1) // 2)._values
+        quo_value, quo_case, quo_exact, _ = h0_line_bound(c, (d + s1) // 2)._values
+        return _result(sub_value + quo_value, f"{sub_case}+{quo_case}",
+                       sub_exact and quo_exact, ())
     if not s1 <= d <= 4 * g - 4 - s1:
         return _exact_tail(d, s1, d + 2 - 2 * g)
     half = (d - s1) // 2
@@ -221,18 +228,10 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
 def _split_sum(c: Curve, d: int, s1: int, s1f: int, use_delta: bool) -> tuple[int, str, str]:
     """(value, L's case, F's case) for an extension 0 -> L -> E -> F -> 0 of
     F, of degree (2d + s1)/3 with s1(F) = s1f, by a line bundle L of degree
-    (d - s1)/3.  The value is L's line bound plus F's bound: its rank-2 bound
-    under ``use_delta`` when s1f >= 0, else the line bounds of its maximal
-    line subbundle and its quotient, of degrees (deg F -+ s1f)/2, whose
-    cases F's case joins by "+"."""
+    (d - s1)/3: L's line bound plus F's :func:`h0_rank2_bound` under
+    ``use_delta``, at every s1f."""
     line_value, line_case, _, _ = h0_line_bound(c, (d - s1) // 3)._values
-    deg_f = (2 * d + s1) // 3
-    if s1f >= 0:
-        f_value, f_case, _, _ = h0_rank2_bound(c, deg_f, s1f, use_delta)._values
-    else:
-        sub_value, sub_case, _, _ = h0_line_bound(c, (deg_f - s1f) // 2)._values
-        quo_value, quo_case, _, _ = h0_line_bound(c, (deg_f + s1f) // 2)._values
-        f_value, f_case = sub_value + quo_value, f"{sub_case}+{quo_case}"
+    f_value, f_case, _, _ = h0_rank2_bound(c, (2 * d + s1) // 3, s1f, use_delta)._values
     return line_value + f_value, line_case, f_case
 
 
@@ -281,8 +280,8 @@ def h0_rank3_unstable_bound(q: Rank3Query) -> BoundResult:
     characteristic.  With s1 < 0 the bundle is an extension of its quotient
     F, with s1(F) = s1f, by a maximal line subbundle L, and the value is the
     split sum of :func:`_split_sum` with no Krawtchouk refinement: F's
-    rank-2 bound when s1f >= 0, else two line bounds.  The notes name each
-    part's case: ``line:<case>``, then ``quotient:<case>`` or
+    :func:`h0_rank2_bound` at every s1f.  The notes name each part's case:
+    ``line:<case>``, then ``quotient:<case>``, which for s1f < 0 is
     ``quotient:<sub case>+<quotient case>``.
     """
     curve, inv, s1f, _, _ = q._values

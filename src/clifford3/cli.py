@@ -88,10 +88,12 @@ def _check_reads(args, command: str, mode) -> None:
 
 
 # The optional flags each mode of ``bound`` reads: ranks 1 and 2, checked before
-# any work, and rank-3 input, checked once its invariants say which mode it is.
+# any work (rank 2 with --s1 < 0 is its own mode), and rank-3 input, checked
+# once its invariants say which mode it is.
 _BOUND_READS = {
     1: (),
     2: ("s1", "hyperelliptic", "delta"),
+    "unstable rank-2": ("s1",),
     "semistable": ("s1", "s2", "s1f", "hyperelliptic", "delta"),
     "unstable": ("s1", "s2", "s1f", "f_semistable"),
 }
@@ -99,7 +101,8 @@ _BOUND_READS = {
 
 def cmd_bound(args) -> int:
     if args.rank < 3:
-        _check_reads(args, "bound", args.rank)
+        split = args.rank == 2 and (args.s1 or 0) < 0
+        _check_reads(args, "bound", "unstable rank-2" if split else args.rank)
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
     curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
@@ -108,11 +111,11 @@ def cmd_bound(args) -> int:
         flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
         raise Clifford3Error(f"rank {args.rank} needs {flags}")
     inv = BundleInvariants(args.rank, args.degree, s)
-    semistable = inv.semistable()
+    unstable = args.rank == 3 and not inv.semistable()
     if args.rank == 3:
-        _check_reads(args, "bound", "semistable" if semistable else "unstable")
+        _check_reads(args, "bound", "unstable" if unstable else "semistable")
     result = bound(curve, inv, s1f=args.s1f, delta=args.delta)
-    if not semistable:
+    if unstable:
         if args.f_semistable and args.s1f < 0:
             raise HypothesisFailed("a semistable quotient has s1f >= 0")
         if not args.f_semistable and args.s1f >= 0:

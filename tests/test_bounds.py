@@ -81,9 +81,29 @@ class TestRank2Bound:
                 call()
             assert info.value.r == 1 and str(info.value) == message
 
-    def test_semistability_checked(self):
-        with pytest.raises(NotSemistable):
-            h0_rank2_bound(Curve(3), 10, -2)
+    def test_unstable_is_the_split_sum(self):
+        # s1 < 0: the maximal line subbundle, of degree 6 > 2g - 2, plus its
+        # quotient, of degree 4
+        assert h0_rank2_bound(Curve(3), 10, -2) == BoundResult(7, "RR-EXACT+CLIFFORD-LINE")
+
+    def test_unstable_tails_and_duality(self):
+        # every s1 < 0 with g <= 8: two joined line cases with no notes, exact
+        # tails outside [s1, 4g-4-s1], the Serre duality identity
+        # B(d) = B(4g-4-d) + d + 2 - 2g at every d, and neither rung: both
+        # are semistable-only
+        for g in range(2, 9):
+            plain = Curve(g)
+            for s1 in range(-2 * g, 0):
+                for d in range(s1 - 4, 4 * g - 4 - s1 + 5, 2):
+                    r = h0_rank2_bound(plain, d, s1)
+                    assert r.case.count("+") == 1 and r.assumptions == (), (g, d, s1, r)
+                    if d < s1:
+                        assert r.value == 0 and r.exact, (g, d, s1, r)
+                    if d > 4 * g - 4 - s1:
+                        assert r.value == d + 2 - 2 * g and r.exact, (g, d, s1, r)
+                    dual = h0_rank2_bound(plain, 4 * g - 4 - d, s1)
+                    assert r.value == dual.value + d + 2 - 2 * g, (g, d, s1, r, dual)
+                    assert h0_rank2_bound(Curve(g, True), d, s1, use_delta=True) == r
 
     def test_riemann_roch_tail(self):
         g, s1 = 3, 2
@@ -645,21 +665,20 @@ class TestSplitWitnesses:
     """No bound falls below the h^0 of a sum of line bundles whose h^0 is
     known (``tests/witnesses.py``), at g = 2..8 on both curve types, with
     summand degrees in [-2g-2, 4g+2], with and without ``delta``: ``bound``
-    at every rank, and the quotient bound at rank 3.  At rank 2 only the
-    semistable sums (equal degrees) have a bound."""
+    at every rank, and the quotient bound at rank 3.  A result marked
+    ``exact`` equals the h^0."""
 
-    @pytest.mark.parametrize("rank, sums", [(1, 539), (2, 588), (3, 191611)])
+    @pytest.mark.parametrize("rank, sums", [(1, 539), (2, 11851), (3, 191611)])
     def test_bound_is_at_least_h0(self, rank, sums):
         checked = 0
         for g in range(2, 9):
             for hyper in (False, True):
                 c = Curve(g, hyper)
                 for inv, s1f, h0 in split_sums(c, rank, range(-2 * g - 2, 4 * g + 3)):
-                    if rank == 2 and inv.s[0] < 0:
-                        continue
                     for delta in (False, True):
                         r = bound(c, inv, s1f=s1f, delta=delta)
                         assert r.value >= h0, (c, inv, s1f, delta, h0, r)
+                        assert not r.exact or r.value == h0, (c, inv, s1f, delta, h0, r)
                     checked += 1
         assert checked == sums
 

@@ -78,6 +78,15 @@ class TestBound:
         payload = json.loads(out)
         assert payload["value"] == 5 and payload["case"] == "UNSTABLE-SS-QUOTIENT"
 
+    def test_unstable_rank2_is_the_split_sum(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--genus", "5", "--rank", "2", "--degree", "4", "--s1", "-2"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out) == {
+            "value": 3, "case": "CLIFFORD-LINE+CLIFFORD-LINE", "exact": False, "assumptions": []
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -692,6 +701,7 @@ READS = {
         "bound --genus 3 --rank 2 --degree 3 --s1 1",
         {"--s1": "1", "--hyperelliptic": None, "--delta": None},
     ),
+    "on unstable rank-2 input": ("bound --genus 5 --rank 2 --degree 4 --s1 -2", {"--s1": "-4"}),
     "on semistable input": (
         "bound --genus 3 --rank 3 --degree 10 --s1 1 --s2 2",
         {"--s1": "1", "--s2": "2", "--s1f": "3", "--hyperelliptic": None, "--delta": None},

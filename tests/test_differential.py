@@ -4,6 +4,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,14 @@ def test_the_argv_grid_reaches_the_bound_line(tmp_path):
     assert summary["session_argvs"] == 0 and summary["grid_argvs"] > 400
     assert summary["differences"] > 0
     assert all(d["call"].startswith("cli.main(['bound'") for d in summary["first"])
+
+
+def test_the_argv_grid_reaches_every_rank2_mode():
+    # rank 2 with s1 < 0 is a mode of its own, which reads neither flag
+    head = ["bound", "--genus", "3", "--rank", "2"]
+    rank2 = {(int(a[8]), tuple(a[9:])) for a in differential.argv_grid([3]) if a[:5] == head}
+    flags = [(), ("--hyperelliptic",), ("--delta",)]
+    assert rank2 == set(product(range(-6, 7), flags))
 
 
 def test_checkout_is_a_temporary_worktree():

@@ -163,14 +163,17 @@ def _rank3(c3, c, d, s):
 def argv_grid(genera):
     """``bound`` at ranks 1-3 and ``table`` at each genus: every congruent
     degree of each special range and the nearest degree of each tail, over
-    semistable s1, s2 <= 2g; ``bound`` with and without ``--hyperelliptic``
-    (ranks 2 and 3) and ``--delta`` (rank 2), ``table`` with and without
-    ``--hyperelliptic`` and ``--d-min``/``--d-max``."""
+    semistable s1, s2 <= 2g at rank 3 and s1 in [-2g, 2g] at rank 2;
+    ``bound`` with and without ``--hyperelliptic`` (ranks 2 and 3) and
+    ``--delta`` (rank 2), ``table`` with and without ``--hyperelliptic`` and
+    ``--d-min``/``--d-max``."""
     for g in genera:
         gen = ["--genus", str(g)]
         for d in range(-1, 2 * g):
             yield ["bound", *gen, "--rank", "1", "--degree", str(d)]
-        for s1, flags in itertools.product(range(2 * g + 1), ([], ["--hyperelliptic"], ["--delta"])):
+        for s1, flags in itertools.product(
+            range(-2 * g, 2 * g + 1), ([], ["--hyperelliptic"], ["--delta"])
+        ):
             for d in range(s1 - 2, 4 * g - 4 - s1 + 3, 2):
                 yield ["bound", *gen, "--rank", "2", "--degree", str(d), "--s1", str(s1), *flags]
         for s1, s2 in itertools.product(range(2 * g + 1), repeat=2):
