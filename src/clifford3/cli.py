@@ -7,7 +7,10 @@ keyed "r,i" in (r, i) order), CSV for ``table`` and ``examples --suite``,
 and a bare integer for ``krawtchouk``.  ``bound``'s JSON and the
 ``elmtrans`` lines are written directly, byte for byte what ``json.dumps``
 gives.  ``elmtrans`` checks only its seed, and ``table`` only the rank-3
-query of its first swept degree.  Validation and usage errors go to stderr
+query of its first swept degree.  ``elmtrans`` walks each rank as one
+column of ``elmtrans._column``, where the transformation rule is written
+(``step`` reads it too), and builds a rank's text once per tuple that is
+not a prefix of the one before it.  Validation and usage errors go to stderr
 as a JSON object with a stable ``code`` field and exit status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
@@ -31,12 +34,14 @@ from __future__ import annotations
 import json
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
-from .elmtrans import seed_state_lemma36, trajectory
+from .elmtrans import ElmState, _column, seed_state_lemma36
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
     family_a,
@@ -55,8 +60,8 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
 # coefficient at N = 4096 in 1.02 s (r = n = N, the full alternating sum,
 # whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
-# binomial), a 10,000-step trajectory at genus 1,000 in 0.08 s at rank 2
-# with every choice a miss (7.5 MB of output) and in 0.044 s at rank 3 with
+# binomial), a 10,000-step trajectory at genus 1,000 in 0.038 s at rank 2
+# with every choice a miss (7.5 MB of output) and in 0.020 s at rank 3 with
 # random choices, a 100,000-row table in 0.19 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
@@ -142,37 +147,54 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _state_line(k: int, n: int, d: int, s: tuple, sb: tuple, last: list) -> str:
-    """The ``elmtrans`` line of step k of a rank-n walk at degree d, byte for
-    byte what ``json.dumps`` writes for its row: every field is an int or a
-    list or object of ints.
+# The ``elmtrans`` line of each rank n, filled with step, d, s_1..s_(n-1) and
+# the bounds text; ints are written by str(), as json.dumps writes them.
+_ELMTRANS_LINES = {
+    n: '{"step": %s, "rank": ' + str(n) + ', "d": %s, "s": ['
+    + ", ".join(["%s"] * (n - 1)) + '], "sb_dim_upper": {%s}}\n'
+    for n in (2, 3)
+}
 
-    ``last`` holds each rank's (bounds, text) from the previous line, and
-    this call stores its own there; before the first line each rank holds
-    ``((), "")``.  A rank whose bounds are a prefix of the previous ones, as
-    a miss that leaves the rule's maxima in place makes them, cuts its text
-    from the previous text instead of writing it again.
+
+def _bound_texts(r: int, column: list, built: list) -> Iterator[str]:
+    """The ``"r,i": v`` text of each bound tuple in rank r's column, in turn,
+    where ``built`` indexes the tuples that are not a prefix of the one
+    before.
+
+    Each of those builds its text once; the tuples after it, up to the next
+    one, are its prefixes and slices of its text, cut where their last
+    entry ends.
     """
-    texts = []
-    r = 0
-    for b in sb:
-        prev, text = last[r]
-        r += 1
-        if b is not prev:
-            j = len(b)
-            if b != prev[:j]:
-                text = ", ".join([f'"{r},{i}": {v}' for i, v in enumerate(b)])
-            elif j < len(prev):
-                # keys are unique and values are ints, so the key of entry j
-                # occurs once; it is near the end when a step dropped one entry
-                text = text[: text.rfind(f', "{r},{j}": ')] if j else ""
-            last[r - 1] = (b, text)
-        if text:
-            texts.append(text)
-    return (
-        f'{{"step": {k}, "rank": {n}, "d": {d}, "s": [{", ".join(map(str, s))}], '
-        f'"sb_dim_upper": {{{", ".join(texts)}}}}}\n'
-    )
+    fmt = f', "{r},%s": %s'
+    for k0, k1 in zip(built, [*built[1:], len(column)]):
+        items = list(map(fmt.__mod__, enumerate(column[k0])))
+        text = "".join(items)
+        # cuts[j] ends entry j-1; each entry leads with its ", ", so the
+        # slice of the first j entries starts at 2 (and is "" for j = 0)
+        cuts = list(accumulate(map(len, items), initial=0))
+        for b in column[k0:k1]:
+            yield text[2 : cuts[len(b)]]
+
+
+def _walk_lines(start: ElmState, bits: str) -> str:
+    """The ``elmtrans`` lines of the walk from ``start`` that takes n-1 of
+    ``bits`` a step, "1" a hit, byte for byte what ``json.dumps`` writes for
+    each row: every field is an int or a list or object of ints.  Rank r
+    reads every (n-1)-th bit from bit r-1 and is walked as one column.
+    """
+    inv, sb, k = start._values
+    n, d, s = inv._values
+    s_cols, texts = [], []
+    for r in range(1, n):
+        hits = map("1".__eq__, bits[r - 1 :: n - 1])
+        s_col, b_col, built = _column(n, r, s[r - 1], sb[r - 1], hits)
+        s_cols.append(s_col)
+        texts.append(_bound_texts(r, b_col, built))
+    # a rank with no known bound writes no text and no separator; the texts
+    # are made as the lines are, so that only the lines are held at once
+    joined = texts[0] if n == 2 else (f"{a}, {b}" if a and b else a or b for a, b in zip(*texts))
+    rows = zip(count(k), count(d), *s_cols, joined)
+    return "".join(map(_ELMTRANS_LINES[n].__mod__, rows))
 
 
 def cmd_elmtrans(args) -> int:
@@ -189,14 +211,7 @@ def cmd_elmtrans(args) -> int:
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
             f"{args.steps * (n - 1)}"
         )
-    # one iterator zipped with itself: each step takes the next n-1 bits
-    choices = zip(*[map("1".__eq__, bits)] * (n - 1))
-    last = [((), "")] * (n - 1)
-    lines = [
-        _state_line(k, n, d, s, sb, last)
-        for k, (d, s, sb) in enumerate(trajectory(start, choices))
-    ]
-    sys.stdout.write("".join(lines))
+    sys.stdout.write(_walk_lines(start, bits))
     return 0
 
 

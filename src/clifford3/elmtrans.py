@@ -8,15 +8,17 @@ subbundles of degree (maximal - i) are tracked only through integer upper
 bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
-The rule is written once, in ``_step``, on plain values.  :func:`step`
-builds a checked state from it; :func:`trajectory` walks it without
-building a record per step, and :func:`generic_sequence` is the last state
-of that walk.
+The ranks never interact, so the rule is written once, per rank, in
+``_column``: it walks one rank's s_r and bound tuple through a run of
+choices on plain values.  :func:`trajectory` zips the ranks' columns into
+states without building a record per step, :func:`step` is the checked last
+state of a one-step trajectory, and :func:`generic_sequence` is the last
+state of an all-miss walk.  ``cli.cmd_elmtrans`` reads the columns directly.
 """
 from __future__ import annotations
 
-from itertools import repeat
-from operator import le, sub
+from itertools import accumulate, repeat
+from operator import itemgetter, le, sub
 
 from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve, _Record, _store
@@ -57,34 +59,49 @@ class ElmState(_Record):
         return bounds[i] if 0 <= i < len(bounds) else None
 
 
-def _step(
-    n: int, s: tuple[int, ...], bounds: tuple[tuple[int, ...], ...], hits
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The transformation rule on plain values: the stability degrees and the
-    bound tuples one step after ``s`` and ``bounds`` at rank n.  This is the
-    only place the rule is written; see :func:`step`."""
-    if len(hits) != n - 1:
-        raise ValueError(f"need {n - 1} choices for rank {n}")
-    new_s = []
-    new_sb = []
-    r = 0
-    for sr, b, hit in zip(s, bounds, hits):
-        r += 1
+def _flat(b: tuple[int, ...], c: int) -> bool:
+    """Whether no bound of ``b`` rises by more than c to the next."""
+    return all(map(le, map(sub, b[1:], b), repeat(c)))
+
+
+def _column(
+    n: int, r: int, s_r: int, b: tuple[int, ...], hits
+) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """The transformation rule on one rank's plain values: s_r and rank r's
+    bound tuple at the start and after each step of a rank-n walk, where
+    ``hits`` gives that rank's choice at each step, and the indices of the
+    tuples that are not a prefix of the tuple before them, 0 (the start)
+    first.  The ranks never interact, so this is the only place the rule is
+    written; see :func:`step`.
+
+    A tuple whose bounds never rise by more than n - r from one entry to the
+    next is flat: every max of the rule is the old bound, so a miss drops
+    its last entry, and a prefix of a flat tuple is flat.  A hit leaves the
+    flat ``()``.  So flatness is checked once for the start and once for
+    each tuple the rule's maxima build, and a walk from a flat start checks
+    it once.  A tuple the maxima build is no prefix of the one before it,
+    since some max exceeds the old bound; every other tuple is a prefix.
+    """
+    c = n - r
+    hits = list(hits)
+    column = [b]
+    built = [0]
+    flat = _flat(b, c)
+    for k, hit in enumerate(hits, 1):
         if hit:
-            new_s.append(sr - (n - r))
-            new_sb.append(())
+            b = ()
+            flat = True
+        elif flat:
+            b = b[:-1]
         else:
-            new_s.append(sr + r)
-            if not b or all(map(le, map(sub, b[1:], b), repeat(n - r))):
-                # no bound rises by more than n-r to the next, so every max
-                # is the old bound: the rule drops the last entry
-                new_sb.append(b[:-1])
-            else:
-                # a list gives tuple() the exact length; a generator makes it
-                # shrink a larger tuple, which fills CPython's tuple free lists
-                # (~4 MB)
-                new_sb.append(tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])]))
-    return tuple(new_s), tuple(new_sb)
+            # a list gives tuple() the exact length; a generator makes it
+            # shrink a larger tuple, which fills CPython's tuple free lists
+            # (~4 MB)
+            b = tuple([max(u, v - c) for u, v in zip(b, b[1:])])
+            flat = _flat(b, c)
+            built.append(k)
+        column.append(b)
+    return list(accumulate([-c if hit else r for hit in hits], initial=s_r)), column, built
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
@@ -95,12 +112,12 @@ def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
     (r, i) becomes max(old(r, i), old(r, i+1) - (n-r)), since containing the
     chosen line imposes n-r conditions, so a rank's tuple loses its last
     entry; on a hit, s_r drops by n-r and the bounds for that rank become
-    unknown (there is no rule for that branch).  The result has one tuple
-    per rank 1..n-1 and is built as a checked record.
+    unknown (there is no rule for that branch).  The result is the last
+    state of a one-step :func:`trajectory`, built as a checked record with
+    one tuple per rank 1..n-1.
     """
-    inv = st.inv
-    s, sb = _step(inv.rank, inv.s, st.sb_dim_upper, hits)
-    return ElmState(BundleInvariants(inv.rank, inv.degree + 1, s), sb, st.step_count + 1)
+    d, s, sb = trajectory(st, (hits,))[-1]
+    return ElmState(BundleInvariants(st.inv.rank, d, s), sb, st.step_count + 1)
 
 
 def trajectory(
@@ -109,19 +126,27 @@ def trajectory(
     """``(degree, s, sb_dim_upper)`` of ``start`` and of each later state
     when the choices are applied in turn, as :func:`step` would give them.
 
+    Every choice's length is checked first; one of the wrong length raises
+    ``ValueError``.  Each rank is then walked on its own, by the rule's one
+    writing in ``_column``, and the ranks' columns are zipped into states.
     The states are plain values, not records, and are not checked again: a
     step raises the degree by 1 and moves s_r by r or -(n-r), so s_r stays
-    congruent to r*d mod n and ``start``'s checks hold for every state.  A
-    choice of the wrong length raises :func:`step`'s ``ValueError``.
+    congruent to r*d mod n and ``start``'s checks hold for every state.
     """
     inv, sb, _ = start._values
     n, d, s = inv._values
-    walk = [(d, s, sb)]
-    for hits in choices:
-        s, sb = _step(n, s, sb, hits)
-        d += 1
-        walk.append((d, s, sb))
-    return walk
+    choices = list(choices)
+    if set(map(len, choices)) - {n - 1}:
+        raise ValueError(f"need {n - 1} choices for rank {n}")
+    columns = [
+        _column(n, r, s_r, b, map(itemgetter(r - 1), choices))
+        for r, s_r, b in zip(range(1, n), s, sb)
+    ]
+    return list(zip(
+        range(d, d + len(choices) + 1),
+        zip(*[s_col for s_col, _, _ in columns]),
+        zip(*[b_col for _, b_col, _ in columns]),
+    ))
 
 
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:

@@ -467,26 +467,25 @@ class TestDirectOutput:
     equal what it writes."""
 
     @settings(max_examples=200, deadline=None)
-    @given(start=_start_states(), data=st.data())
-    def test_state_lines_equal_json_dumps(self, start, data):
-        def line(state, last):
-            inv = state.inv
-            return cli._state_line(
-                state.step_count, inv.rank, inv.degree, inv.s, state.sb_dim_upper, last
-            )
-
-        last = [((), "")] * (start.inv.rank - 1)
+    @given(
+        start=_start_states(),
+        hit_rate=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+        data=st.data(),
+    )
+    def test_state_lines_equal_json_dumps(self, start, hit_rate, data):
+        # drawn starts rise by more than n-r, so the walk builds new tuples by
+        # the rule's maxima and also cuts prefixes of flat ones
+        n = start.inv.rank
+        bits = "".join(
+            "1" if data.draw(st.floats(0, 1, exclude_max=True)) < hit_rate else "0"
+            for _ in range((n - 1) * data.draw(st.integers(0, 14)))
+        )
         state = start
-        hit_rate = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
-        for _ in range(data.draw(st.integers(0, 14))):
-            assert line(state, last) == json.dumps(_row(state)) + "\n"
-            hits = tuple(
-                data.draw(st.floats(0, 1)) < hit_rate for _ in range(state.inv.rank - 1)
-            )
-            state = clifford3.step(state, hits)
-        assert line(state, last) == json.dumps(_row(state)) + "\n"
-        fresh = [((), "")] * (state.inv.rank - 1)
-        assert line(state, fresh) == json.dumps(_row(state)) + "\n"
+        expected = [json.dumps(_row(state)) + "\n"]
+        for k in range(0, len(bits), n - 1):
+            state = clifford3.step(state, tuple(b == "1" for b in bits[k : k + n - 1]))
+            expected.append(json.dumps(_row(state)) + "\n")
+        assert cli._walk_lines(start, bits) == "".join(expected)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -174,6 +174,30 @@ class TestTrajectory:
                 assert generic_sequence(start, m) == state
                 state = step(state, (False,) * (n - 1))
 
+    def test_non_flat_start_turns_flat(self):
+        # a rise above n-r makes the first miss take the rule's maxima; the
+        # result rises by at most n-r, so later misses drop the last entry
+        start = ElmState(BundleInvariants(2, 2, (0,)), ((0, 3, 3, 4, 5),))
+        walk = trajectory(start, [(False,)] * 6)
+        assert [sb for _, _, sb in walk] == [
+            ((0, 3, 3, 4, 5),), ((2, 3, 3, 4),), ((2, 3, 3),), ((2, 3),), ((2,),), ((),), ((),),
+        ]
+        start = ElmState(BundleInvariants(3, 3, (0, 0)), ((0, 3, 3, 4, 5), (0, 2, 2)))
+        walk = trajectory(start, [(False, False)] * 6)
+        assert walk == [
+            (3, (0, 0), ((0, 3, 3, 4, 5), (0, 2, 2))),
+            (4, (1, 2), ((1, 3, 3, 4), (1, 2))),
+            (5, (2, 4), ((1, 3, 3), (1,))),
+            (6, (3, 6), ((1, 3), ())),
+            (7, (4, 8), ((1,), ())),
+            (8, (5, 10), ((), ())),
+            (9, (6, 12), ((), ())),
+        ]
+        state = start
+        for d, s, sb in walk[1:]:
+            state = step(state, (False, False))
+            assert (state.inv.degree, state.inv.s, state.sb_dim_upper) == (d, s, sb)
+
     @pytest.mark.parametrize("bad", [(), (False,), (False, True, False)])
     def test_wrong_choice_length_is_steps_error(self, bad):
         start = seed_state_rank3_extended(Curve(4))
