@@ -110,7 +110,7 @@ def cmd_bound(args) -> int:
         _check_reads(args, "bound", "unstable rank-2" if split else args.rank)
     if args.delta:
         _check_cap("--genus with --delta", args.genus, MAX_DELTA_GENUS)
-    curve = Curve(args.genus, hyperelliptic=args.hyperelliptic)
+    curve = Curve(args.genus, args.hyperelliptic)
     s = (args.s1, args.s2)[: args.rank - 1]
     if None in s:
         flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
@@ -224,7 +224,7 @@ def cmd_table(args) -> int:
     first = d_min + ((s1 - d_min) % 3)
     rows = max(0, (d_max - first) // 3 + 1)
     _check_cap("the number of swept degrees", rows, MAX_TABLE_ROWS)
-    curve = Curve(g, hyperelliptic=args.hyperelliptic)
+    curve = Curve(g, args.hyperelliptic)
     # every row is computed before any is written, so an error leaves stdout empty
     lines = ["d,value,case,exact\n"]
     if rows:

@@ -99,10 +99,11 @@ class Curve(_Record):
 
 def _congruence_violation(n: int, d: int, r: int, sr: int) -> CongruenceViolation:
     """The error for s_r != r*d (mod n).  Callers test the congruence inline:
-    a check function called for s_1 and s_2 would add about 0.08 us to a
-    rank-3 construction that costs 0.43 us, some 5% of the 1.5 us validated
-    bound call at a middle grid point (timeit, fastest of 15 rounds, shared
-    2-core Xeon, Python 3.11)."""
+    a check function called for s_1 and s_2 would add about 0.08 us (two
+    calls 0.18 us against 0.11 us inline) to a rank-3 construction that
+    costs 0.45 us, some 5% of the 1.5 us validated bound call at a middle
+    grid point (timeit, fastest of 15 rounds, shared 2-core x86_64, Python
+    3.11.7)."""
     return CongruenceViolation(
         r, f"s_{r}={sr} is not congruent to {r}*d={r * d} mod {n}"
     )

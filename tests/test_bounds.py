@@ -242,6 +242,22 @@ class TestRank3SemistableBound:
         with pytest.raises(NotSemistable):
             h0_rank3_semistable_bound(rank3_query(3, 4, -2, 2))
 
+    @pytest.mark.parametrize("hyper", [False, True])
+    @pytest.mark.parametrize(
+        "d, s1, s2, value",
+        [(71, 20, 10, 33), (60, 12, 12, 31), (70, 10, 20, 33)],
+        ids=["s2<s1", "s2=s1", "s2>s1"],
+    )
+    def test_middle_point(self, d, s1, s2, value, hyper):
+        # g = 25: floor(d/2 - max(2*s2 - s1, 2*s1 - s2)/6) + 3, whichever
+        # skew is larger; a hyperelliptic curve takes one off under bound()
+        assert value == (3 * d - max(2 * s2 - s1, 2 * s1 - s2)) // 6 + 3
+        r = h0_rank3_semistable_bound(rank3_query(25, d, s1, s2, hyperelliptic=hyper))
+        assert r == BoundResult(value, "RANK3-MAIN")
+        r = bound(Curve(25, hyper), BundleInvariants(3, d, (s1, s2)))
+        assert (r.value, r.case) == ((value - 1, "RANK3-MAIN-SHARP") if hyper
+                                     else (value, "RANK3-MAIN"))
+
     @settings(max_examples=200)
     @given(g=st.integers(2, 6), d=st.integers(0, 30), s1=st.integers(0, 12), s2=st.integers(0, 12))
     def test_edge_consistency(self, g, d, s1, s2):
@@ -903,6 +919,20 @@ def test_rank3_query_accepts_exactly_the_s1f_the_bound_accepts(point):
     assert isinstance(Rank3Query(c, inv, s1f=least), Rank3Query)
     for below in (least - 2, least - 1):
         assert not isinstance(_outcome(Rank3Query, c, inv, s1f=below), Rank3Query)
+
+
+# The functions a bound call runs, from the line bound to the dispatch.
+BOUND_PATH = (
+    bounds._exact_tail, h0_line_bound, h0_rank2_bound, h0_rank3_semistable_bound,
+    bounds._split_sum, h0_prop21_bound, h0_rank3_unstable_bound, bound, slope_bound,
+)
+
+
+def test_bound_path_calls_no_builtin_max_or_min():
+    """The bound path compares instead: the builtin max and min cost several
+    times a comparison on CPython up to 3.12 (see the ``bounds`` docstring)."""
+    calling = [f.__name__ for f in BOUND_PATH if {"max", "min"} & set(f.__code__.co_names)]
+    assert calling == []
 
 
 class TestSharedResults:

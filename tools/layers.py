@@ -1,0 +1,146 @@
+"""Time fixed inputs of the engine's layers in another revision and in this tree.
+
+    python3 tools/layers.py --base REV [--rounds N]
+
+REV is checked out in a temporary ``git worktree``, as ``tools/ab.py`` does;
+the change side is this working tree, uncommitted edits included.  Each
+round runs one worker process per tree, the base first in odd rounds and
+the change first in even ones.  A worker imports its tree's ``clifford3``
+(through PYTHONPATH, with PYTHONHASHSEED=0) and ``timeit``s every input of
+INPUTS: ``REPEAT`` repeats of ``NUMBER`` calls each.  The layers are:
+
+* validation: ``BundleInvariants`` and ``Rank3Query`` at g = 25,
+  s = (10, 20), d = 70 (a middle point) and d = -2 (a tail point);
+* dispatch: ``h0_rank3_semistable_bound`` at that middle point, that tail
+  point and the middle point sharpened on a hyperelliptic curve, and
+  ``bound()`` at the middle point and at the Serre-dual point g = 10,
+  d = 19, s = (4, -1), s1f = 3.
+
+It prints, per input and tree, the fastest and the median ns per call over
+every repeat of every round, and their ratio change / base, then one JSON
+line with the same figures.  Nothing under ``src`` or ``bench`` is changed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+from differential import _git, checkout
+
+ROOT = Path(__file__).resolve().parents[1]
+NUMBER = 20000  # calls per repeat
+REPEAT = 5  # repeats per round and tree
+SETUP = """\
+from clifford3 import BundleInvariants, Curve, Rank3Query, bound, h0_rank3_semistable_bound
+c, hc, dual = Curve(25), Curve(25, True), Curve(10)
+mid, tail = BundleInvariants(3, 70, (10, 20)), BundleInvariants(3, -2, (10, 20))
+dual_inv = BundleInvariants(3, 19, (4, -1))
+q_mid, q_tail = Rank3Query(c, mid), Rank3Query(c, tail)
+q_sharp = Rank3Query(hc, mid, use_hyperelliptic_sharpening=True)
+"""
+# (layer, input): the statement timed
+INPUTS = {
+    ("validation", "BundleInvariants d=70"): "BundleInvariants(3, 70, (10, 20))",
+    ("validation", "BundleInvariants d=-2"): "BundleInvariants(3, -2, (10, 20))",
+    ("validation", "Rank3Query d=70"): "Rank3Query(c, mid)",
+    ("validation", "Rank3Query d=-2"): "Rank3Query(c, tail)",
+    ("dispatch", "semistable middle"): "h0_rank3_semistable_bound(q_mid)",
+    ("dispatch", "semistable tail"): "h0_rank3_semistable_bound(q_tail)",
+    ("dispatch", "semistable sharpened"): "h0_rank3_semistable_bound(q_sharp)",
+    ("dispatch", "bound() middle"): "bound(c, mid)",
+    ("dispatch", "bound() Serre dual"): "bound(dual, dual_inv, s1f=3)",
+}
+
+
+def worker(number: int, repeat: int) -> None:
+    """Print one JSON object: each input's ns per call, one per repeat."""
+    ns = {}
+    exec(SETUP, ns)
+    out = {}
+    for (_, name), stmt in INPUTS.items():
+        times = timeit.repeat(stmt, globals=ns, number=number, repeat=repeat)
+        out[name] = [t / number * 1e9 for t in times]
+    print(json.dumps(out))
+
+
+def _sample(tree: Path, number: int, repeat: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
+           "--number", str(number), "--repeat", str(repeat)]
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the worker for {tree} exited with {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def rounds(base: Path, change: Path, n: int, number: int = NUMBER, repeat: int = REPEAT) -> dict:
+    """``n`` interleaved rounds, base first in odd rounds: per input, its
+    layer and each tree's fastest and median ns per call, and change / base."""
+    samples = {"parent": {}, "change": {}}
+    for k in range(1, n + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        for side in order:
+            got = _sample(base if side == "parent" else change, number, repeat)
+            for name, times in got.items():
+                samples[side].setdefault(name, []).extend(times)
+    out = {}
+    for layer, name in INPUTS:
+        row = {"layer": layer}
+        for side in ("parent", "change"):
+            times = samples[side][name]
+            row[side] = {"fastest_ns": min(times), "median_ns": statistics.median(times)}
+        for stat in ("fastest_ns", "median_ns"):
+            row["ratio_" + stat[:-3]] = row["change"][stat] / row["parent"][stat]
+        out[name] = row
+    return out
+
+
+def table(result: dict) -> str:
+    """The figures of :func:`rounds`, one line per input."""
+    lines = [f"{'layer':<11}{'input':<24}{'parent fastest/median ns':>26}"
+             f"{'change fastest/median ns':>26}{'ratio':>14}"]
+    for name, row in result.items():
+        p, c = row["parent"], row["change"]
+        lines.append(
+            f"{row['layer']:<11}{name:<24}{p['fastest_ns']:>14.0f}{p['median_ns']:>12.0f}"
+            f"{c['fastest_ns']:>14.0f}{c['median_ns']:>12.0f}"
+            f"{row['ratio_fastest']:>7.3f}{row['ratio_median']:>7.3f}"
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="the revision to compare with this tree")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--number", type=int, default=NUMBER, help=argparse.SUPPRESS)
+    parser.add_argument("--repeat", type=int, default=REPEAT, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.number, args.repeat)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    with checkout(args.base) as base:
+        result = rounds(base, ROOT, args.rounds)
+    print(table(result))
+    print(json.dumps({"base": args.base, "base_commit": _git("rev-parse", args.base),
+                      "rounds": args.rounds, "number": NUMBER, "repeat": REPEAT,
+                      "host": f"{os.cpu_count()}-core {platform.machine()}, "
+                              f"Python {platform.python_version()}",
+                      "inputs": result}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
