@@ -10,8 +10,9 @@ gives.  ``elmtrans`` checks only its seed, and ``table`` only the rank-3
 query of its first swept degree.  ``elmtrans`` walks each rank as one
 column of ``elmtrans._column``, where the transformation rule is written
 (``step`` reads it too), and builds a rank's text once per tuple that is
-not a prefix of the one before it.  Validation and usage errors go to stderr
-as a JSON object with a stable ``code`` field and exit status 2.
+not a prefix of the one before it; a rank with no known bound at the start
+writes none.  Validation and usage errors go to stderr as a JSON object
+with a stable ``code`` field and exit status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
 state, so ``main`` may be called any number of times in one process; its
@@ -25,9 +26,12 @@ MAX_DELTA_GENUS, ``elmtrans --steps`` at MAX_ELMTRANS_STEPS, ``elmtrans
 --genus`` at MAX_ELMTRANS_GENUS, the number of degrees ``table`` sweeps at
 MAX_TABLE_ROWS and ``examples --suite --max-genus`` at MAX_SUITE_GENUS.
 A value above its cap is the JSON ``UsageError``, reported before any
-work is done.  The CSV text of each (family, genus) block of the suite is
-built once per process and cached; the --max-genus cap bounds that cache at
-3 * (MAX_SUITE_GENUS - 1) blocks, about 2.5 MB.
+work is done.  Two caches keep text that depends on only a few inputs, built
+once per process.  The CSV text of each (family, genus) block of the suite
+is one; the --max-genus cap bounds it at 3 * (MAX_SUITE_GENUS - 1) blocks,
+about 2.5 MB.  The checked seed of each ``elmtrans`` (rank, genus) and the
+text of its bounds is the other, an LRU cache of 64 entries: at most about
+5.6 MB, when every entry is at a genus near the cap of 1,000.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -60,8 +64,8 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
 # coefficient at N = 4096 in 1.02 s (r = n = N, the full alternating sum,
 # whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
-# binomial), a 10,000-step trajectory at genus 1,000 in 0.038 s at rank 2
-# with every choice a miss (7.5 MB of output) and in 0.020 s at rank 3 with
+# binomial), a 10,000-step trajectory at genus 1,000 in 0.025 s at rank 2
+# with every choice a miss (7.5 MB of output) and in 0.011 s at rank 3 with
 # random choices, a 100,000-row table in 0.19 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
@@ -156,45 +160,65 @@ _ELMTRANS_LINES = {
 }
 
 
-def _bound_texts(r: int, column: list, built: list) -> Iterator[str]:
+def _text(r: int, b: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The ``"r,i": v`` text of rank r's bound tuple b, each entry led by its
+    ", ", and its cuts: cuts[j] ends entry j-1, so the text of the first j
+    entries is text[2 : cuts[j]] (and "" for j = 0)."""
+    items = list(map(f', "{r},%s": %s'.__mod__, enumerate(b)))
+    return "".join(items), tuple(accumulate(map(len, items), initial=0))
+
+
+def _bound_texts(r: int, column: list, built: list, first: tuple) -> Iterator[str]:
     """The ``"r,i": v`` text of each bound tuple in rank r's column, in turn,
     where ``built`` indexes the tuples that are not a prefix of the one
-    before.
+    before and ``first`` is the :func:`_text` of the start.
 
-    Each of those builds its text once; the tuples after it, up to the next
-    one, are its prefixes and slices of its text, cut where their last
-    entry ends.
+    Each of those builds its text once, the start's given; the tuples after
+    it, up to the next one, are its prefixes and slices of its text.
     """
-    fmt = f', "{r},%s": %s'
     for k0, k1 in zip(built, [*built[1:], len(column)]):
-        items = list(map(fmt.__mod__, enumerate(column[k0])))
-        text = "".join(items)
-        # cuts[j] ends entry j-1; each entry leads with its ", ", so the
-        # slice of the first j entries starts at 2 (and is "" for j = 0)
-        cuts = list(accumulate(map(len, items), initial=0))
+        text, cuts = _text(r, column[k0]) if k0 else first
         for b in column[k0:k1]:
             yield text[2 : cuts[len(b)]]
 
 
-def _walk_lines(start: ElmState, bits: str) -> str:
+def _walk_lines(start: ElmState, bits: str, firsts=None) -> str:
     """The ``elmtrans`` lines of the walk from ``start`` that takes n-1 of
     ``bits`` a step, "1" a hit, byte for byte what ``json.dumps`` writes for
     each row: every field is an int or a list or object of ints.  Rank r
     reads every (n-1)-th bit from bit r-1 and is walked as one column.
+    ``firsts`` gives each rank's :func:`_text` of the start, when known.
     """
     inv, sb, k = start._values
     n, d, s = inv._values
+    if firsts is None:
+        firsts = [_text(r, b) for r, b in enumerate(sb, 1)]
     s_cols, texts = [], []
     for r in range(1, n):
         hits = map("1".__eq__, bits[r - 1 :: n - 1])
         s_col, b_col, built = _column(n, r, s[r - 1], sb[r - 1], hits)
         s_cols.append(s_col)
-        texts.append(_bound_texts(r, b_col, built))
-    # a rank with no known bound writes no text and no separator; the texts
-    # are made as the lines are, so that only the lines are held at once
-    joined = texts[0] if n == 2 else (f"{a}, {b}" if a and b else a or b for a, b in zip(*texts))
+        # a rank that starts with no known bound has none at any step: it
+        # writes no text and no separator
+        if sb[r - 1]:
+            texts.append(_bound_texts(r, b_col, built, firsts[r - 1]))
+    # the texts are made as the lines are, so that only the lines are held at once
+    if len(texts) == 2:
+        joined = (f"{a}, {b}" if a and b else a or b for a, b in zip(*texts))
+    else:
+        joined = texts[0] if texts else repeat("")
     rows = zip(count(k), count(d), *s_cols, joined)
     return "".join(map(_ELMTRANS_LINES[n].__mod__, rows))
+
+
+# The checked seed of each (rank, genus) and each rank's _text of it, built
+# once per process.  An entry at genus 1,000 holds about 90 KB (the seed's
+# 1,000 bounds, their text and cuts; tracemalloc), so the 64 entries hold at
+# most about 5.6 MB.  The genera 2..30 at ranks 2 and 3 are 58 keys, 73 KB.
+@lru_cache(maxsize=64)
+def _seed(n: int, g: int) -> tuple:
+    start = seed_state_lemma36(Curve(g), n)
+    return start, tuple([_text(r, b) for r, b in enumerate(start.sb_dim_upper, 1)])
 
 
 def cmd_elmtrans(args) -> int:
@@ -204,14 +228,14 @@ def cmd_elmtrans(args) -> int:
     _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
     n = args.rank
     # the seed is the one checked state; the walk keeps its congruences
-    start = seed_state_lemma36(Curve(args.genus), n)
-    bits = args.choices or "0" * (args.steps * (n - 1))
+    start, firsts = _seed(n, args.genus)
+    bits = "0" * (args.steps * (n - 1)) if args.choices is None else args.choices
     if len(bits) != args.steps * (n - 1) or set(bits) - {"0", "1"}:
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
             f"{args.steps * (n - 1)}"
         )
-    sys.stdout.write(_walk_lines(start, bits))
+    sys.stdout.write(_walk_lines(start, bits, firsts))
     return 0
 
 

@@ -10,15 +10,19 @@ i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
 The ranks never interact, so the rule is written once, per rank, in
 ``_column``: it walks one rank's s_r and bound tuple through a run of
-choices on plain values.  :func:`trajectory` zips the ranks' columns into
-states without building a record per step, :func:`step` is the checked last
-state of a one-step trajectory, and :func:`generic_sequence` is the last
-state of an all-miss walk.  ``cli.cmd_elmtrans`` reads the columns directly.
+choices on plain values.  Once a tuple is flat (no bound rises by more than
+n - r to the next), its future is fixed: each miss drops the last entry,
+the first hit gives ``()`` and ``()`` stays ``()``.  So the column is
+finished with slices, and only misses from a tuple that is not flat run the
+rule's maxima.  :func:`trajectory` zips the ranks' columns into states
+without building a record per step, :func:`step` is the checked last state
+of a one-step trajectory, and :func:`generic_sequence` is the last state of
+an all-miss walk.  ``cli.cmd_elmtrans`` reads the columns directly.
 """
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import itemgetter, le, sub
+from operator import itemgetter, le, sub, truth
 
 from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve, _Record, _store
@@ -76,32 +80,43 @@ def _column(
 
     A tuple whose bounds never rise by more than n - r from one entry to the
     next is flat: every max of the rule is the old bound, so a miss drops
-    its last entry, and a prefix of a flat tuple is flat.  A hit leaves the
-    flat ``()``.  So flatness is checked once for the start and once for
-    each tuple the rule's maxima build, and a walk from a flat start checks
-    it once.  A tuple the maxima build is no prefix of the one before it,
-    since some max exceeds the old bound; every other tuple is a prefix.
+    its last entry, and a prefix of a flat tuple is flat.  A hit gives the
+    flat ``()``, which stays ``()``.  So once a tuple is flat, or the next
+    choice is a hit, the rest of the column is fixed: each miss before the
+    first hit drops one more entry, and the first hit and every step after
+    it give ``()``.  That rest is cut as slices in closed form; only the
+    misses from a tuple that is not flat run the rule's maxima, and each
+    tuple they build is checked for flatness once.  A tuple the maxima build
+    is no prefix of the one before it, since some max exceeds the old bound;
+    every other tuple is a prefix.
     """
     c = n - r
-    hits = list(hits)
+    hits = list(map(truth, hits))
+    steps = len(hits)
     column = [b]
     built = [0]
-    flat = _flat(b, c)
-    for k, hit in enumerate(hits, 1):
-        if hit:
-            b = ()
-            flat = True
-        elif flat:
-            b = b[:-1]
-        else:
+    k = 0
+    if not _flat(b, c):
+        while k < steps and not hits[k]:
             # a list gives tuple() the exact length; a generator makes it
             # shrink a larger tuple, which fills CPython's tuple free lists
             # (~4 MB)
             b = tuple([max(u, v - c) for u, v in zip(b, b[1:])])
-            flat = _flat(b, c)
+            k += 1
+            column.append(b)
             built.append(k)
-        column.append(b)
-    return list(accumulate([-c if hit else r for hit in hits], initial=s_r)), column, built
+            if _flat(b, c):
+                break
+    # from step k the column is fixed: b is flat, or the walk is over or hits next
+    try:
+        first_hit = hits.index(True, k)
+    except ValueError:
+        first_hit = steps
+    misses = min(first_hit - k, len(b))
+    column += [b[:i] for i in range(len(b) - 1, len(b) - 1 - misses, -1)]
+    column += [()] * (steps - k - misses)
+    # a miss adds r to s_r, a hit takes n - r from it
+    return list(accumulate(map((r, -c).__getitem__, hits), initial=s_r)), column, built
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:

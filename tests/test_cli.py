@@ -410,6 +410,46 @@ class TestElmtrans:
         )
         assert code == 2 and json.loads(err)["code"] == "Clifford3Error"
 
+    def test_empty_choices_are_checked(self, capsys):
+        # an empty --choices is a string of length 0, not an absent flag
+        code, out, err = run(
+            capsys, "elmtrans", "--rank", "2", "--genus", "3", "--steps", "2", "--choices", ""
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "Clifford3Error",
+            "message": "--choices must be a 0/1 string of length steps*(rank-1) = 2",
+        }
+        code, out, err = run(
+            capsys, "elmtrans", "--rank", "2", "--genus", "3", "--steps", "0", "--choices", ""
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            '{"step": 0, "rank": 2, "d": 2, "s": [0], "sb_dim_upper": {"1,0": 0, "1,1": 1, "1,2": 2}}'
+        ]
+
+    @pytest.mark.parametrize("rank, choices", [
+        (2, ("0000000", "0110100", "1111111")),
+        (3, ("00000000000000", "01101001110010", "10000011110011")),
+    ])
+    def test_cached_seed_serves_every_walk(self, capsys, rank, choices):
+        # one (rank, genus) walked with different choices in one process: the
+        # cached seed text is cut afresh for each walk
+        assert cli._seed.cache_info().maxsize == 64
+        for bits in choices:
+            steps = len(bits) // (rank - 1)
+            code, out, _ = run(
+                capsys, "elmtrans", "--rank", str(rank), "--genus", "6",
+                "--steps", str(steps), "--choices", bits,
+            )
+            state = clifford3.seed_state_lemma36(clifford3.Curve(6), rank)
+            expected = [json.dumps(_row(state)) + "\n"]
+            for k in range(0, len(bits), rank - 1):
+                state = clifford3.step(state, tuple(b == "1" for b in bits[k : k + rank - 1]))
+                expected.append(json.dumps(_row(state)) + "\n")
+            assert code == 0 and out == "".join(expected)
+        assert cli._seed.cache_info().hits >= len(choices) - 1
+
 
 class TestTable:
     def test_default_sweep(self, capsys):

@@ -198,6 +198,68 @@ class TestTrajectory:
             state = step(state, (False, False))
             assert (state.inv.degree, state.inv.s, state.sb_dim_upper) == (d, s, sb)
 
+    @staticmethod
+    def _walks_agree(start, choices):
+        """The walk equals iterated ``step`` and iterated ``literal_step``."""
+        by_step, by_rule = [start], [start]
+        for hits in choices:
+            by_step.append(step(by_step[-1], hits))
+            by_rule.append(literal_step(by_rule[-1], hits))
+        assert by_step == by_rule
+        walk = trajectory(start, choices)
+        assert walk == [(x.inv.degree, x.inv.s, x.sb_dim_upper) for x in by_step]
+        return [sb for _, _, sb in walk]
+
+    def test_flat_tuple_runs_past_its_length_then_hits_then_misses(self):
+        # a flat column's rest is cut in closed form: each miss before the
+        # first hit drops the last entry, past the length the tuple stays (),
+        # and the hit and every step after it give ()
+        start = ElmState(BundleInvariants(2, 2, (0,)), ((0, 1, 2),))
+        choices = [(False,)] * 5 + [(True,)] + [(False,)] * 2
+        assert self._walks_agree(start, choices) == [
+            ((0, 1, 2),), ((0, 1),), ((0,),), ((),), ((),), ((),), ((),), ((),), ((),),
+        ]
+        # rank 3: rank 1 reads rises of at most 2, rank 2 of at most 1; rank 2
+        # hits first, while rank 1 still runs out of entries
+        start = ElmState(BundleInvariants(3, 3, (0, 0)), ((1, 3, 5), (0, 1, 2, 3)))
+        choices = [(False, False), (False, True), (False, False), (False, False),
+                   (True, False), (False, False)]
+        assert self._walks_agree(start, choices) == [
+            ((1, 3, 5), (0, 1, 2, 3)),
+            ((1, 3), (0, 1, 2)),
+            ((1,), ()),
+            ((), ()),
+            ((), ()),
+            ((), ()),
+            ((), ()),
+        ]
+
+    def test_hit_on_a_tuple_that_is_not_flat(self):
+        # a hit needs no flatness: the rest of the column is () at once
+        start = ElmState(BundleInvariants(3, 3, (0, 0)), ((0, 5, 5), (0, 4)))
+        assert self._walks_agree(start, [(True, True), (False, False)]) == [
+            ((0, 5, 5), (0, 4)), ((), ()), ((), ()),
+        ]
+        assert self._walks_agree(start, [(False, True), (False, False), (False, False)]) == [
+            ((0, 5, 5), (0, 4)), ((3, 5), ()), ((3,), ()), ((), ()),
+        ]
+
+    def test_extended_seed_rank2_turns_flat(self):
+        # the extended seed's rank-2 (0, 2) rises by 2 > n - r = 1: its first
+        # miss takes the rule's maxima and gives the flat (1,), which the next
+        # miss cuts to (); rank 1 is flat from the start
+        start = seed_state_rank3_extended(Curve(4))
+        choices = [(False, False), (False, False), (True, False), (False, True)]
+        assert self._walks_agree(start, choices) == [
+            ((1, 3, 5, 7), (0, 2)),
+            ((1, 3, 5), (1,)),
+            ((1, 3), ()),
+            ((), ()),
+            ((), ()),
+        ]
+        walk = self._walks_agree(start, [(False, True), (False, False)])
+        assert [sb[1] for sb in walk] == [(0, 2), (), ()]
+
     @pytest.mark.parametrize("bad", [(), (False,), (False, True, False)])
     def test_wrong_choice_length_is_steps_error(self, bad):
         start = seed_state_rank3_extended(Curve(4))

@@ -14,7 +14,11 @@ INPUTS: ``REPEAT`` repeats of ``NUMBER`` calls each.  The layers are:
 * dispatch: ``h0_rank3_semistable_bound`` at that middle point, that tail
   point and the middle point sharpened on a hyperelliptic curve, and
   ``bound()`` at the middle point and at the Serre-dual point g = 10,
-  d = 19, s = (4, -1), s1f = 3.
+  d = 19, s = (4, -1), s1f = 3;
+* sweeps: ``cli.main``, stdout in a fresh ``StringIO``, on two ``elmtrans``
+  commands of the session workload's seed 1: its slowest, a rank-3 walk of
+  29 steps with given choices at genus 22, and a rank-2 all-miss walk of 26
+  steps at genus 27.  These run NUMBER // SWEEP_SHARE calls per repeat.
 
 It prints, per input and tree, the fastest and the median ns per call over
 every repeat of every round, and their ratio change / base, then one JSON
@@ -37,13 +41,20 @@ from differential import _git, checkout
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = 20000  # calls per repeat
 REPEAT = 5  # repeats per round and tree
+SWEEP_SHARE = 50  # a sweeps input costs about 50 dispatch inputs
 SETUP = """\
+from contextlib import redirect_stdout
+from io import StringIO
 from clifford3 import BundleInvariants, Curve, Rank3Query, bound, h0_rank3_semistable_bound
+from clifford3.cli import main
 c, hc, dual = Curve(25), Curve(25, True), Curve(10)
 mid, tail = BundleInvariants(3, 70, (10, 20)), BundleInvariants(3, -2, (10, 20))
 dual_inv = BundleInvariants(3, 19, (4, -1))
 q_mid, q_tail = Rank3Query(c, mid), Rank3Query(c, tail)
 q_sharp = Rank3Query(hc, mid, use_hyperelliptic_sharpening=True)
+elm3 = ("elmtrans --rank 3 --genus 22 --steps 29 --choices "
+        "1000001011110011100001110010110100110110101000101000011011").split()
+elm2 = "elmtrans --rank 2 --genus 27 --steps 26".split()
 """
 # (layer, input): the statement timed
 INPUTS = {
@@ -56,6 +67,8 @@ INPUTS = {
     ("dispatch", "semistable sharpened"): "h0_rank3_semistable_bound(q_sharp)",
     ("dispatch", "bound() middle"): "bound(c, mid)",
     ("dispatch", "bound() Serre dual"): "bound(dual, dual_inv, s1f=3)",
+    ("sweeps", "elmtrans rank 3 g=22"): "with redirect_stdout(StringIO()): main(elm3)",
+    ("sweeps", "elmtrans rank 2 g=27"): "with redirect_stdout(StringIO()): main(elm2)",
 }
 
 
@@ -64,9 +77,10 @@ def worker(number: int, repeat: int) -> None:
     ns = {}
     exec(SETUP, ns)
     out = {}
-    for (_, name), stmt in INPUTS.items():
-        times = timeit.repeat(stmt, globals=ns, number=number, repeat=repeat)
-        out[name] = [t / number * 1e9 for t in times]
+    for (layer, name), stmt in INPUTS.items():
+        calls = max(1, number // SWEEP_SHARE) if layer == "sweeps" else number
+        times = timeit.repeat(stmt, globals=ns, number=calls, repeat=repeat)
+        out[name] = [t / calls * 1e9 for t in times]
     print(json.dumps(out))
 
 
