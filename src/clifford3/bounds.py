@@ -185,7 +185,12 @@ def h0_rank2_bound(c: Curve, d: int, s1: int, use_delta: bool = False) -> BoundR
     return _result(half + 2, "RANK2-CLIFFORD", False, ())
 
 
-def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> BoundResult:
+def _not_semistable(s1: int, s2: int) -> NotSemistable:
+    """The error of the semistable bound and its runs for s1 < 0 or s2 < 0."""
+    return NotSemistable(f"semistable bound needs s1, s2 >= 0, got {(s1, s2)}")
+
+
+def h0_rank3_semistable_bound(q: Rank3Query) -> BoundResult:
     """Upper bound on h^0 of a semistable rank-3 bundle from (d, s1, s2).
 
     Dispatch, in order: exact vanishing below s1; exact d+3-3g above
@@ -194,24 +199,12 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     floor(d/2 - max(2*s2-s1, 2*s1-s2)/6) + 3, sharpened to +2 on a
     hyperelliptic curve (unless s1 = s2 = 0), else with ``use_delta`` when
     the Krawtchouk guard holds at the quotient's ((2d+s1)/3, s1f).
-
-    ``degree`` bounds q at another degree d, without building a query for
-    it: the result for ``Rank3Query`` at ``BundleInvariants(3, d, q.inv.s)``
-    with q's other fields.  Every d congruent to ``q.inv.degree`` mod 3
-    passes the checks q passed; any other d raises the
-    ``CongruenceViolation`` that ``BundleInvariants(3, d, q.inv.s)`` raises.
-    Pass it by keyword.  It is not keyword-only because CPython 3.11 does
-    not specialize a call to a function with keyword-only parameters, and
-    that cost the one-argument calls of a rank-3 grid sweep about 2%.
+    :func:`semistable_runs` gives the unrefined values over many degrees.
     """
     curve, inv, s1f, use_delta, sharpen = q._values
     _, d, (s1, s2) = inv._values
-    if degree is not None:
-        if (degree - d) % 3:
-            raise _congruence_violation(3, degree, 1, s1)
-        d = degree
     if s1 < 0 or s2 < 0:
-        raise NotSemistable(f"semistable bound needs s1, s2 >= 0, got {(s1, s2)}")
+        raise _not_semistable(s1, s2)
     g, hyp = curve._values
     if not s1 <= d <= 6 * g - 6 - s2:
         return _exact_tail(d, s1, d + 3 - 3 * g)
@@ -230,6 +223,52 @@ def h0_rank3_semistable_bound(q: Rank3Query, degree: int | None = None) -> Bound
     if use_delta and s1f is not None and _krawtchouk_refines(g, (2 * d + s1) // 3, s1f):
         return _result(base - 1, "RANK3-MAIN-SHARP", False, ("krawtchouk-nonzero", f"s1f={s1f}"))
     return _result(base, "RANK3-MAIN")
+
+
+def semistable_runs(g: int, s1: int, s2: int, degrees: range) -> list[tuple]:
+    """The values of :func:`h0_rank3_semistable_bound` on a curve of genus g
+    at every degree of ``degrees``, with no refinement, as case runs.
+
+    Each run is (its degrees, case, exact, slope, offset, divisor), a slice
+    of ``degrees`` in order, whose value at d is
+    (slope*d + offset) // divisor.  For fixed (g, s1, s2) each guard of the
+    dispatch holds on one interval of d, so the runs come in the dispatch's
+    order of d: VANISHING below s1, RANK3-LINE-ONLY (s2 > 2*s1, d < s2-s1),
+    RANK3-MAIN, RANK3-LINE-ONLY-DUAL (2*s2 < s1, d > 6g-6-(s1-s2)) and
+    RR-EXACT above 6g-6-s2, empty runs left out.  RR-EXACT is two runs when
+    its clamp at 0 engages (d <= 3g-3), which only invariants that no
+    bundle realizes reach.  ``degrees`` steps up; the caller checks their
+    congruences with s1 and s2.  s1 < 0 or s2 < 0 raises the bound's
+    ``NotSemistable``.
+    """
+    if s1 < 0 or s2 < 0:
+        raise _not_semistable(s1, s2)
+    top = 6 * g - 5 - s2  # RR-EXACT from here on (and from s1)
+    skew = 2 * s2 - s1 if s2 >= s1 else 2 * s1 - s2
+    line_end = s2 - s1 if s2 > 2 * s1 else s1
+    # the dual's first degree lies below top exactly when 2*s2 < s1
+    main_end = 6 * g - 5 - s1 + s2 if 2 * s2 < s1 else top
+    # (the least degree past the run, then the run's fields): each run takes
+    # the degrees below its end that no earlier run took
+    specs = (
+        (s1, "VANISHING", True, 0, 0, 1),
+        (line_end if line_end < top else top, "RANK3-LINE-ONLY", False, 1, 2 - s1, 2),
+        (main_end, "RANK3-MAIN", False, 3, 18 - skew, 6),
+        (top, "RANK3-LINE-ONLY-DUAL", False, 1, 2 - s2, 2),
+        (3 * g - 2, "RR-EXACT", True, 0, 0, 1),
+        (None, "RR-EXACT", True, 1, 3 - 3 * g, 1),
+    )
+    first, step, count = degrees.start, degrees.step, len(degrees)
+    runs, start = [], 0
+    for end, case, exact, slope, offset, divisor in specs:
+        # the number of degrees below end, in ``count`` at most
+        stop = count if end is None else -((first - end) // step)
+        if stop > count:
+            stop = count
+        if stop > start:
+            runs.append((degrees[start:stop], case, exact, slope, offset, divisor))
+            start = stop
+    return runs
 
 
 def _split_sum(c: Curve, d: int, s1: int, s1f: int, use_delta: bool) -> tuple[int, str, str]:

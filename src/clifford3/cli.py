@@ -6,8 +6,11 @@ Each command has one output format on stdout: JSON for ``bound`` and
 keyed "r,i" in (r, i) order), CSV for ``table`` and ``examples --suite``,
 and a bare integer for ``krawtchouk``.  ``bound``'s JSON and the
 ``elmtrans`` lines are written directly, byte for byte what ``json.dumps``
-gives.  ``elmtrans`` checks only its seed, and ``table`` only the rank-3
-query of its first swept degree.  ``elmtrans`` walks each rank as one
+gives.  ``elmtrans`` checks only its seed.  ``table`` checks, before it
+writes any row, its cap, its curve and, when it sweeps any degree, the
+rank-3 query of its first swept degree, then that s1, s2 >= 0; it writes
+the case runs of ``bounds.semistable_runs``, each row from its run's closed
+form, and builds no ``BoundResult``.  ``elmtrans`` walks each rank as one
 column of ``elmtrans._column``, where the transformation rule is written
 (``step`` reads it too), and builds a rank's text once per tuple that is
 not a prefix of the one before it; a rank with no known bound at the start
@@ -27,11 +30,13 @@ MAX_DELTA_GENUS, ``elmtrans --steps`` at MAX_ELMTRANS_STEPS, ``elmtrans
 MAX_TABLE_ROWS and ``examples --suite --max-genus`` at MAX_SUITE_GENUS.
 A value above its cap is the JSON ``UsageError``, reported before any
 work is done.  Two caches keep text that depends on only a few inputs, built
-once per process.  The CSV text of each (family, genus) block of the suite
-is one; the --max-genus cap bounds it at 3 * (MAX_SUITE_GENUS - 1) blocks,
-about 2.5 MB.  The checked seed of each ``elmtrans`` (rank, genus) and the
-text of its bounds is the other, an LRU cache of 64 entries: at most about
-5.6 MB, when every entry is at a genus near the cap of 1,000.
+once per process.  The suite's CSV rows are one: each family's rows, genus
+by genus, as one text with the end of each genus's rows, which a larger
+--max-genus extends and --max-genus G cuts at genus G; the cap bounds the
+three texts at about 2.5 MB.  The checked seed of each ``elmtrans`` (rank,
+genus) and the text of its bounds is the other, an LRU cache of 64
+entries: at most about 5.6 MB, when every entry is at a genus near the cap
+of 1,000.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from itertools import accumulate, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from .bounds import Rank3Query, bound, h0_rank3_semistable_bound
+from .bounds import Rank3Query, bound, semistable_runs
 from .elmtrans import ElmState, _column, seed_state_lemma36
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
@@ -53,7 +58,6 @@ from .families import (
     family_c,
     genus_reports,
     suite,  # noqa: F401  (bench/test_bench.py traces it as clifford3.cli.suite)
-    suite_blocks,
     unstable_sharpness,
 )
 from .invariants import BoundResult, BundleInvariants, Curve
@@ -66,8 +70,8 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
 # binomial), a 10,000-step trajectory at genus 1,000 in 0.025 s at rank 2
 # with every choice a miss (7.5 MB of output) and in 0.011 s at rank 3 with
-# random choices, a 100,000-row table in 0.19 s (every row a
-# distinct RANK3-MAIN value), the suite to genus 100 in 0.7 s.
+# random choices, a 100,000-row table in 0.044 s (every row a
+# distinct RANK3-MAIN value), the suite to genus 100 in 0.74 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N = 2g - t <= 3g - 1, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
 MAX_KRAWTCHOUK_N = 4096
@@ -252,20 +256,19 @@ def cmd_table(args) -> int:
     # every row is computed before any is written, so an error leaves stdout empty
     lines = ["d,value,case,exact\n"]
     if rows:
-        # one query, checked at the first degree, serves every swept degree:
-        # they share its residue mod 3, so they pass the same checks
-        q = Rank3Query(curve, BundleInvariants(3, first, (s1, s2)))
-        for d in range(first, d_max + 1, 3):
-            value, case, exact, _ = h0_rank3_semistable_bound(q, degree=d)._values
-            lines.append(f"{d},{value},{case},{'true' if exact else 'false'}\n")
+        # the query of the first degree, built for its checks: every swept
+        # degree shares its residue mod 3, so they pass the same checks
+        Rank3Query(curve, BundleInvariants(3, first, (s1, s2)))
+        degrees = range(first, d_max + 1, 3)
+        for run, case, exact, slope, offset, divisor in semistable_runs(g, s1, s2, degrees):
+            suffix = f",{case},{'true' if exact else 'false'}\n"
+            lines += [f"{d},{(slope * d + offset) // divisor}{suffix}" for d in run]
     sys.stdout.write("".join(lines))
     return 0
 
 
-@lru_cache(maxsize=None)
-def _suite_block(family: str, g: int) -> str:
-    """The suite's CSV rows of one family at one genus, one line each.  The
-    text is cached, not the reports: the --max-genus cap bounds the keys."""
+def _suite_rows(family: str, g: int) -> str:
+    """The suite's CSV rows of one family at one genus, one line each."""
     rows = []
     for r in genus_reports(family, g):
         p = dict(r.params)
@@ -278,10 +281,30 @@ def _suite_block(family: str, g: int) -> str:
     return "".join(rows)
 
 
+# Each suite family, in suite order, with its rows of genus 2, 3, ... as one
+# text and the end of each genus's rows in it: ends[g - 2] ends genus g.  A
+# --max-genus past the last genus extends them; the cap bounds the three
+# texts at about 2.5 MB.
+_SUITE = {family: ["", []] for family in "abc"}
+
+
+def _suite_text(family: str, max_genus: int) -> str:
+    """The rows of ``family`` at genera 2..max_genus (max_genus >= 2)."""
+    entry = _SUITE[family]
+    text, ends = entry
+    if len(ends) < max_genus - 1:
+        blocks = [_suite_rows(family, g) for g in range(len(ends) + 2, max_genus + 1)]
+        ends += list(accumulate(map(len, blocks), initial=len(text)))[1:]
+        entry[0] = text = text + "".join(blocks)
+    return text[: ends[max_genus - 2]]
+
+
 def _suite_csv(max_genus: int) -> str:
     _check_cap("--max-genus", max_genus, MAX_SUITE_GENUS)
-    blocks = [_suite_block(f, g) for f, g in suite_blocks(max_genus)]
-    return "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp\n" + "".join(blocks)
+    header = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp\n"
+    if max_genus < 2:
+        return header
+    return header + "".join([_suite_text(family, max_genus) for family in _SUITE])
 
 
 # Each mode of ``examples``: the function that makes its output, and the flags it

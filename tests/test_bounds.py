@@ -271,50 +271,90 @@ class TestRank3SemistableBound:
                 assert r.value >= d + 3 - 3 * g
 
 
-class TestDegreeKeyword:
-    """``h0_rank3_semistable_bound(q, degree=d)``, as ``table`` calls it,
-    against a query built afresh at d."""
+def _run_rows(g, s1, s2, degrees):
+    """(d, value, case, exact) of every degree of :func:`bounds.semistable_runs`."""
+    return [
+        (d, (slope * d + offset) // divisor, case, exact)
+        for run, case, exact, slope, offset, divisor in bounds.semistable_runs(g, s1, s2, degrees)
+        for d in run
+    ]
 
-    @staticmethod
-    def _queries(g, s1, s2):
-        inv = BundleInvariants(3, s1, (s1, s2))
-        yield Rank3Query(Curve(g), inv)
-        yield Rank3Query(Curve(g, True), inv, use_hyperelliptic_sharpening=True)
-        yield Rank3Query(Curve(g), inv, s1f=suggested_min_s1f(inv), use_delta=True)
 
-    def test_equals_a_fresh_query_on_the_criterion_2_grid(self):
-        cases = 0
-        for g in range(2, 7):
-            for s1 in range(0, 3 * g + 1):
-                for s2 in range(0, 3 * g + 1):
-                    if (s2 - 2 * s1) % 3:
-                        continue
-                    for q in self._queries(g, s1, s2):
-                        for d in range(s1 - 6, 6 * g - s2 + 1, 3):
-                            fresh = q._replace(inv=BundleInvariants(3, d, (s1, s2)))
-                            got = h0_rank3_semistable_bound(q, degree=d)
-                            assert got == h0_rank3_semistable_bound(fresh), (q, d)
-                            cases += 1
-        assert cases == 7_395  # 3 queries per (g, s1, s2), d past both tails
+def _fresh_rows(g, s1, s2, degrees):
+    """The same rows from a query built afresh at each degree."""
+    rows = []
+    for d in degrees:
+        value, case, exact, _ = h0_rank3_semistable_bound(rank3_query(g, d, s1, s2))._values
+        rows.append((d, value, case, exact))
+    return rows
 
-    @pytest.mark.parametrize("shift", [1, 2, 4, -1])
-    def test_non_congruent_degree_is_the_invariants_error(self, shift):
-        q = rank3_query(4, 10, 1, 2)
-        d = 10 + shift
-        with pytest.raises(CongruenceViolation) as expected:
-            BundleInvariants(3, d, (1, 2))
-        with pytest.raises(CongruenceViolation) as got:
-            h0_rank3_semistable_bound(q, degree=d)
-        assert (got.value.r, str(got.value)) == (expected.value.r, str(expected.value))
 
-    def test_default_is_the_query_degree(self):
-        q = rank3_query(3, 10, 1, 2)
-        assert h0_rank3_semistable_bound(q, degree=10) == h0_rank3_semistable_bound(q)
-        assert h0_rank3_semistable_bound(q, degree=None) == h0_rank3_semistable_bound(q)
+# the dispatch's order of d; RR-EXACT may be two runs, its clamp at 0 first
+RUN_ORDER = ("VANISHING", "RANK3-LINE-ONLY", "RANK3-MAIN", "RANK3-LINE-ONLY-DUAL", "RR-EXACT")
 
-    def test_unstable_query_still_rejected(self):
-        with pytest.raises(NotSemistable):
-            h0_rank3_semistable_bound(rank3_query(3, 4, -2, 2), degree=7)
+
+class TestSemistableRuns:
+    """``bounds.semistable_runs``, as ``table`` writes it, against a query
+    built afresh at each degree."""
+
+    def test_rows_equal_a_fresh_query(self):
+        cases, runs = 0, set()
+        for g in range(2, 13):
+            for s1, s2 in product(range(3 * g + 1), repeat=2):
+                if (s2 - 2 * s1) % 3:
+                    continue
+                degrees = range(s1 - 9, 6 * g - s2 + 10, 3)
+                assert _run_rows(g, s1, s2, degrees) == _fresh_rows(g, s1, s2, degrees)
+                cases += len(degrees)
+                runs.update(r[1:] for r in bounds.semistable_runs(g, s1, s2, degrees))
+        assert cases == 34_408  # d past both tails at every (g, s1, s2)
+        # every run, the clamp of RR-EXACT at 0 among them
+        assert {case for case, *_ in runs} == set(RUN_ORDER)
+        assert ("RR-EXACT", True, 0, 0, 1) in runs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.integers(2, 50_000), s1=st.integers(0, 150_000), s2=st.integers(0, 150_000),
+        edge=st.integers(0, 4), back=st.integers(-3, 30), rows=st.integers(0, 40),
+    )
+    def test_random_window_equals_a_fresh_query(self, g, s1, s2, edge, back, rows):
+        s2 += (2 * s1 - s2) % 3
+        # a window of congruent degrees from about ``back`` rows below one of
+        # the dispatch's thresholds in d, or the clamp of RR-EXACT at 0
+        near = (s1, s2 - s1, 6 * g - 6 - s1 + s2, 6 * g - 6 - s2, 3 * g - 3)[edge]
+        first = near - 3 * back + (s1 - near) % 3
+        degrees = range(first, first + 3 * rows, 3)
+        assert _run_rows(g, s1, s2, degrees) == _fresh_rows(g, s1, s2, degrees)
+
+    def test_runs_are_slices_in_the_dispatch_order(self):
+        g, s1, s2 = 10, 0, 21
+        degrees = range(-9, 61, 3)
+        runs = bounds.semistable_runs(g, s1, s2, degrees)
+        assert [r[1] for r in runs] == [
+            "VANISHING", "RANK3-LINE-ONLY", "RANK3-MAIN", "RR-EXACT"
+        ]
+        assert [d for r in runs for d in r[0]] == list(degrees)
+        assert [r[1] for r in bounds.semistable_runs(10, 21, 0, range(9, 67, 3))] == [
+            "VANISHING", "RANK3-MAIN", "RANK3-LINE-ONLY-DUAL", "RR-EXACT"
+        ]
+        assert bounds.semistable_runs(g, s1, s2, range(0)) == []
+
+    @pytest.mark.parametrize("d, s", [(4, (-2, 2)), (4, (1, -1)), (2, (-1, -2))],
+                             ids=["s1<0", "s2<0", "both<0"])
+    def test_negative_s_is_not_semistable(self, d, s):
+        with pytest.raises(NotSemistable) as expected:
+            h0_rank3_semistable_bound(rank3_query(3, d, *s))
+        with pytest.raises(NotSemistable) as got:
+            bounds.semistable_runs(3, *s, range(d, d + 6, 3))
+        assert str(got.value) == str(expected.value)
+
+    def test_builds_no_result(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a BoundResult was built")
+
+        monkeypatch.setattr(bounds, "_result", refused)
+        monkeypatch.setattr(bounds, "BoundResult", refused)
+        assert len(_run_rows(30, 0, 0, range(-30, 200, 3))) == 77
 
 
 class TestProp21Bound:
@@ -984,7 +1024,8 @@ class TestSharedResults:
 
 
 # Each bound with an exact tail tests ``low <= d <= high`` inline and calls
-# the tail only outside that special range.  These are the call sites.
+# the tail only outside that special range.  These are the call sites;
+# "rank3-degree" is the row of one degree in ``bounds.semistable_runs``.
 TAIL_SITES = ("line", "rank2", "rank3", "rank3-degree", "unstable")
 
 
@@ -994,10 +1035,9 @@ def _rank2_at(c, s1, delta, d):
 
 def _rank3_at(site, c, s1, s2, d):
     sharp = c.hyperelliptic
-    if site == "rank3-degree":  # one query, at a degree far above the range
-        q = Rank3Query(c, BundleInvariants(3, s1 + 6 * c.genus, (s1, s2)),
-                       use_hyperelliptic_sharpening=sharp)
-        return h0_rank3_semistable_bound(q, degree=d)
+    if site == "rank3-degree":  # the runs of a window around d, which never sharpen
+        [row] = [r for r in _run_rows(c.genus, s1, s2, range(d - 9, d + 10, 3)) if r[0] == d]
+        return BoundResult(*row[1:])
     inv = BundleInvariants(3, d, (s1, s2))
     if site == "unstable":
         return h0_rank3_unstable_bound(Rank3Query(c, inv, s1f=suggested_min_s1f(inv)))

@@ -352,6 +352,20 @@ class TestCaps:
         )
         assert code == 0 and len(out.splitlines()) == cli.MAX_TABLE_ROWS + 1
 
+    def test_table_at_row_cap_leaves_the_result_cache_alone(self, capsys):
+        # every row a distinct RANK3-MAIN value: a row per result would miss
+        # the shared cache 100,000 times
+        bound_result = clifford3.bounds._result
+        before = bound_result.cache_info()
+        code, out, _ = run(
+            capsys,
+            "table", "--genus", "50000", "--s1", "0", "--s2", "0",
+            "--d-min", "0", "--d-max", str(3 * cli.MAX_TABLE_ROWS - 3),
+        )
+        assert code == 0 and len(out.splitlines()) == cli.MAX_TABLE_ROWS + 1
+        after = bound_result.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
 
 class TestKrawtchouk:
     def test_value(self, capsys):
@@ -476,6 +490,48 @@ class TestTable:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == "NotSemistable"
+
+    @pytest.mark.parametrize("s1, s2", [(-1, 1), (2, -2), (-3, -3)])
+    def test_negative_s_is_the_bound_error(self, capsys, s1, s2):
+        argv = ("table", "--genus", "4", "--s1", str(s1), "--s2", str(s2))
+        code, out, err = run(capsys, *argv, "--d-min", "-9", "--d-max", "30")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "NotSemistable",
+            "message": f"semistable bound needs s1, s2 >= 0, got {(s1, s2)}",
+        }
+        # no swept degree, no query: the header alone
+        code, out, err = run(capsys, *argv, "--d-min", "30", "--d-max", "-9")
+        assert (code, out, err) == (0, "d,value,case,exact\n", "")
+
+    @pytest.mark.parametrize("shift", [1, 2, 4, -1])
+    def test_non_congruent_s2_is_the_invariants_error(self, capsys, shift):
+        s2 = 2 + shift
+        code, out, err = run(capsys, "table", "--genus", "4", "--s1", "1", "--s2", str(s2))
+        with pytest.raises(clifford3.errors.CongruenceViolation) as expected:
+            clifford3.BundleInvariants(3, 1, (1, s2))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "CongruenceViolation", "message": str(expected.value)}
+
+    def test_rows_equal_the_bound_at_each_degree(self, capsys):
+        # every run: VANISHING, RANK3-LINE-ONLY, RANK3-MAIN, RR-EXACT, and
+        # VANISHING, RANK3-MAIN, RANK3-LINE-ONLY-DUAL, RR-EXACT
+        for s1, s2, d_min, d_max in ((0, 21, -9, 60), (21, 0, 9, 66)):
+            code, out, _ = run(
+                capsys, "table", "--genus", "10", "--s1", str(s1), "--s2", str(s2),
+                "--d-min", str(d_min), "--d-max", str(d_max), "--hyperelliptic",
+            )
+            lines = out.splitlines()
+            assert code == 0 and lines[0] == "d,value,case,exact"
+            expected = []
+            for d in range(d_min, d_max + 1, 3):
+                inv = clifford3.BundleInvariants(3, d, (s1, s2))
+                r = clifford3.h0_rank3_semistable_bound(
+                    clifford3.Rank3Query(clifford3.Curve(10), inv)
+                )
+                expected.append(f"{d},{r.value},{r.case},{str(r.exact).lower()}")
+            assert lines[1:] == expected
+            assert len({line.split(",")[2] for line in expected}) == 4
 
 
 def _row(state):
@@ -680,15 +736,45 @@ class TestExamples:
         proc = run_module("examples", "--suite", "--max-genus", "20")
         assert proc.returncode == 0 and outs["20"] == [proc.stdout]
 
-    def test_suite_cache_holds_one_block_per_family_and_genus(self, capsys):
-        cli._suite_block.cache_clear()
-        g = 12
-        run(capsys, "examples", "--suite", "--max-genus", str(g))
-        info = cli._suite_block.cache_info()
-        assert info.currsize <= 3 * (g - 1)
-        run(capsys, "examples", "--suite", "--max-genus", "8")
-        after = cli._suite_block.cache_info()
-        assert after.currsize == info.currsize and after.hits == info.hits + 3 * 7
+    @pytest.fixture
+    def empty_suite_cache(self, monkeypatch):
+        """``cli._SUITE`` as a fresh process starts it."""
+        monkeypatch.setattr(cli, "_SUITE", {family: ["", []] for family in "abc"})
+
+    def test_suite_cache_holds_one_text_per_family(self, capsys, empty_suite_cache):
+        run(capsys, "examples", "--suite", "--max-genus", "12")
+        assert list(cli._SUITE) == ["a", "b", "c"]
+        reports = clifford3.suite(12)
+        for family, (text, ends) in cli._SUITE.items():
+            # genera 2..12 and no more, one end per genus
+            assert len(ends) == 11
+            assert ends[-1] == len(text)
+            genera = [int(line.split(",")[1]) for line in text.splitlines()]
+            assert genera == [r.curve.genus for r in reports if r.family == family]
+
+    def test_smaller_max_genus_reads_the_cache(self, capsys, monkeypatch, empty_suite_cache):
+        _, at_12, _ = run(capsys, "examples", "--suite", "--max-genus", "12")
+        calls = []
+        monkeypatch.setattr(cli, "genus_reports", lambda *a: calls.append(a))
+        code, at_8, _ = run(capsys, "examples", "--suite", "--max-genus", "8")
+        assert code == 0 and calls == []
+        rows = at_12.splitlines(keepends=True)
+        assert at_8 == "".join(r for r in rows if r[0] not in "abc" or int(r.split(",")[1]) <= 8)
+
+    def test_extended_cache_matches_fresh_processes(self, capsys, empty_suite_cache):
+        # 30 extends the texts that 12 built; 20 reads a slice of each
+        for max_genus in ("12", "30", "20"):
+            code, out, err = run(capsys, "examples", "--suite", "--max-genus", max_genus)
+            proc = run_module("examples", "--suite", "--max-genus", max_genus)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+            assert code == 0 and err == ""
+        assert [len(ends) for _, ends in cli._SUITE.values()] == [29, 29, 29]
+
+    @pytest.mark.parametrize("max_genus", ["1", "0", "-1"])
+    def test_suite_below_genus_2_is_the_header(self, capsys, max_genus):
+        code, out, err = run(capsys, "examples", "--suite", "--max-genus", max_genus)
+        assert (code, err) == (0, "")
+        assert out == "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp\n"
 
     @pytest.mark.parametrize(
         "argv, message",

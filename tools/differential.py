@@ -142,11 +142,6 @@ def _rank3(c3, c, d, s):
     if (s1 - d) % 3 or (s2 - 2 * d) % 3:
         return
     hyp = c.hyperelliptic
-    plain = inv and _made(c3.Rank3Query, c, inv, use_hyperelliptic_sharpening=hyp)[0]
-    for other in (d - 3, d + 1, d + 3):
-        yield (f"h0_rank3_semistable_bound({where}, degree={other})",
-               SKIPPED if plain is None
-               else _outcome(c3.h0_rank3_semistable_bound, plain, degree=other))
     for s1f, delta in itertools.product(s1f_sweep(c.genus, d, s), (False, True)):
         at = f"{where}, s1f={s1f}, delta={delta}"
         if inv is None:

@@ -16,9 +16,12 @@ INPUTS: ``REPEAT`` repeats of ``NUMBER`` calls each.  The layers are:
   ``bound()`` at the middle point and at the Serre-dual point g = 10,
   d = 19, s = (4, -1), s1f = 3;
 * sweeps: ``cli.main``, stdout in a fresh ``StringIO``, on two ``elmtrans``
-  commands of the session workload's seed 1: its slowest, a rank-3 walk of
+  commands of the session workload's seed 1 (its slowest, a rank-3 walk of
   29 steps with given choices at genus 22, and a rank-2 all-miss walk of 26
-  steps at genus 27.  These run NUMBER // SWEEP_SHARE calls per repeat.
+  steps at genus 27), on ``table --genus 30 --s1 0 --s2 0`` (59 rows) and
+  on ``examples --suite --max-genus 30``, whose repeats after the first
+  read the suite text of the worker's process.  These run
+  NUMBER // SWEEP_SHARE calls per repeat.
 
 It prints, per input and tree, the fastest and the median ns per call over
 every repeat of every round, and their ratio change / base, then one JSON
@@ -55,6 +58,8 @@ q_sharp = Rank3Query(hc, mid, use_hyperelliptic_sharpening=True)
 elm3 = ("elmtrans --rank 3 --genus 22 --steps 29 --choices "
         "1000001011110011100001110010110100110110101000101000011011").split()
 elm2 = "elmtrans --rank 2 --genus 27 --steps 26".split()
+table30 = "table --genus 30 --s1 0 --s2 0".split()
+suite30 = "examples --suite --max-genus 30".split()
 """
 # (layer, input): the statement timed
 INPUTS = {
@@ -69,6 +74,8 @@ INPUTS = {
     ("dispatch", "bound() Serre dual"): "bound(dual, dual_inv, s1f=3)",
     ("sweeps", "elmtrans rank 3 g=22"): "with redirect_stdout(StringIO()): main(elm3)",
     ("sweeps", "elmtrans rank 2 g=27"): "with redirect_stdout(StringIO()): main(elm2)",
+    ("sweeps", "table g=30"): "with redirect_stdout(StringIO()): main(table30)",
+    ("sweeps", "suite max genus 30"): "with redirect_stdout(StringIO()): main(suite30)",
 }
 
 
