@@ -4,11 +4,12 @@ trajectories, sweep tables and the example suites.
 Each command has one output format on stdout: JSON for ``bound`` and
 ``examples --family``, JSON lines for ``elmtrans`` (the dimension bounds
 keyed "r,i" in (r, i) order), CSV for ``table`` and ``examples --suite``,
-and a bare integer for ``krawtchouk``.  ``bound``'s JSON and the
-``elmtrans`` lines are written directly, byte for byte what ``json.dumps``
-gives.  ``elmtrans`` checks only its seed.  ``table`` checks, before it
-writes any row, its cap, its curve and, when it sweeps any degree, the
-rank-3 query of its first swept degree, then that s1, s2 >= 0; it writes
+and a bare integer for ``krawtchouk``.  ``bound``'s JSON, the
+``elmtrans`` lines, the ``examples --family`` report and the error object
+are written directly, byte for byte what ``json.dumps`` gives.
+``elmtrans`` checks only its seed.  ``table`` checks, before it writes any
+row, its cap, its curve and, when it sweeps any degree, the rank-3
+invariants of its first swept degree, then that s1, s2 >= 0; it writes
 the case runs of ``bounds.semistable_runs``, each row from its run's closed
 form, and builds no ``BoundResult``.  ``elmtrans`` walks each rank as one
 column of ``elmtrans._column``, where the transformation rule is written
@@ -19,9 +20,13 @@ with a stable ``code`` field and exit status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
 state, so ``main`` may be called any number of times in one process; its
-docstring states the grammar.  ``_BOUND_READS`` and ``_EXAMPLES_READS``
-say which flags each mode of ``bound`` and ``examples`` reads, and
-``_check_reads`` raises the UsageError for any other flag given.
+docstring states the grammar.  Each command's flags are indexed once, at
+import, in ``_INDEX``: a flag given by its exact name, the common spelling,
+is looked up once, and any other token is split at its first ``=`` and
+looked up again.  Every value goes through ``_convert``.  ``_BOUND_READS``
+and ``_EXAMPLES_READS`` say which flags each mode of ``bound`` and
+``examples`` reads, and ``_check_reads`` raises the UsageError for any
+other flag given.
 
 Six inputs are capped, because their cost grows without bound:
 ``krawtchouk`` N at MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at
@@ -40,7 +45,6 @@ of 1,000.
 """
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
@@ -49,7 +53,7 @@ from itertools import accumulate, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from .bounds import Rank3Query, bound, semistable_runs
+from .bounds import bound, semistable_runs
 from .elmtrans import ElmState, _column, seed_state_lemma36
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
@@ -82,8 +86,10 @@ MAX_TABLE_ROWS = 100_000
 MAX_SUITE_GENUS = 100
 
 def _emit_error(exc: Exception) -> int:
+    """Write the JSON error object of ``exc`` to stderr, byte for byte
+    ``json.dumps({"code": code, "message": message})`` and a newline."""
     code = exc.code if isinstance(exc, Clifford3Error) else type(exc).__name__
-    print(json.dumps({"code": code, "message": str(exc)}), file=sys.stderr)
+    sys.stderr.write(f'{{"code": {_quote(code)}, "message": {_quote(str(exc))}}}\n')
     return 2
 
 
@@ -151,7 +157,7 @@ def _bound_line(r: BoundResult) -> str:
 
 def cmd_krawtchouk(args) -> int:
     _check_cap("N", args.N, MAX_KRAWTCHOUK_N)
-    print(krawtchouk(KrawtchoukQuery(args.r, args.n, args.N)))
+    sys.stdout.write(f"{krawtchouk(KrawtchoukQuery(args.r, args.n, args.N))}\n")
     return 0
 
 
@@ -256,9 +262,9 @@ def cmd_table(args) -> int:
     # every row is computed before any is written, so an error leaves stdout empty
     lines = ["d,value,case,exact\n"]
     if rows:
-        # the query of the first degree, built for its checks: every swept
-        # degree shares its residue mod 3, so they pass the same checks
-        Rank3Query(curve, BundleInvariants(3, first, (s1, s2)))
+        # the invariants of the first degree, built for their checks: every
+        # swept degree shares its residue mod 3, so they pass the same checks
+        BundleInvariants(3, first, (s1, s2))
         degrees = range(first, d_max + 1, 3)
         for run, case, exact, slope, offset, divisor in semistable_runs(g, s1, s2, degrees):
             suffix = f",{case},{'true' if exact else 'false'}\n"
@@ -328,8 +334,31 @@ def cmd_examples(args) -> int:
     if None in params:  # only family unstable has flags without a default
         raise Clifford3Error("family unstable needs --dl, --df and --s1f")
     out = make(*params)
-    sys.stdout.write(out if mode == "suite" else json.dumps(out.to_dict()) + "\n")
+    sys.stdout.write(out if mode == "suite" else _report_line(out))
     return 0
+
+
+def _report_line(r) -> str:
+    """``examples --family``'s output line for the ``ExampleReport`` r, byte
+    for byte ``json.dumps(r.to_dict())`` and a newline: the params have
+    distinct names, as every family gives them, and each is an int or a
+    string; the other fields are ints, a bool, strings and lists of them,
+    and ``bound`` and ``slope_bound`` are the objects of :func:`_bound_line`."""
+    family, curve, inv, exact_h0, b, params, slope, notes = r._values
+    rank, degree, s = inv._values
+    params = ", ".join([
+        f"{_quote(k)}: {_quote(v) if isinstance(v, str) else v}" for k, v in params
+    ])
+    line = (
+        f'{{"family": {_quote(family)}, "genus": {curve._values[0]}, "params": {{{params}}}, '
+        f'"rank": {rank}, "degree": {degree}, "s": [{", ".join(map(str, s))}], '
+        f'"exact_h0": {exact_h0}, "bound": {_bound_line(b)[:-1]}, '
+        f'"sharp": {"true" if exact_h0 == b._values[0] else "false"}, '
+        f'"notes": [{", ".join(map(_quote, notes))}]'
+    )
+    if slope is None:
+        return line + "}\n"
+    return f'{line}, "slope_bound": {_bound_line(slope)[:-1]}}}\n'
 
 
 _Flag = namedtuple("_Flag", "dest type choices default help", defaults=(int, (), None, ""))
@@ -399,14 +428,21 @@ _HELP = frozenset(("-h", "--help"))
 
 
 def _index(command: str, flags: dict) -> tuple:
-    """(flags by name, positionals, namespace defaults, required flags) of one command."""
-    options = {k: f for k, f in flags.items() if k[0] == "-"}
+    """(options, positionals, namespace defaults, required, required dests)
+    of one command.
+
+    ``options`` maps each flag's name to (dest, is_switch, flag);
+    ``required`` is the (name, dest) of each required flag, in order.
+    A required dest has no default, so it is absent until it is read.
+    """
+    options = {k: (f.dest, f.type is bool, f) for k, f in flags.items() if k[0] == "-"}
     positionals = [(k, f) for k, f in flags.items() if k[0] != "-"]
     defaults = {"command": command}
     for f in flags.values():
-        defaults[f.dest] = False if f.type is bool else None if f.default is REQUIRED else f.default
+        if f.default is not REQUIRED:
+            defaults[f.dest] = False if f.type is bool else f.default
     required = [(k, f.dest) for k, f in flags.items() if f.default is REQUIRED]
-    return options, positionals, defaults, required
+    return options, positionals, defaults, required, frozenset(dest for _, dest in required)
 
 
 _INDEX = {command: _index(command, flags) for command, (_, flags) in COMMANDS.items()}
@@ -491,33 +527,41 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     if command is None or not _HELP.isdisjoint(argv):
         sys.stdout.write(_usage(command))
         raise SystemExit(0)
-    options, positionals, defaults, required = _INDEX[command]
+    options, positionals, defaults, required, required_dests = _INDEX[command]
     values = defaults.copy()
     stray = []
     filled = 0  # positionals read so far
-    tokens = iter(argv[1:])
-    for tok in tokens:
-        name, eq, text = tok.partition("=")
-        flag = options.get(name)
-        if flag is None:
-            if filled < len(positionals):
-                name, flag = positionals[filled]
-                values[flag.dest] = _convert(name, flag, tok)
-                filled += 1
-            else:
-                stray.append(tok)
-        elif flag.type is bool:
-            if eq:
+    i, end = 1, len(argv)
+    while i < end:
+        tok = argv[i]
+        i += 1
+        spec = options.get(tok)
+        if spec is not None:  # a flag by its exact name, the common spelling
+            dest, is_switch, flag = spec
+            if is_switch:
+                values[dest] = True
+                continue
+            if i == end:
+                raise UsageError(f"argument {tok}: expected one argument")
+            values[dest] = _convert(tok, flag, argv[i])
+            i += 1
+            continue
+        # any other token is ``--flag=value``, the next positional or stray
+        name, _, text = tok.partition("=")
+        spec = options.get(name)
+        if spec is not None:
+            dest, is_switch, flag = spec
+            if is_switch:
                 raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
-            values[flag.dest] = True
+            values[dest] = _convert(name, flag, text)
+        elif filled < len(positionals):
+            name, flag = positionals[filled]
+            values[flag.dest] = _convert(name, flag, tok)
+            filled += 1
         else:
-            if not eq:
-                text = next(tokens, None)
-                if text is None:
-                    raise UsageError(f"argument {name}: expected one argument")
-            values[flag.dest] = _convert(name, flag, text)
-    missing = [name for name, dest in required if values[dest] is None]
-    if missing:
+            stray.append(tok)
+    if not values.keys() >= required_dests:
+        missing = [name for name, dest in required if dest not in values]
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if stray:
         raise UsageError(f"unrecognized arguments: {' '.join(stray)}")

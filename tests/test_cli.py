@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -513,6 +514,24 @@ class TestTable:
         assert code == 2 and out == ""
         assert json.loads(err) == {"code": "CongruenceViolation", "message": str(expected.value)}
 
+    def test_invariants_error_comes_before_the_negative_s_error(self, capsys):
+        # s2 = 3 is no residue of s1 = -1 and d = -1, and s1 < 0: the
+        # invariants' CongruenceViolation is reported, then with a congruent
+        # s2 the semistable bound's NotSemistable
+        argv = ["table", "--genus", "4", "--s1", "-1", "--d-min", "-3", "--d-max", "9"]
+        with pytest.raises(clifford3.errors.CongruenceViolation) as expected:
+            clifford3.BundleInvariants(3, -1, (-1, 3))
+        code, out, err = run(capsys, *argv, "--s2", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"code": "CongruenceViolation", "message": str(expected.value)}
+        clifford3.BundleInvariants(3, -1, (-1, 1))
+        code, out, err = run(capsys, *argv, "--s2", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "code": "NotSemistable",
+            "message": "semistable bound needs s1, s2 >= 0, got (-1, 1)",
+        }
+
     def test_rows_equal_the_bound_at_each_degree(self, capsys):
         # every run: VANISHING, RANK3-LINE-ONLY, RANK3-MAIN, RR-EXACT, and
         # VANISHING, RANK3-MAIN, RANK3-LINE-ONLY-DUAL, RR-EXACT
@@ -559,8 +578,9 @@ def _start_states(draw):
 
 
 class TestDirectOutput:
-    """The lines that ``bound`` and ``elmtrans`` write without ``json.dumps``
-    equal what it writes."""
+    """The lines that ``bound``, ``elmtrans`` and ``examples --family`` and the
+    error object write without ``json.dumps`` equal what it writes, and an
+    int flag reads one grammar as ``--flag TOK`` and as ``--flag=TOK``."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -640,6 +660,62 @@ class TestDirectOutput:
     def test_bound_line_quotes_like_json_dumps(self, value, case, exact, assumptions):
         r = clifford3.BoundResult(value, case, exact, assumptions)
         assert cli._bound_line(r) == json.dumps(r.to_dict()) + "\n"
+
+    def test_report_line_for_every_report_of_the_suite_and_an_unstable_grid(self):
+        reports = clifford3.suite(30)
+        for g in range(2, 7):
+            for dl in range(-2, 2 * g + 3):
+                for df in range(-4, 4 * g + 1):
+                    for s1f in range(-g - 2, g + 3):
+                        try:
+                            reports.append(clifford3.unstable_sharpness(g, dl, df, s1f))
+                        except Clifford3Error:
+                            pass
+        families = {r.family for r in reports}
+        assert families == {"a", "b", "c", "unstable"} and len(reports) > 3000
+        assert any(r.slope is not None for r in reports)
+        for r in reports:
+            assert cli._report_line(r) == json.dumps(r.to_dict()) + "\n", r
+
+    @settings(max_examples=300)
+    @given(
+        error=st.sampled_from((UsageError, clifford3.errors.HypothesisFailed, ValueError)),
+        message=st.text(
+            st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\U0001f600'))
+        ),
+    )
+    def test_error_object_quotes_like_json_dumps(self, error, message):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert cli._emit_error(error(message)) == 2
+        expected = {"code": error.__name__, "message": message}
+        assert err.getvalue() == json.dumps(expected) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        where=st.sampled_from((
+            ("bound --genus 3 --rank 1", "--degree", "degree"),
+            ("table --genus 4 --s1 0 --s2 0", "--d-min", "d_min"),
+            ("elmtrans --rank 2 --genus 3", "--steps", "steps"),
+            ("examples --family a", "--genus", "genus"),
+        )),
+        token=st.text(st.sampled_from("0123456789-+_ \u0663\uff11"), max_size=8),
+    )
+    def test_int_flag_reads_the_grammar_in_both_spellings(self, where, token):
+        # a value is "-" at most once, then ASCII digits; int() alone would
+        # also read "+", "_", spaces and the digits of other scripts
+        head, flag, dest = where
+        outcomes = []
+        for tail in ([flag, token], [f"{flag}={token}"]):
+            try:
+                outcomes.append(getattr(cli.parse_args([*head.split(), *tail]), dest))
+            except UsageError as exc:
+                outcomes.append(str(exc))
+        if re.fullmatch("-?[0-9]+", token):
+            expected = int(token)
+        else:
+            expected = f"argument {flag}: invalid int value: {token!r}"
+        assert outcomes == [expected, expected]
 
 
 class TestExamples:
@@ -990,6 +1066,16 @@ class TestNoTraceback:
             ("table --genus 3 --s1 0 --s2 0 --d-min -100000000000000000000", "UsageError"),
             ("elmtrans --rank 2 --genus 3 --steps -100000000000000000000", "UsageError"),
             ("elmtrans --rank 3 --genus 4 --steps -3", "UsageError"),
+            # int() refuses more than 4,300 digits
+            *(
+                pytest.param(f"bound --genus 3 --rank 1 {tail}", "UsageError", id=f"5000-digit {name}")
+                for name, tail in (
+                    ("--degree TOK", "--degree " + "1" * 5000),
+                    ("--degree -TOK", "--degree -" + "1" * 5000),
+                    ("--degree=TOK", "--degree=" + "1" * 5000),
+                    ("--degree=-TOK", "--degree=-" + "1" * 5000),
+                )
+            ),
         ],
     )
     def test_integers_past_a_machine_word(self, argv, code):

@@ -21,7 +21,12 @@ INPUTS: ``REPEAT`` repeats of ``NUMBER`` calls each.  The layers are:
   steps at genus 27), on ``table --genus 30 --s1 0 --s2 0`` (59 rows) and
   on ``examples --suite --max-genus 30``, whose repeats after the first
   read the suite text of the worker's process.  These run
-  NUMBER // SWEEP_SHARE calls per repeat.
+  NUMBER // SWEEP_SHARE calls per repeat;
+* front end: ``parse_args``, and ``cli.main`` with stdout in a fresh
+  ``StringIO``, on ``bound --genus 25 --rank 3 --degree 70 --s1 10 --s2
+  20`` (the middle point), ``bound --rank 1 --genus 26 --degree 3`` and
+  ``examples --family a --genus 16 --n 2 --k 0``: the fixed cost of one
+  command around the engine.
 
 It prints, per input and tree, the fastest and the median ns per call over
 every repeat of every round, and their ratio change / base, then one JSON
@@ -49,7 +54,7 @@ SETUP = """\
 from contextlib import redirect_stdout
 from io import StringIO
 from clifford3 import BundleInvariants, Curve, Rank3Query, bound, h0_rank3_semistable_bound
-from clifford3.cli import main
+from clifford3.cli import main, parse_args
 c, hc, dual = Curve(25), Curve(25, True), Curve(10)
 mid, tail = BundleInvariants(3, 70, (10, 20)), BundleInvariants(3, -2, (10, 20))
 dual_inv = BundleInvariants(3, 19, (4, -1))
@@ -60,6 +65,9 @@ elm3 = ("elmtrans --rank 3 --genus 22 --steps 29 --choices "
 elm2 = "elmtrans --rank 2 --genus 27 --steps 26".split()
 table30 = "table --genus 30 --s1 0 --s2 0".split()
 suite30 = "examples --suite --max-genus 30".split()
+bound3 = "bound --genus 25 --rank 3 --degree 70 --s1 10 --s2 20".split()
+bound1 = "bound --rank 1 --genus 26 --degree 3".split()
+family_a = "examples --family a --genus 16 --n 2 --k 0".split()
 """
 # (layer, input): the statement timed
 INPUTS = {
@@ -76,6 +84,12 @@ INPUTS = {
     ("sweeps", "elmtrans rank 2 g=27"): "with redirect_stdout(StringIO()): main(elm2)",
     ("sweeps", "table g=30"): "with redirect_stdout(StringIO()): main(table30)",
     ("sweeps", "suite max genus 30"): "with redirect_stdout(StringIO()): main(suite30)",
+    ("front end", "parse_args bound rank 3"): "parse_args(bound3)",
+    ("front end", "parse_args bound rank 1"): "parse_args(bound1)",
+    ("front end", "parse_args family a"): "parse_args(family_a)",
+    ("front end", "main bound rank 3"): "with redirect_stdout(StringIO()): main(bound3)",
+    ("front end", "main bound rank 1"): "with redirect_stdout(StringIO()): main(bound1)",
+    ("front end", "main family a"): "with redirect_stdout(StringIO()): main(family_a)",
 }
 
 
