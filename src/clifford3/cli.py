@@ -13,10 +13,12 @@ invariants of its first swept degree, then that s1, s2 >= 0; it writes
 the case runs of ``bounds.semistable_runs``, each row from its run's closed
 form, and builds no ``BoundResult``.  ``elmtrans`` walks each rank as one
 column of ``elmtrans._column``, where the transformation rule is written
-(``step`` reads it too), and builds a rank's text once per tuple that is
-not a prefix of the one before it; a rank with no known bound at the start
-writes none.  Validation and usage errors go to stderr as a JSON object
-with a stable ``code`` field and exit status 2.
+(``step`` reads it too).  The column gives the length of each step's bound
+tuple and the few tuples the rule's maxima build; ``elmtrans`` builds the
+text of each of those once and cuts every step's text from it by length.
+A rank with no known bound at the start writes none.  Validation and usage
+errors go to stderr as a JSON object with a stable ``code`` field and exit
+status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
 state, so ``main`` may be called any number of times in one process; its
@@ -49,7 +51,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -72,9 +74,9 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
 # coefficient at N = 4096 in 1.02 s (r = n = N, the full alternating sum,
 # whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
-# binomial), a 10,000-step trajectory at genus 1,000 in 0.025 s at rank 2
-# with every choice a miss (7.5 MB of output) and in 0.011 s at rank 3 with
-# random choices, a 100,000-row table in 0.044 s (every row a
+# binomial), a 10,000-step trajectory at genus 1,000 in 0.012 s at rank 2
+# with every choice a miss (7.5 MB of output, 29 MB peak RSS) and in 0.007 s
+# at rank 3 with random choices, a 100,000-row table in 0.044 s (every row a
 # distinct RANK3-MAIN value), the suite to genus 100 in 0.74 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N = 2g - t <= 3g - 1, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
@@ -161,15 +163,6 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-# The ``elmtrans`` line of each rank n, filled with step, d, s_1..s_(n-1) and
-# the bounds text; ints are written by str(), as json.dumps writes them.
-_ELMTRANS_LINES = {
-    n: '{"step": %s, "rank": ' + str(n) + ', "d": %s, "s": ['
-    + ", ".join(["%s"] * (n - 1)) + '], "sb_dim_upper": {%s}}\n'
-    for n in (2, 3)
-}
-
-
 def _text(r: int, b: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     """The ``"r,i": v`` text of rank r's bound tuple b, each entry led by its
     ", ", and its cuts: cuts[j] ends entry j-1, so the text of the first j
@@ -178,26 +171,24 @@ def _text(r: int, b: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     return "".join(items), tuple(accumulate(map(len, items), initial=0))
 
 
-def _bound_texts(r: int, column: list, built: list, first: tuple) -> Iterator[str]:
-    """The ``"r,i": v`` text of each bound tuple in rank r's column, in turn,
-    where ``built`` indexes the tuples that are not a prefix of the one
-    before and ``first`` is the :func:`_text` of the start.
-
-    Each of those builds its text once, the start's given; the tuples after
-    it, up to the next one, are its prefixes and slices of its text.
-    """
-    for k0, k1 in zip(built, [*built[1:], len(column)]):
-        text, cuts = _text(r, column[k0]) if k0 else first
-        for b in column[k0:k1]:
-            yield text[2 : cuts[len(b)]]
+def _bound_texts(r: int, lengths: Iterator[int], built: list, first: tuple) -> Iterator[str]:
+    """The ``"r,i": v`` text of rank r's bound tuple at each step, from the
+    ``lengths`` and ``built`` tuples of its :func:`elmtrans._column` and the
+    :func:`_text` of the start: each built tuple's whole text, then the last
+    one's text cut to each later length."""
+    *heads, (text, cuts) = [first, *[_text(r, b) for b in built[1:]]]
+    cut = (text[2 : cuts[i]] for i in islice(lengths, len(heads), None))
+    # a walk from a flat start, as from every seed, has no heads and skips the chain
+    return chain([t[2:] for t, _ in heads], cut) if heads else cut
 
 
 def _walk_lines(start: ElmState, bits: str, firsts=None) -> str:
     """The ``elmtrans`` lines of the walk from ``start`` that takes n-1 of
     ``bits`` a step, "1" a hit, byte for byte what ``json.dumps`` writes for
-    each row: every field is an int or a list or object of ints.  Rank r
-    reads every (n-1)-th bit from bit r-1 and is walked as one column.
-    ``firsts`` gives each rank's :func:`_text` of the start, when known.
+    each row: every field is an int or a list or object of ints, and an int
+    is written as str() writes it.  Rank r reads every (n-1)-th bit from bit
+    r-1 and is walked as one column.  ``firsts`` gives each rank's
+    :func:`_text` of the start, when known.
     """
     inv, sb, k = start._values
     n, d, s = inv._values
@@ -205,20 +196,29 @@ def _walk_lines(start: ElmState, bits: str, firsts=None) -> str:
         firsts = [_text(r, b) for r, b in enumerate(sb, 1)]
     s_cols, texts = [], []
     for r in range(1, n):
-        hits = map("1".__eq__, bits[r - 1 :: n - 1])
-        s_col, b_col, built = _column(n, r, s[r - 1], sb[r - 1], hits)
+        s_col, lengths, built = _column(n, r, s[r - 1], sb[r - 1], bits[r - 1 :: n - 1])
         s_cols.append(s_col)
         # a rank that starts with no known bound has none at any step: it
         # writes no text and no separator
         if sb[r - 1]:
-            texts.append(_bound_texts(r, b_col, built, firsts[r - 1]))
+            texts.append(_bound_texts(r, lengths, built, firsts[r - 1]))
     # the texts are made as the lines are, so that only the lines are held at once
     if len(texts) == 2:
         joined = (f"{a}, {b}" if a and b else a or b for a, b in zip(*texts))
     else:
         joined = texts[0] if texts else repeat("")
     rows = zip(count(k), count(d), *s_cols, joined)
-    return "".join(map(_ELMTRANS_LINES[n].__mod__, rows))
+    # one f-string per rank: a walk took about a tenth less time than with
+    # one %-template per rank (tools/layers.py, the sweeps rows)
+    if n == 2:
+        return "".join([
+            f'{{"step": {j}, "rank": 2, "d": {e}, "s": [{a}], "sb_dim_upper": {{{t}}}}}\n'
+            for j, e, a, t in rows
+        ])
+    return "".join([
+        f'{{"step": {j}, "rank": 3, "d": {e}, "s": [{a}, {b}], "sb_dim_upper": {{{t}}}}}\n'
+        for j, e, a, b, t in rows
+    ])
 
 
 # The checked seed of each (rank, genus) and each rank's _text of it, built

@@ -9,19 +9,23 @@ bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
 The ranks never interact, so the rule is written once, per rank, in
-``_column``: it walks one rank's s_r and bound tuple through a run of
-choices on plain values.  Once a tuple is flat (no bound rises by more than
-n - r to the next), its future is fixed: each miss drops the last entry,
-the first hit gives ``()`` and ``()`` stays ``()``.  So the column is
-finished with slices, and only misses from a tuple that is not flat run the
-rule's maxima.  :func:`trajectory` zips the ranks' columns into states
+``_column``: it walks one rank's s_r and bound tuple through that rank's
+choices, given as a "0"/"1" string with "1" a hit.  Once a tuple is flat (no
+bound rises by more than n - r to the next), its future is fixed: each miss
+drops the last entry, the first hit gives ``()`` and ``()`` stays ``()``.
+Every miss drops one entry, so ``_column`` gives each step's tuple by its
+length, in closed form, and builds only the tuples of the misses from a
+tuple that is not flat, which run the rule's maxima.  :func:`trajectory`
+slices those tuples to the lengths and zips the ranks' columns into states
 without building a record per step, :func:`step` is the checked last state
 of a one-step trajectory, and :func:`generic_sequence` is the last state of
-an all-miss walk.  ``cli.cmd_elmtrans`` reads the columns directly.
+an all-miss walk.  ``cli.cmd_elmtrans`` reads the lengths directly, as cuts
+of each tuple's text.
 """
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from collections.abc import Iterator
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, le, sub, truth
 
 from .errors import HypothesisUnverifiable, RankUnsupported
@@ -69,54 +73,47 @@ def _flat(b: tuple[int, ...], c: int) -> bool:
 
 
 def _column(
-    n: int, r: int, s_r: int, b: tuple[int, ...], hits
-) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """The transformation rule on one rank's plain values: s_r and rank r's
-    bound tuple at the start and after each step of a rank-n walk, where
-    ``hits`` gives that rank's choice at each step, and the indices of the
-    tuples that are not a prefix of the tuple before them, 0 (the start)
-    first.  The ranks never interact, so this is the only place the rule is
-    written; see :func:`step`.
+    n: int, r: int, s_r: int, b: tuple[int, ...], bits: str
+) -> tuple[Iterator[int], Iterator[int], list[tuple[int, ...]]]:
+    """The transformation rule on one rank's plain values, for a rank-n walk
+    whose choices for rank r are the string ``bits``, "1" a hit and "0" a
+    miss: s_r at the start and after each step, the length of rank r's bound
+    tuple at the start and after each step, and the tuples the rule's maxima
+    build, the start ``b`` first.  The tuple after step j is the j-th built
+    tuple while there is one, then a prefix of the last built tuple of the
+    given length.  The ranks never interact, so this is the only place the
+    rule is written; see :func:`step`.
 
     A tuple whose bounds never rise by more than n - r from one entry to the
     next is flat: every max of the rule is the old bound, so a miss drops
     its last entry, and a prefix of a flat tuple is flat.  A hit gives the
-    flat ``()``, which stays ``()``.  So once a tuple is flat, or the next
-    choice is a hit, the rest of the column is fixed: each miss before the
-    first hit drops one more entry, and the first hit and every step after
-    it give ``()``.  That rest is cut as slices in closed form; only the
-    misses from a tuple that is not flat run the rule's maxima, and each
-    tuple they build is checked for flatness once.  A tuple the maxima build
-    is no prefix of the one before it, since some max exceeds the old bound;
-    every other tuple is a prefix.
+    flat ``()``, which stays ``()``.  Only misses from a tuple that is not
+    flat run the rule's maxima, and each tuple they build is checked for
+    flatness once.  Every miss drops one entry, by the maxima or not, so the
+    lengths are closed form: they fall by one a step from ``len(b)`` until
+    the first hit or 0, then stay 0.
     """
     c = n - r
-    hits = list(map(truth, hits))
-    steps = len(hits)
-    column = [b]
-    built = [0]
-    k = 0
-    if not _flat(b, c):
-        while k < steps and not hits[k]:
+    steps = len(bits)
+    first_hit = bits.find("1")
+    if first_hit < 0:
+        first_hit = steps
+    built = [b]
+    # a walk that hits first never runs the maxima, so it skips the check
+    if first_hit and not _flat(b, c):
+        for _ in range(first_hit):
             # a list gives tuple() the exact length; a generator makes it
             # shrink a larger tuple, which fills CPython's tuple free lists
             # (~4 MB)
             b = tuple([max(u, v - c) for u, v in zip(b, b[1:])])
-            k += 1
-            column.append(b)
-            built.append(k)
+            built.append(b)
             if _flat(b, c):
                 break
-    # from step k the column is fixed: b is flat, or the walk is over or hits next
-    try:
-        first_hit = hits.index(True, k)
-    except ValueError:
-        first_hit = steps
-    misses = min(first_hit - k, len(b))
-    column += [b[:i] for i in range(len(b) - 1, len(b) - 1 - misses, -1)]
-    column += [()] * (steps - k - misses)
+    size = len(built[0])
+    falls = min(first_hit + 1, size)
+    lengths = chain(range(size, size - falls, -1), repeat(0, steps + 1 - falls))
     # a miss adds r to s_r, a hit takes n - r from it
-    return list(accumulate(map((r, -c).__getitem__, hits), initial=s_r)), column, built
+    return accumulate(map({"0": r, "1": -c}.__getitem__, bits), initial=s_r), lengths, built
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
@@ -142,8 +139,10 @@ def trajectory(
     when the choices are applied in turn, as :func:`step` would give them.
 
     Every choice's length is checked first; one of the wrong length raises
-    ``ValueError``.  Each rank is then walked on its own, by the rule's one
-    writing in ``_column``, and the ranks' columns are zipped into states.
+    ``ValueError``.  Each rank's entries of the choices are then read by
+    their truth into one "0"/"1" string, and the rank is walked on its own,
+    by the rule's one writing in ``_column``; its tuples are sliced to the
+    column's lengths, and the ranks' columns are zipped into states.
     The states are plain values, not records, and are not checked again: a
     step raises the degree by 1 and moves s_r by r or -(n-r), so s_r stays
     congruent to r*d mod n and ``start``'s checks hold for every state.
@@ -153,15 +152,14 @@ def trajectory(
     choices = list(choices)
     if set(map(len, choices)) - {n - 1}:
         raise ValueError(f"need {n - 1} choices for rank {n}")
-    columns = [
-        _column(n, r, s_r, b, map(itemgetter(r - 1), choices))
-        for r, s_r, b in zip(range(1, n), s, sb)
-    ]
-    return list(zip(
-        range(d, d + len(choices) + 1),
-        zip(*[s_col for s_col, _, _ in columns]),
-        zip(*[b_col for _, b_col, _ in columns]),
-    ))
+    s_cols, b_cols = [], []
+    for r, s_r, b in zip(range(1, n), s, sb):
+        bits = "".join(map("01".__getitem__, map(truth, map(itemgetter(r - 1), choices))))
+        s_col, lengths, built = _column(n, r, s_r, b, bits)
+        *heads, last = built
+        s_cols.append(s_col)
+        b_cols.append(heads + [last[:i] for i in islice(lengths, len(heads), None)])
+    return list(zip(range(d, d + len(choices) + 1), zip(*s_cols), zip(*b_cols)))
 
 
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:

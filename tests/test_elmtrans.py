@@ -260,6 +260,24 @@ class TestTrajectory:
         walk = self._walks_agree(start, [(False, True), (False, False)])
         assert [sb[1] for sb in walk] == [(0, 2), (), ()]
 
+    @pytest.mark.parametrize("start", [
+        seed_state_lemma36(Curve(4), 3),
+        # not flat at either rank: each first miss takes the rule's maxima, then
+        # rank 2 and later rank 1 run into a hit
+        ElmState(BundleInvariants(3, 3, (0, 0)), ((0, 5, 5, 9), (0, 4))),
+    ])
+    def test_int_choices_read_by_truth(self, start):
+        # choices are read by their truth, so 1 and 0 give what True and False give
+        as_bools = [(False, False), (False, True), (True, False), (False, False)]
+        as_ints = [tuple(map(int, hits)) for hits in as_bools]
+        walk = self._walks_agree(start, as_bools)
+        assert trajectory(start, as_ints) == trajectory(start, as_bools)
+        assert walk[2][1] == walk[3][0] == ()
+        by_ints = by_bools = start
+        for ints, bools in zip(as_ints, as_bools):
+            by_ints, by_bools = step(by_ints, ints), step(by_bools, bools)
+            assert by_ints == by_bools
+
     @pytest.mark.parametrize("bad", [(), (False,), (False, True, False)])
     def test_wrong_choice_length_is_steps_error(self, bad):
         start = seed_state_rank3_extended(Curve(4))

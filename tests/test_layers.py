@@ -12,7 +12,7 @@ import layers  # noqa: E402
 def test_one_round_of_equal_trees():
     result = layers.rounds(ROOT, ROOT, 1, number=10, repeat=2)
     assert list(result) == [name for _, name in layers.INPUTS]
-    assert {row["layer"] for row in result.values()} == {"validation", "dispatch", "sweeps", "front end"}
+    assert {row["layer"] for row in result.values()} == {"validation", "dispatch", "sweeps", "krawtchouk", "front end"}
     for row in result.values():
         for side in ("parent", "change"):
             assert 0 < row[side]["fastest_ns"] <= row[side]["median_ns"]

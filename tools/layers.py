@@ -20,15 +20,19 @@ INPUTS: ``REPEAT`` repeats of ``NUMBER`` calls each.  The layers are:
   29 steps with given choices at genus 22, and a rank-2 all-miss walk of 26
   steps at genus 27), on ``table --genus 30 --s1 0 --s2 0`` (59 rows) and
   on ``examples --suite --max-genus 30``, whose repeats after the first
-  read the suite text of the worker's process.  These run
-  NUMBER // SWEEP_SHARE calls per repeat;
+  read the suite text of the worker's process;
+* krawtchouk: ``krawtchouk`` on K_300(500, 1000), an N = 2n input (one
+  binomial), and on K_100(512, 1000), a general input from the refined
+  workload's range (g = 512, s1 = 24; the full alternating sum).  The cap
+  case K_4096(4096, 4096), about 1 s a call, is left out;
 * front end: ``parse_args``, and ``cli.main`` with stdout in a fresh
   ``StringIO``, on ``bound --genus 25 --rank 3 --degree 70 --s1 10 --s2
   20`` (the middle point), ``bound --rank 1 --genus 26 --degree 3`` and
   ``examples --family a --genus 16 --n 2 --k 0``: the fixed cost of one
   command around the engine.
 
-It prints, per input and tree, the fastest and the median ns per call over
+An input of the sweeps or krawtchouk layer runs NUMBER // SHARE[layer]
+calls per repeat, every other input NUMBER.  It prints, per input and tree, the fastest and the median ns per call over
 every repeat of every round, and their ratio change / base, then one JSON
 line with the same figures.  Nothing under ``src`` or ``bench`` is changed.
 """
@@ -49,12 +53,14 @@ from differential import _git, checkout
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = 20000  # calls per repeat
 REPEAT = 5  # repeats per round and tree
-SWEEP_SHARE = 50  # a sweeps input costs about 50 dispatch inputs
+# the dispatch inputs a call of each costly layer's inputs costs, about
+SHARE = {"sweeps": 50, "krawtchouk": 1000}
 SETUP = """\
 from contextlib import redirect_stdout
 from io import StringIO
 from clifford3 import BundleInvariants, Curve, Rank3Query, bound, h0_rank3_semistable_bound
 from clifford3.cli import main, parse_args
+from clifford3.krawtchouk import KrawtchoukQuery, krawtchouk
 c, hc, dual = Curve(25), Curve(25, True), Curve(10)
 mid, tail = BundleInvariants(3, 70, (10, 20)), BundleInvariants(3, -2, (10, 20))
 dual_inv = BundleInvariants(3, 19, (4, -1))
@@ -68,6 +74,7 @@ suite30 = "examples --suite --max-genus 30".split()
 bound3 = "bound --genus 25 --rank 3 --degree 70 --s1 10 --s2 20".split()
 bound1 = "bound --rank 1 --genus 26 --degree 3".split()
 family_a = "examples --family a --genus 16 --n 2 --k 0".split()
+k_half, k_general = KrawtchoukQuery(300, 500, 1000), KrawtchoukQuery(100, 512, 1000)
 """
 # (layer, input): the statement timed
 INPUTS = {
@@ -84,6 +91,8 @@ INPUTS = {
     ("sweeps", "elmtrans rank 2 g=27"): "with redirect_stdout(StringIO()): main(elm2)",
     ("sweeps", "table g=30"): "with redirect_stdout(StringIO()): main(table30)",
     ("sweeps", "suite max genus 30"): "with redirect_stdout(StringIO()): main(suite30)",
+    ("krawtchouk", "K_300(500, 1000) N=2n"): "krawtchouk(k_half)",
+    ("krawtchouk", "K_100(512, 1000)"): "krawtchouk(k_general)",
     ("front end", "parse_args bound rank 3"): "parse_args(bound3)",
     ("front end", "parse_args bound rank 1"): "parse_args(bound1)",
     ("front end", "parse_args family a"): "parse_args(family_a)",
@@ -99,7 +108,7 @@ def worker(number: int, repeat: int) -> None:
     exec(SETUP, ns)
     out = {}
     for (layer, name), stmt in INPUTS.items():
-        calls = max(1, number // SWEEP_SHARE) if layer == "sweeps" else number
+        calls = max(1, number // SHARE.get(layer, 1))
         times = timeit.repeat(stmt, globals=ns, number=calls, repeat=repeat)
         out[name] = [t / calls * 1e9 for t in times]
     print(json.dumps(out))
