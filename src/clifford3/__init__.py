@@ -31,7 +31,6 @@ from .families import (
     genus_reports,
     stable_pairs_for_degree5_genus2,
     suite,
-    suite_blocks,
     unstable_sharpness,
 )
 from .invariants import (
@@ -79,7 +78,6 @@ __all__ = [
     "step",
     "suggested_min_s1f",
     "suite",
-    "suite_blocks",
     "trajectory",
     "twist_by_line",
     "unstable_sharpness",

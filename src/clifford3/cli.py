@@ -11,14 +11,14 @@ are written directly, byte for byte what ``json.dumps`` gives.
 row, its cap, its curve and, when it sweeps any degree, the rank-3
 invariants of its first swept degree, then that s1, s2 >= 0; it writes
 the case runs of ``bounds.semistable_runs``, each row from its run's closed
-form, and builds no ``BoundResult``.  ``elmtrans`` walks each rank as one
-column of ``elmtrans._column``, where the transformation rule is written
-(``step`` reads it too).  The column gives the length of each step's bound
-tuple and the few tuples the rule's maxima build; ``elmtrans`` builds the
-text of each of those once and cuts every step's text from it by length.
-A rank with no known bound at the start writes none.  Validation and usage
-errors go to stderr as a JSON object with a stable ``code`` field and exit
-status 2.
+form, and builds no ``BoundResult``.  ``elmtrans`` walks only the paper's
+split seeds: their rank-1 bounds rise by exactly n - 1, and the rank-3 seed
+knows no rank-2 bound, so a miss drops the last bound and a hit leaves
+none.  It reads each rank's s column from ``elmtrans._s_column`` and rank
+1's tuple lengths from ``elmtrans._lengths``, where the transformation rule
+is written (``step`` reads it too), and cuts every step's text from the
+seed's by length.  Validation and usage errors go to stderr as a JSON
+object with a stable ``code`` field and exit status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
 state, so ``main`` may be called any number of times in one process; its
@@ -41,7 +41,7 @@ once per process.  The suite's CSV rows are one: each family's rows, genus
 by genus, as one text with the end of each genus's rows, which a larger
 --max-genus extends and --max-genus G cuts at genus G; the cap bounds the
 three texts at about 2.5 MB.  The checked seed of each ``elmtrans`` (rank,
-genus) and the text of its bounds is the other, an LRU cache of 64
+genus) and the text of its rank-1 bounds is the other, an LRU cache of 64
 entries: at most about 5.6 MB, when every entry is at a genus near the cap
 of 1,000.
 """
@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .bounds import bound, semistable_runs
-from .elmtrans import ElmState, _column, seed_state_lemma36
+from .elmtrans import _lengths, _s_column, seed_state_lemma36
 from .errors import Clifford3Error, HypothesisFailed, UsageError
 from .families import (
     family_a,
@@ -163,51 +162,22 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _text(r: int, b: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """The ``"r,i": v`` text of rank r's bound tuple b, each entry led by its
-    ", ", and its cuts: cuts[j] ends entry j-1, so the text of the first j
-    entries is text[2 : cuts[j]] (and "" for j = 0)."""
-    items = list(map(f', "{r},%s": %s'.__mod__, enumerate(b)))
-    return "".join(items), tuple(accumulate(map(len, items), initial=0))
-
-
-def _bound_texts(r: int, lengths: Iterator[int], built: list, first: tuple) -> Iterator[str]:
-    """The ``"r,i": v`` text of rank r's bound tuple at each step, from the
-    ``lengths`` and ``built`` tuples of its :func:`elmtrans._column` and the
-    :func:`_text` of the start: each built tuple's whole text, then the last
-    one's text cut to each later length."""
-    *heads, (text, cuts) = [first, *[_text(r, b) for b in built[1:]]]
-    cut = (text[2 : cuts[i]] for i in islice(lengths, len(heads), None))
-    # a walk from a flat start, as from every seed, has no heads and skips the chain
-    return chain([t[2:] for t, _ in heads], cut) if heads else cut
-
-
-def _walk_lines(start: ElmState, bits: str, firsts=None) -> str:
-    """The ``elmtrans`` lines of the walk from ``start`` that takes n-1 of
-    ``bits`` a step, "1" a hit, byte for byte what ``json.dumps`` writes for
-    each row: every field is an int or a list or object of ints, and an int
-    is written as str() writes it.  Rank r reads every (n-1)-th bit from bit
-    r-1 and is walked as one column.  ``firsts`` gives each rank's
-    :func:`_text` of the start, when known.
+def _walk_lines(seed: tuple, bits: str) -> str:
+    """The ``elmtrans`` lines of the walk from a :func:`_seed` entry that
+    takes n-1 of ``bits`` a step, "1" a hit, byte for byte what
+    ``json.dumps`` writes for each row: every field is an int or a list or
+    object of ints, and an int is written as str() writes it.  Rank r reads
+    every (n-1)-th bit from bit r-1.  The seed's rank-1 bounds are flat and
+    its rank 2 has none, so each step's bounds are the first entries of the
+    seed's, as many as ``_lengths`` gives, and their text a cut of its text.
     """
-    inv, sb, k = start._values
+    start, text, cuts = seed
+    inv, _, k = start._values
     n, d, s = inv._values
-    if firsts is None:
-        firsts = [_text(r, b) for r, b in enumerate(sb, 1)]
-    s_cols, texts = [], []
-    for r in range(1, n):
-        s_col, lengths, built = _column(n, r, s[r - 1], sb[r - 1], bits[r - 1 :: n - 1])
-        s_cols.append(s_col)
-        # a rank that starts with no known bound has none at any step: it
-        # writes no text and no separator
-        if sb[r - 1]:
-            texts.append(_bound_texts(r, lengths, built, firsts[r - 1]))
-    # the texts are made as the lines are, so that only the lines are held at once
-    if len(texts) == 2:
-        joined = (f"{a}, {b}" if a and b else a or b for a, b in zip(*texts))
-    else:
-        joined = texts[0] if texts else repeat("")
-    rows = zip(count(k), count(d), *s_cols, joined)
+    s_cols = [_s_column(n, r, s[r - 1], bits[r - 1 :: n - 1]) for r in range(1, n)]
+    # the texts are cut as the lines are made, so that only the lines are held at once
+    texts = (text[2 : cuts[i]] for i in _lengths(len(cuts) - 1, bits[:: n - 1]))
+    rows = zip(count(k), count(d), *s_cols, texts)
     # one f-string per rank: a walk took about a tenth less time than with
     # one %-template per rank (tools/layers.py, the sweeps rows)
     if n == 2:
@@ -221,14 +191,18 @@ def _walk_lines(start: ElmState, bits: str, firsts=None) -> str:
     ])
 
 
-# The checked seed of each (rank, genus) and each rank's _text of it, built
-# once per process.  An entry at genus 1,000 holds about 90 KB (the seed's
-# 1,000 bounds, their text and cuts; tracemalloc), so the 64 entries hold at
-# most about 5.6 MB.  The genera 2..30 at ranks 2 and 3 are 58 keys, 73 KB.
+# The checked seed of each (rank, genus), the ``"1,i": v`` text of its rank-1
+# bounds, each entry led by its ", ", and the text's cuts: cuts[j] ends entry
+# j-1, so the text of the first j entries is text[2 : cuts[j]] (and "" for
+# j = 0); built once per process.  An entry at genus 1,000 holds about 90 KB
+# (the seed's 1,000 bounds, their text and cuts; tracemalloc), so the 64
+# entries hold at most about 5.6 MB.  The genera 2..30 at ranks 2 and 3 are
+# 58 keys, 73 KB.
 @lru_cache(maxsize=64)
 def _seed(n: int, g: int) -> tuple:
     start = seed_state_lemma36(Curve(g), n)
-    return start, tuple([_text(r, b) for r, b in enumerate(start.sb_dim_upper, 1)])
+    items = list(map(', "1,%s": %s'.__mod__, enumerate(start.sb_dim_upper[0])))
+    return start, "".join(items), tuple(accumulate(map(len, items), initial=0))
 
 
 def cmd_elmtrans(args) -> int:
@@ -238,14 +212,14 @@ def cmd_elmtrans(args) -> int:
     _check_cap("--genus", args.genus, MAX_ELMTRANS_GENUS)
     n = args.rank
     # the seed is the one checked state; the walk keeps its congruences
-    start, firsts = _seed(n, args.genus)
+    seed = _seed(n, args.genus)
     bits = "0" * (args.steps * (n - 1)) if args.choices is None else args.choices
     if len(bits) != args.steps * (n - 1) or set(bits) - {"0", "1"}:
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
             f"{args.steps * (n - 1)}"
         )
-    sys.stdout.write(_walk_lines(start, bits, firsts))
+    sys.stdout.write(_walk_lines(seed, bits))
     return 0
 
 

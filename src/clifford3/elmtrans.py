@@ -8,19 +8,21 @@ subbundles of degree (maximal - i) are tracked only through integer upper
 bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
-The ranks never interact, so the rule is written once, per rank, in
-``_column``: it walks one rank's s_r and bound tuple through that rank's
-choices, given as a "0"/"1" string with "1" a hit.  Once a tuple is flat (no
-bound rises by more than n - r to the next), its future is fixed: each miss
-drops the last entry, the first hit gives ``()`` and ``()`` stays ``()``.
-Every miss drops one entry, so ``_column`` gives each step's tuple by its
-length, in closed form, and builds only the tuples of the misses from a
-tuple that is not flat, which run the rule's maxima.  :func:`trajectory`
-slices those tuples to the lengths and zips the ranks' columns into states
-without building a record per step, :func:`step` is the checked last state
-of a one-step trajectory, and :func:`generic_sequence` is the last state of
-an all-miss walk.  ``cli.cmd_elmtrans`` reads the lengths directly, as cuts
-of each tuple's text.
+The ranks never interact, so the rule is written per rank, on one rank's
+s_r and bound tuple and that rank's choices, given as a "0"/"1" string with
+"1" a hit.  It states three facts, each written once.  ``_s_column``: a miss
+adds r to s_r and a hit takes n - r from it.  ``_lengths``: every miss drops
+one entry, by the rule's maxima or not, and a hit gives ``()``, which stays
+``()``, so the lengths are closed form for any start.  ``_maxima``: a tuple
+that is flat (no bound rises by more than n - r to the next) keeps every
+bound on a miss, so only the misses from a tuple that is not flat build new
+tuples.  :func:`trajectory` slices the last built tuple to the lengths and
+zips the ranks' columns into states without building a record per step,
+:func:`step` is the checked last state of a one-step trajectory, and
+:func:`generic_sequence` is the last state of an all-miss walk.
+``cli.cmd_elmtrans`` walks only the seeds, whose bounds are flat, so it
+reads ``_s_column`` and ``_lengths`` alone and cuts each step's text from
+the seed's by length.
 """
 from __future__ import annotations
 
@@ -72,36 +74,34 @@ def _flat(b: tuple[int, ...], c: int) -> bool:
     return all(map(le, map(sub, b[1:], b), repeat(c)))
 
 
-def _column(
-    n: int, r: int, s_r: int, b: tuple[int, ...], bits: str
-) -> tuple[Iterator[int], Iterator[int], list[tuple[int, ...]]]:
-    """The transformation rule on one rank's plain values, for a rank-n walk
-    whose choices for rank r are the string ``bits``, "1" a hit and "0" a
-    miss: s_r at the start and after each step, the length of rank r's bound
-    tuple at the start and after each step, and the tuples the rule's maxima
-    build, the start ``b`` first.  The tuple after step j is the j-th built
-    tuple while there is one, then a prefix of the last built tuple of the
-    given length.  The ranks never interact, so this is the only place the
-    rule is written; see :func:`step`.
+def _s_column(n: int, r: int, s_r: int, bits: str) -> Iterator[int]:
+    """s_r at the start and after each step of a rank-n walk whose choices
+    for rank r are the string ``bits``, "1" a hit and "0" a miss: a miss
+    adds r to s_r, a hit takes n - r from it."""
+    return accumulate(map({"0": r, "1": r - n}.__getitem__, bits), initial=s_r)
 
-    A tuple whose bounds never rise by more than n - r from one entry to the
-    next is flat: every max of the rule is the old bound, so a miss drops
-    its last entry, and a prefix of a flat tuple is flat.  A hit gives the
-    flat ``()``, which stays ``()``.  Only misses from a tuple that is not
-    flat run the rule's maxima, and each tuple they build is checked for
-    flatness once.  Every miss drops one entry, by the maxima or not, so the
-    lengths are closed form: they fall by one a step from ``len(b)`` until
-    the first hit or 0, then stay 0.
-    """
-    c = n - r
-    steps = len(bits)
+
+def _lengths(size: int, bits: str) -> Iterator[int]:
+    """The length of one rank's bound tuple at the start, ``size``, and after
+    each step of its choices ``bits``: it falls by one a step until the
+    first hit or 0, then stays 0.  This holds for any start, flat or not."""
     first_hit = bits.find("1")
     if first_hit < 0:
-        first_hit = steps
+        first_hit = len(bits)
+    falls = min(first_hit + 1, size)
+    return chain(range(size, size - falls, -1), repeat(0, len(bits) + 1 - falls))
+
+
+def _maxima(b: tuple[int, ...], c: int, misses: int) -> list[tuple[int, ...]]:
+    """``b`` and the tuples the rule's maxima build from it over its first
+    ``misses`` misses, c = n - r: each bound i becomes max(b[i], b[i+1] - c).
+    A flat tuple keeps every bound, so a miss only drops its last entry, and
+    a prefix of a flat tuple is flat: the maxima stop at the first flat
+    tuple, and each built tuple is checked for flatness once.  The tuple
+    after later misses is a prefix of the last one given."""
     built = [b]
-    # a walk that hits first never runs the maxima, so it skips the check
-    if first_hit and not _flat(b, c):
-        for _ in range(first_hit):
+    if misses and not _flat(b, c):
+        for _ in range(misses):
             # a list gives tuple() the exact length; a generator makes it
             # shrink a larger tuple, which fills CPython's tuple free lists
             # (~4 MB)
@@ -109,11 +109,7 @@ def _column(
             built.append(b)
             if _flat(b, c):
                 break
-    size = len(built[0])
-    falls = min(first_hit + 1, size)
-    lengths = chain(range(size, size - falls, -1), repeat(0, steps + 1 - falls))
-    # a miss adds r to s_r, a hit takes n - r from it
-    return accumulate(map({"0": r, "1": -c}.__getitem__, bits), initial=s_r), lengths, built
+    return built
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
@@ -140,12 +136,13 @@ def trajectory(
 
     Every choice's length is checked first; one of the wrong length raises
     ``ValueError``.  Each rank's entries of the choices are then read by
-    their truth into one "0"/"1" string, and the rank is walked on its own,
-    by the rule's one writing in ``_column``; its tuples are sliced to the
-    column's lengths, and the ranks' columns are zipped into states.
-    The states are plain values, not records, and are not checked again: a
-    step raises the degree by 1 and moves s_r by r or -(n-r), so s_r stays
-    congruent to r*d mod n and ``start``'s checks hold for every state.
+    their truth into one "0"/"1" string, and the rank is walked on its own:
+    its s_r by ``_s_column``, its tuples by ``_maxima`` over the misses
+    before its first hit, then the last built tuple cut to ``_lengths``.
+    The ranks' columns are zipped into states.  The states are plain
+    values, not records, and are not checked again: a step raises the
+    degree by 1 and moves s_r by r or -(n-r), so s_r stays congruent to
+    r*d mod n and ``start``'s checks hold for every state.
     """
     inv, sb, _ = start._values
     n, d, s = inv._values
@@ -155,10 +152,10 @@ def trajectory(
     s_cols, b_cols = [], []
     for r, s_r, b in zip(range(1, n), s, sb):
         bits = "".join(map("01".__getitem__, map(truth, map(itemgetter(r - 1), choices))))
-        s_col, lengths, built = _column(n, r, s_r, b, bits)
-        *heads, last = built
-        s_cols.append(s_col)
-        b_cols.append(heads + [last[:i] for i in islice(lengths, len(heads), None)])
+        misses = len(bits.partition("1")[0])  # before the first hit
+        *heads, last = _maxima(b, n - r, misses)
+        s_cols.append(_s_column(n, r, s_r, bits))
+        b_cols.append(heads + [last[:i] for i in islice(_lengths(len(b), bits), len(heads), None)])
     return list(zip(range(d, d + len(choices) + 1), zip(*s_cols), zip(*b_cols)))
 
 

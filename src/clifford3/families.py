@@ -278,12 +278,7 @@ def genus_reports(family: str, g: int) -> list[ExampleReport]:
     raise ParamsOutOfRange(f"family must be a, b or c, got {family!r}")
 
 
-def suite_blocks(max_genus: int) -> list[tuple[str, int]]:
-    """The (family, genus) blocks of ``suite(max_genus)`` in suite order:
-    family "a", then "b", then "c", each genus by genus from 2."""
-    return [(family, g) for family in "abc" for g in range(2, max_genus + 1)]
-
-
 def suite(max_genus: int) -> list[ExampleReport]:
-    """All valid family reports up to the given genus."""
-    return [r for f, g in suite_blocks(max_genus) for r in genus_reports(f, g)]
+    """All valid family reports up to the given genus: family "a", then "b",
+    then "c", each genus by genus from 2."""
+    return [r for f in "abc" for g in range(2, max_genus + 1) for r in genus_reports(f, g)]

@@ -566,42 +566,10 @@ def _row(state):
     }
 
 
-@st.composite
-def _start_states(draw):
-    """A state with drawn bounds, which may rise by more than n-r between
-    entries, so that a miss leaves some tuples a prefix and others not."""
-    n = draw(st.sampled_from((2, 3)))
-    d = draw(st.integers(-6, 12))
-    s = [r * d + n * draw(st.integers(-3, 3)) for r in range(1, n)]
-    bounds = [tuple(draw(st.lists(st.integers(-5, 15), max_size=12))) for _ in range(1, n)]
-    return clifford3.ElmState(clifford3.BundleInvariants(n, d, s), bounds)
-
-
 class TestDirectOutput:
     """The lines that ``bound``, ``elmtrans`` and ``examples --family`` and the
     error object write without ``json.dumps`` equal what it writes, and an
     int flag reads one grammar as ``--flag TOK`` and as ``--flag=TOK``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        start=_start_states(),
-        hit_rate=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
-        data=st.data(),
-    )
-    def test_state_lines_equal_json_dumps(self, start, hit_rate, data):
-        # drawn starts rise by more than n-r, so the walk builds new tuples by
-        # the rule's maxima and also cuts prefixes of flat ones
-        n = start.inv.rank
-        bits = "".join(
-            "1" if data.draw(st.floats(0, 1, exclude_max=True)) < hit_rate else "0"
-            for _ in range((n - 1) * data.draw(st.integers(0, 14)))
-        )
-        state = start
-        expected = [json.dumps(_row(state)) + "\n"]
-        for k in range(0, len(bits), n - 1):
-            state = clifford3.step(state, tuple(b == "1" for b in bits[k : k + n - 1]))
-            expected.append(json.dumps(_row(state)) + "\n")
-        assert cli._walk_lines(start, bits) == "".join(expected)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,4 +1,7 @@
 import itertools
+import json
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from clifford3 import (
     step,
     trajectory,
 )
+from clifford3 import cli, elmtrans
 from clifford3.errors import HypothesisUnverifiable, RankUnsupported
 
 
@@ -315,6 +319,51 @@ class TestSeeds:
     def test_rank_restriction(self):
         with pytest.raises(RankUnsupported):
             seed_state_lemma36(Curve(3), 4)
+
+
+class TestCliSeeds:
+    """``clifford3 elmtrans`` walks only the seeds of ``cli._seed`` and reads
+    their bounds as flat: each step's bounds are the seed's first entries,
+    as many as ``elmtrans._lengths`` gives, with no rule's maxima run."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_walkable_seed_is_flat(self, n):
+        # the entry is built afresh, past the cache, for every genus the CLI accepts
+        for g in range(2, cli.MAX_ELMTRANS_GENUS + 1):
+            lines, *rest = cli._seed.__wrapped__(n, g)[0].sb_dim_upper
+            assert len(lines) == g
+            assert {v - u for u, v in zip(lines, lines[1:])} == {n - 1}
+            assert rest == [()] * (n - 2)
+
+    @pytest.mark.parametrize("rank, bits", [
+        (2, "0001000"),
+        # rank 1 misses 4 of its 5 bounds away, then hits; rank 2 misses, then hits
+        (3, "0001000110000100"),
+    ])
+    def test_cli_walk_checks_no_flatness(self, monkeypatch, rank, bits):
+        steps = len(bits) // (rank - 1)
+        start = seed_state_lemma36(Curve(5), rank)
+        choices = [tuple(map(int, bits[k : k + rank - 1])) for k in range(0, len(bits), rank - 1)]
+        expected = "".join(
+            json.dumps({
+                "step": j, "rank": rank, "d": d, "s": list(s),
+                "sb_dim_upper": {f"{r},{i}": v for r, b in enumerate(sb, 1) for i, v in enumerate(b)},
+            }) + "\n"
+            for j, (d, s, sb) in enumerate(trajectory(start, choices))
+        )
+
+        def no_check(*_):
+            raise AssertionError("the CLI walk checked a tuple for flatness")
+
+        monkeypatch.setattr(elmtrans, "_flat", no_check)
+        out = StringIO()
+        with redirect_stdout(out):
+            argv = ["elmtrans", "--rank", str(rank), "--genus", "5", "--steps", str(steps)]
+            assert cli.main(argv + ["--choices", bits]) == 0
+        assert out.getvalue() == expected
+        # the patch is live: ``trajectory`` from the same seed does check
+        with pytest.raises(AssertionError):
+            trajectory(start, choices)
 
 
 class TestCertifiedRanks:
