@@ -25,10 +25,14 @@ state, so ``main`` may be called any number of times in one process; its
 docstring states the grammar.  Each command's flags are indexed once, at
 import, in ``_INDEX``: a flag given by its exact name, the common spelling,
 is looked up once, and any other token is split at its first ``=`` and
-looked up again.  Every value goes through ``_convert``.  ``_BOUND_READS``
-and ``_EXAMPLES_READS`` say which flags each mode of ``bound`` and
-``examples`` reads, and ``_check_reads`` raises the UsageError for any
-other flag given.
+looked up again.  The index keeps each flag's reader: ``_int``, the one
+statement of the int grammar, ``str``, or either of them refusing a value
+outside the flag's choices.  The walk calls the reader on every value, and
+only a refused value goes to ``_convert``, which words the UsageError.
+``_BOUND_READS`` and ``_EXAMPLES_READS`` say which flags each mode of
+``bound`` and ``examples`` reads, and ``_check_reads`` raises the UsageError
+for any other flag given: it gets the mode's unread flags in one call and
+walks them only when one differs from its default.
 
 Six inputs are capped, because their cost grows without bound:
 ``krawtchouk`` N at MAX_KRAWTCHOUK_N, ``bound --delta --genus`` at
@@ -52,6 +56,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, count
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from types import SimpleNamespace
 
 from .bounds import bound, semistable_runs
@@ -70,13 +75,15 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 
 # Largest accepted inputs, with the slowest command each allows, timed as
 # one ``main`` call in a fresh process with the output kept in memory, the
-# larger of two fastest-of-5 figures (shared 2-core Xeon, Python 3.11): a
-# coefficient at N = 4096 in 1.02 s (r = n = N, the full alternating sum,
-# whose single runs spread over 0.9-1.3 s on that host; at N = 2n it is one
-# binomial), a 10,000-step trajectory at genus 1,000 in 0.012 s at rank 2
-# with every choice a miss (7.5 MB of output, 29 MB peak RSS) and in 0.007 s
-# at rank 3 with random choices, a 100,000-row table in 0.044 s (every row a
-# distinct RANK3-MAIN value), the suite to genus 100 in 0.74 s.
+# larger of two fastest-of-5 figures (shared 2-core x86_64, Python 3.11.7): a
+# coefficient at N = 4096 in 0.78 s (r = n = N, the full alternating sum,
+# whose single runs spread over 0.9-1.3 s in earlier timings on such a host;
+# at N = 2n it is one binomial), a rank-2 ``--delta`` bound at genus 1,365
+# (degree 2729, s1 = 1: a coefficient of 1,366 terms) in 0.081 s, a
+# 10,000-step trajectory at genus 1,000 in 0.014 s at rank 2 with every
+# choice a miss (7.5 MB of output, 29 MB peak RSS) and in 0.008 s at rank 3
+# with random choices, a 100,000-row table in 0.035 s (every row a distinct
+# RANK3-MAIN value), the suite to genus 100 in 0.62 s.
 # The refinement of ``bound --delta`` evaluates coefficients with
 # N = 2g - t <= 3g - 1, so its genus cap keeps N within MAX_KRAWTCHOUK_N.
 MAX_KRAWTCHOUK_N = 4096
@@ -101,6 +108,9 @@ def _check_cap(name: str, value: int, cap: int) -> None:
 
 def _check_reads(args, command: str, mode) -> None:
     """Raise the UsageError for the first flag args gives that ``mode`` does not read."""
+    get, blank = _UNREAD_BLANK[command][mode]
+    if get(args) == blank:  # the common case, checked in one call
+        return
     where, unread = _UNREAD[command][mode]
     for flag, dest in unread:
         if (value := getattr(args, dest)) is not None and value is not False:
@@ -131,7 +141,7 @@ def cmd_bound(args) -> int:
         flags = " and ".join(f"--s{r}" for r in range(1, args.rank))
         raise Clifford3Error(f"rank {args.rank} needs {flags}")
     inv = BundleInvariants(args.rank, args.degree, s)
-    unstable = args.rank == 3 and not inv.semistable()
+    unstable = args.rank == 3 and (s[0] < 0 or s[1] < 0)  # as bound() routes
     if args.rank == 3:
         _check_reads(args, "bound", "unstable" if unstable else "semistable")
     result = bound(curve, inv, s1f=args.s1f, delta=args.delta)
@@ -149,7 +159,7 @@ def _bound_line(r: BoundResult) -> str:
     and a newline: ``value`` is an int, ``exact`` a bool, and each string
     is quoted by the encoder ``json.dumps`` uses by default."""
     value, case, exact, assumptions = r._values
-    quoted = ", ".join([_quote(a) for a in assumptions])
+    quoted = ", ".join(map(_quote, assumptions))
     return (
         f'{{"value": {value}, "case": {_quote(case)}, '
         f'"exact": {"true" if exact else "false"}, "assumptions": [{quoted}]}}\n'
@@ -214,7 +224,7 @@ def cmd_elmtrans(args) -> int:
     # the seed is the one checked state; the walk keeps its congruences
     seed = _seed(n, args.genus)
     bits = "0" * (args.steps * (n - 1)) if args.choices is None else args.choices
-    if len(bits) != args.steps * (n - 1) or set(bits) - {"0", "1"}:
+    if len(bits) != args.steps * (n - 1) or bits.strip("01"):
         raise Clifford3Error(
             f"--choices must be a 0/1 string of length steps*(rank-1) = "
             f"{args.steps * (n - 1)}"
@@ -284,7 +294,7 @@ def _suite_csv(max_genus: int) -> str:
     header = "family,genus,n,k,m,variant,d,s1,s2,exact_h0,bound,sharp\n"
     if max_genus < 2:
         return header
-    return header + "".join([_suite_text(family, max_genus) for family in _SUITE])
+    return "".join([header] + [_suite_text(family, max_genus) for family in _SUITE])
 
 
 # Each mode of ``examples``: the function that makes its output, and the flags it
@@ -401,16 +411,51 @@ COMMANDS = {
 _HELP = frozenset(("-h", "--help"))
 
 
+def _int(text: str) -> int:
+    """The int grammar: an optional "-", then ASCII digits (``-?[0-9]+``);
+    int() alone also reads spaces, "+", "_" and the digits of other scripts."""
+    if text.isascii() and text.removeprefix("-").isdecimal():
+        return int(text)  # past 4,300 digits int() raises ValueError
+    raise ValueError(text)
+
+
+# the reader of each value type; a switch reads no value
+_READERS = {int: _int, str: str}
+
+
+def _choice(read, choices: tuple):
+    """``read``, refusing any value outside ``choices``."""
+    allowed = frozenset(choices)
+
+    def choice(text: str):
+        if (value := read(text)) in allowed:
+            return value
+        raise ValueError(text)
+
+    return choice
+
+
+def _reader(flag: _Flag):
+    """The function that reads a value of ``flag`` or raises ValueError, or
+    None for a switch."""
+    if flag.type is bool:
+        return None
+    read = _READERS[flag.type]
+    return _choice(read, flag.choices) if flag.choices else read
+
+
 def _index(command: str, flags: dict) -> tuple:
     """(options, positionals, namespace defaults, required, required dests)
     of one command.
 
-    ``options`` maps each flag's name to (dest, is_switch, flag);
-    ``required`` is the (name, dest) of each required flag, in order.
-    A required dest has no default, so it is absent until it is read.
+    ``options`` maps each flag's name to (dest, reader, flag), the reader
+    None for a switch, and ``positionals`` is the (name, (dest, reader,
+    flag)) of each positional, in order; ``required`` is the (name, dest) of
+    each required flag, in order.  A required dest has no default, so it is
+    absent until it is read.
     """
-    options = {k: (f.dest, f.type is bool, f) for k, f in flags.items() if k[0] == "-"}
-    positionals = [(k, f) for k, f in flags.items() if k[0] != "-"]
+    options = {k: (f.dest, _reader(f), f) for k, f in flags.items() if k[0] == "-"}
+    positionals = [(k, (f.dest, _reader(f), f)) for k, f in flags.items() if k[0] != "-"]
     defaults = {"command": command}
     for f in flags.values():
         if f.default is not REQUIRED:
@@ -438,20 +483,32 @@ _UNREAD = {
 }
 
 
-def _convert(name: str, flag: _Flag, text: str):
+def _blank(command: str, unread: tuple) -> tuple:
+    """A getter of the unread dests, and what it gets when none is given: the
+    namespace defaults of ``_index``, None for a value flag (never False,
+    which equals 0) and False for a switch."""
+    get = attrgetter(*(dest for _, dest in unread))
+    return get, get(SimpleNamespace(**_INDEX[command][2]))
+
+
+# _check_reads' one call for the common case, that no unread flag is given
+_UNREAD_BLANK = {
+    command: {mode: _blank(command, unread) for mode, (_, unread) in modes.items()}
+    for command, modes in _UNREAD.items()
+}
+
+
+def _convert(name: str, flag: _Flag, text: str) -> UsageError:
+    """The UsageError for ``text``, which the reader of ``flag`` refused: an
+    invalid value when the reader of its type refuses it too, else an
+    invalid choice.  Only refusals come here, so each grammar is stated
+    once, in its reader."""
     try:
-        # an int is an optional "-", then ASCII digits: int() alone also reads
-        # spaces, "+", "_" and the digits of other scripts
-        if flag.type is int and not ((d := text.removeprefix("-")).isascii() and d.isdecimal()):
-            raise ValueError
-        value = flag.type(text)  # past 4,300 digits int() raises ValueError
+        value = _READERS[flag.type](text)
     except ValueError:
-        kind = flag.type.__name__
-        raise UsageError(f"argument {name}: invalid {kind} value: {text!r}") from None
-    if flag.choices and value not in flag.choices:
-        choices = ", ".join(map(repr, flag.choices))
-        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
-    return value
+        return UsageError(f"argument {name}: invalid {flag.type.__name__} value: {text!r}")
+    choices = ", ".join(map(repr, flag.choices))
+    return UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
 
 
 def _usage(command: str | None) -> str:
@@ -484,7 +541,9 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
     ``--flag value`` or ``--flag=value``: the token after a flag that takes
     a value is that value, and a switch takes none.  The last value of a
     repeated flag wins.  Any other token fills the next positional, or is an
-    unrecognized argument.  An int is an optional ``-``, then ASCII digits.
+    unrecognized argument.  Each value is read by its flag's reader in
+    ``_INDEX``: an int is an optional ``-``, then ASCII digits (``_int``),
+    and a choice flag refuses any value outside its choices.
     ``-h``/``--help`` anywhere prints the command's usage text, or the
     program's when it comes first, to stdout and raises ``SystemExit(0)``;
     any other malformed argv raises ``UsageError``.  No state is kept.
@@ -511,29 +570,33 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
         i += 1
         spec = options.get(tok)
         if spec is not None:  # a flag by its exact name, the common spelling
-            dest, is_switch, flag = spec
-            if is_switch:
+            dest, read, flag = spec
+            if read is None:  # a switch
                 values[dest] = True
                 continue
             if i == end:
                 raise UsageError(f"argument {tok}: expected one argument")
-            values[dest] = _convert(tok, flag, argv[i])
+            name, text = tok, argv[i]
             i += 1
-            continue
-        # any other token is ``--flag=value``, the next positional or stray
-        name, _, text = tok.partition("=")
-        spec = options.get(name)
-        if spec is not None:
-            dest, is_switch, flag = spec
-            if is_switch:
-                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
-            values[dest] = _convert(name, flag, text)
-        elif filled < len(positionals):
-            name, flag = positionals[filled]
-            values[flag.dest] = _convert(name, flag, tok)
-            filled += 1
         else:
-            stray.append(tok)
+            # any other token is ``--flag=value``, the next positional or stray
+            name, _, text = tok.partition("=")
+            spec = options.get(name)
+            if spec is not None:
+                dest, read, flag = spec
+                if read is None:
+                    raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            elif filled < len(positionals):
+                name, (dest, read, flag) = positionals[filled]
+                text = tok
+                filled += 1
+            else:
+                stray.append(tok)
+                continue
+        try:
+            values[dest] = read(text)
+        except ValueError:
+            raise _convert(name, flag, text) from None
     if not values.keys() >= required_dests:
         missing = [name for name, dest in required if dest not in values]
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")

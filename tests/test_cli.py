@@ -926,6 +926,23 @@ class TestReads:
             assert code == 2 and out == "" and err.count("\n") == 1
             assert json.loads(err) == {"code": "UsageError", "message": message}
 
+    def test_unread_int_flags_given_0(self, capsys):
+        # 0 == False: a check that took a value flag's absence for False would
+        # let these through; each mode whose unread value flags are all ints
+        # gets every one of them as 0
+        checked = []
+        for where, (base, reads) in READS.items():
+            flags = cli.COMMANDS[base.split()[0]][1]
+            unread = [flag for flag, f in flags.items() if f.default is not cli.REQUIRED
+                      and f.type is not bool and flag not in reads]
+            if not unread or any(flags[flag].type is not int for flag in unread):
+                continue
+            code, out, err = run(capsys, *base.split(), *(x for flag in unread for x in (flag, "0")))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"code": "UsageError", "message": f"{unread[0]} is not read {where}"}
+            checked.append(where)
+        assert checked == ["at rank 1", "at rank 2", "on unstable rank-2 input", "by family c"]
+
 
 # Values for every int flag and positional: small ints, including negative
 # ones, values far above every cap, and values past a machine word.  The
@@ -1382,6 +1399,25 @@ class TestGrammar:
             status, out, err = _outcome(main, ["-h", *argv])
             assert (status, out, err) == (0, cli._usage(None), "")
             assert out.startswith("usage: clifford3 [-h] {bound,")
+
+    @given(text=st.text(alphabet="0123456789-+_ \u0663\uff15", max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_int_value_is_its_grammar(self, text):
+        # "+", " ", "_", ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT FIVE are
+        # read by int(); an int value is exactly an optional "-", then ASCII
+        # digits, given as a separate token, after "=" or as a positional
+        rest = ["--rank", "1", "--degree", "0"]
+        for name, dest, argv in [
+            ("--genus", "genus", ["bound", "--genus", text, *rest]),
+            ("--genus", "genus", ["bound", f"--genus={text}", *rest]),
+            ("r", "r", ["krawtchouk", text, "2", "4"]),
+        ]:
+            if re.fullmatch(r"-?[0-9]+", text):
+                assert getattr(cli.parse_args(argv), dest) == int(text)
+            else:
+                with pytest.raises(UsageError) as refused:
+                    cli.parse_args(argv)
+                assert str(refused.value) == f"argument {name}: invalid int value: {text!r}"
 
     def test_token_after_a_flag_is_its_value(self):
         # argparse refused a value that starts with "-" and is no number

@@ -30,14 +30,22 @@ layers are:
   case K_4096(4096, 4096), about 1 s a call, is left out;
 * front end: ``parse_args``, and ``cli.main`` with stdout in a fresh
   ``StringIO``, on ``bound --genus 25 --rank 3 --degree 70 --s1 10 --s2
-  20`` (the middle point), ``bound --rank 1 --genus 26 --degree 3`` and
-  ``examples --family a --genus 16 --n 2 --k 0``: the fixed cost of one
-  command around the engine.
+  20`` (the middle point), ``bound --rank 1 --genus 26 --degree 3``,
+  ``examples --family a --genus 16 --n 2 --k 0`` and the unstable
+  Serre-dual point ``bound --genus 10 --rank 3 --degree 19 --s1 4 --s2 -1
+  --s1f 3 --f-semistable``, which reads an int, a choice and a switch and
+  runs the unstable reads check: the fixed cost of one command around the
+  engine.
 
 An input of the sweeps or krawtchouk layer runs NUMBER // SHARE[layer]
-calls per repeat, every other input NUMBER.  It prints, per input and tree, the fastest and the median ns per call over
-every repeat of every round, and their ratio change / base, then one JSON
-line with the same figures.  Nothing under ``src`` or ``bench`` is changed.
+calls per repeat, every other input NUMBER.  It prints, per input and
+tree, the fastest and the median ns per call over every repeat of every
+round, and their ratio change / base, and per input the base's
+``round_spread``: its largest fastest ns of one round over its smallest.
+The base runs the same code in every round, so a ratio inside that spread
+reads as noise.  Then one JSON line gives the same figures and each
+round's fastest ns per tree.  Nothing under ``src`` or ``bench`` is
+changed.
 """
 from __future__ import annotations
 
@@ -77,6 +85,7 @@ suite30 = "examples --suite --max-genus 30".split()
 bound3 = "bound --genus 25 --rank 3 --degree 70 --s1 10 --s2 20".split()
 bound1 = "bound --rank 1 --genus 26 --degree 3".split()
 family_a = "examples --family a --genus 16 --n 2 --k 0".split()
+bound_dual = "bound --genus 10 --rank 3 --degree 19 --s1 4 --s2 -1 --s1f 3 --f-semistable".split()
 k_half, k_general = KrawtchoukQuery(300, 500, 1000), KrawtchoukQuery(100, 512, 1000)
 """
 # (layer, input): the statement timed
@@ -99,9 +108,11 @@ INPUTS = {
     ("front end", "parse_args bound rank 3"): "parse_args(bound3)",
     ("front end", "parse_args bound rank 1"): "parse_args(bound1)",
     ("front end", "parse_args family a"): "parse_args(family_a)",
+    ("front end", "parse_args bound dual"): "parse_args(bound_dual)",
     ("front end", "main bound rank 3"): "with redirect_stdout(StringIO()): main(bound3)",
     ("front end", "main bound rank 1"): "with redirect_stdout(StringIO()): main(bound1)",
     ("front end", "main family a"): "with redirect_stdout(StringIO()): main(family_a)",
+    ("front end", "main bound dual"): "with redirect_stdout(StringIO()): main(bound_dual)",
 }
 
 
@@ -129,22 +140,27 @@ def _sample(tree: Path, number: int, repeat: int) -> dict:
 
 def rounds(base: Path, change: Path, n: int, number: int = NUMBER, repeat: int = REPEAT) -> dict:
     """``n`` interleaved rounds, base first in odd rounds: per input, its
-    layer and each tree's fastest and median ns per call, and change / base."""
-    samples = {"parent": {}, "change": {}}
+    layer, each tree's fastest and median ns per call and fastest of each
+    round, change / base, and the base's round spread."""
+    samples = {"parent": {}, "change": {}}  # each input's times, one list a round
     for k in range(1, n + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
             got = _sample(base if side == "parent" else change, number, repeat)
             for name, times in got.items():
-                samples[side].setdefault(name, []).extend(times)
+                samples[side].setdefault(name, []).append(times)
     out = {}
     for layer, name in INPUTS:
         row = {"layer": layer}
         for side in ("parent", "change"):
-            times = samples[side][name]
-            row[side] = {"fastest_ns": min(times), "median_ns": statistics.median(times)}
+            per_round = samples[side][name]
+            times = [t for r in per_round for t in r]
+            row[side] = {"fastest_ns": min(times), "median_ns": statistics.median(times),
+                         "round_fastest_ns": [min(r) for r in per_round]}
         for stat in ("fastest_ns", "median_ns"):
             row["ratio_" + stat[:-3]] = row["change"][stat] / row["parent"][stat]
+        fastest = row["parent"]["round_fastest_ns"]
+        row["round_spread"] = max(fastest) / min(fastest)
         out[name] = row
     return out
 
@@ -152,13 +168,13 @@ def rounds(base: Path, change: Path, n: int, number: int = NUMBER, repeat: int =
 def table(result: dict) -> str:
     """The figures of :func:`rounds`, one line per input."""
     lines = [f"{'layer':<11}{'input':<24}{'parent fastest/median ns':>26}"
-             f"{'change fastest/median ns':>26}{'ratio':>14}"]
+             f"{'change fastest/median ns':>26}{'ratio':>14}{'spread':>8}"]
     for name, row in result.items():
         p, c = row["parent"], row["change"]
         lines.append(
             f"{row['layer']:<11}{name:<24}{p['fastest_ns']:>14.0f}{p['median_ns']:>12.0f}"
             f"{c['fastest_ns']:>14.0f}{c['median_ns']:>12.0f}"
-            f"{row['ratio_fastest']:>7.3f}{row['ratio_median']:>7.3f}"
+            f"{row['ratio_fastest']:>7.3f}{row['ratio_median']:>7.3f}{row['round_spread']:>8.3f}"
         )
     return "\n".join(lines)
 
