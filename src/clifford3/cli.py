@@ -15,10 +15,10 @@ form, and builds no ``BoundResult``.  ``elmtrans`` walks only the paper's
 split seeds: their rank-1 bounds rise by exactly n - 1, and the rank-3 seed
 knows no rank-2 bound, so a miss drops the last bound and a hit leaves
 none.  It reads each rank's s column from ``elmtrans._s_column`` and rank
-1's tuple lengths from ``elmtrans._lengths``, where the transformation rule
-is written (``step`` reads it too), and cuts every step's text from the
-seed's by length.  Validation and usage errors go to stderr as a JSON
-object with a stable ``code`` field and exit status 2.
+1's tuple lengths from ``elmtrans._lengths``, the closed forms on such a
+seed of the rule that ``elmtrans.trajectory`` steps, and cuts every step's
+text from the seed's by length.  Validation and usage errors go to stderr
+as a JSON object with a stable ``code`` field and exit status 2.
 
 ``parse_args`` reads argv against ``COMMANDS`` in one walk and keeps no
 state, so ``main`` may be called any number of times in one process; its

@@ -8,27 +8,20 @@ subbundles of degree (maximal - i) are tracked only through integer upper
 bounds on their dimension, one tuple per rank holding the bounds for
 i = 0, 1, ...; a bound past the end of its rank's tuple is unknown.
 
-The ranks never interact, so the rule is written per rank, on one rank's
-s_r and bound tuple and that rank's choices, given as a "0"/"1" string with
-"1" a hit.  It states three facts, each written once.  ``_s_column``: a miss
-adds r to s_r and a hit takes n - r from it.  ``_lengths``: every miss drops
-one entry, by the rule's maxima or not, and a hit gives ``()``, which stays
-``()``, so the lengths are closed form for any start.  ``_maxima``: a tuple
-that is flat (no bound rises by more than n - r to the next) keeps every
-bound on a miss, so only the misses from a tuple that is not flat build new
-tuples.  :func:`trajectory` slices the last built tuple to the lengths and
-zips the ranks' columns into states without building a record per step,
-:func:`step` is the checked last state of a one-step trajectory, and
-:func:`generic_sequence` is the last state of an all-miss walk.
-``cli.cmd_elmtrans`` walks only the seeds, whose bounds are flat, so it
-reads ``_s_column`` and ``_lengths`` alone and cuts each step's text from
-the seed's by length.
+:func:`trajectory` writes the rule once, a step at a time, on plain values:
+a miss adds r to s_r and each bound i becomes max(b[i], b[i+1] - (n-r)), a
+hit takes n - r from s_r and leaves no bound.  :func:`step` is the checked
+last state of a one-step trajectory, and :func:`generic_sequence` the last
+state of an all-miss walk.  ``cli.cmd_elmtrans`` walks only the split seeds,
+whose rank-1 bounds rise by exactly n - 1 and whose rank-3 seed knows no
+rank-2 bound, so a miss keeps every bound but the last: it reads the closed
+forms of the rule on such a seed, ``_s_column`` and ``_lengths``, and cuts
+each step's text from the seed's by length.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, le, sub, truth
+from itertools import accumulate, chain, repeat
 
 from .errors import HypothesisUnverifiable, RankUnsupported
 from .invariants import BundleInvariants, Curve, _Record, _store
@@ -69,47 +62,25 @@ class ElmState(_Record):
         return bounds[i] if 0 <= i < len(bounds) else None
 
 
-def _flat(b: tuple[int, ...], c: int) -> bool:
-    """Whether no bound of ``b`` rises by more than c to the next."""
-    return all(map(le, map(sub, b[1:], b), repeat(c)))
-
-
 def _s_column(n: int, r: int, s_r: int, bits: str) -> Iterator[int]:
     """s_r at the start and after each step of a rank-n walk whose choices
-    for rank r are the string ``bits``, "1" a hit and "0" a miss: a miss
-    adds r to s_r, a hit takes n - r from it."""
+    for rank r are the string ``bits``, "1" a hit and "0" a miss: the closed
+    form of :func:`trajectory`'s s_r, which ``cli`` reads."""
     return accumulate(map({"0": r, "1": r - n}.__getitem__, bits), initial=s_r)
 
 
 def _lengths(size: int, bits: str) -> Iterator[int]:
     """The length of one rank's bound tuple at the start, ``size``, and after
-    each step of its choices ``bits``: it falls by one a step until the
-    first hit or 0, then stays 0.  This holds for any start, flat or not."""
+    each step of its choices ``bits``, as :func:`trajectory` gives it: it
+    falls by one a step until the first hit or 0, then stays 0.  On a split
+    seed, whose bounds rise by exactly n - 1, each tuple is the seed's first
+    entries, so ``cli`` cuts each step's text from the seed's to this
+    length."""
     first_hit = bits.find("1")
     if first_hit < 0:
         first_hit = len(bits)
     falls = min(first_hit + 1, size)
     return chain(range(size, size - falls, -1), repeat(0, len(bits) + 1 - falls))
-
-
-def _maxima(b: tuple[int, ...], c: int, misses: int) -> list[tuple[int, ...]]:
-    """``b`` and the tuples the rule's maxima build from it over its first
-    ``misses`` misses, c = n - r: each bound i becomes max(b[i], b[i+1] - c).
-    A flat tuple keeps every bound, so a miss only drops its last entry, and
-    a prefix of a flat tuple is flat: the maxima stop at the first flat
-    tuple, and each built tuple is checked for flatness once.  The tuple
-    after later misses is a prefix of the last one given."""
-    built = [b]
-    if misses and not _flat(b, c):
-        for _ in range(misses):
-            # a list gives tuple() the exact length; a generator makes it
-            # shrink a larger tuple, which fills CPython's tuple free lists
-            # (~4 MB)
-            b = tuple([max(u, v - c) for u, v in zip(b, b[1:])])
-            built.append(b)
-            if _flat(b, c):
-                break
-    return built
 
 
 def step(st: ElmState, hits: tuple[bool, ...]) -> ElmState:
@@ -135,11 +106,10 @@ def trajectory(
     when the choices are applied in turn, as :func:`step` would give them.
 
     Every choice's length is checked first; one of the wrong length raises
-    ``ValueError``.  Each rank's entries of the choices are then read by
-    their truth into one "0"/"1" string, and the rank is walked on its own:
-    its s_r by ``_s_column``, its tuples by ``_maxima`` over the misses
-    before its first hit, then the last built tuple cut to ``_lengths``.
-    The ranks' columns are zipped into states.  The states are plain
+    ``ValueError``.  Each step then applies the rule to every rank r, whose
+    entry of the choice is read by its truth: a miss adds r to s_r and each
+    bound i becomes max(b[i], b[i+1] - (n-r)), so the tuple loses its last
+    entry; a hit takes n - r from s_r and gives ``()``.  The states are plain
     values, not records, and are not checked again: a step raises the
     degree by 1 and moves s_r by r or -(n-r), so s_r stays congruent to
     r*d mod n and ``start``'s checks hold for every state.
@@ -149,14 +119,18 @@ def trajectory(
     choices = list(choices)
     if set(map(len, choices)) - {n - 1}:
         raise ValueError(f"need {n - 1} choices for rank {n}")
-    s_cols, b_cols = [], []
-    for r, s_r, b in zip(range(1, n), s, sb):
-        bits = "".join(map("01".__getitem__, map(truth, map(itemgetter(r - 1), choices))))
-        misses = len(bits.partition("1")[0])  # before the first hit
-        *heads, last = _maxima(b, n - r, misses)
-        s_cols.append(_s_column(n, r, s_r, bits))
-        b_cols.append(heads + [last[:i] for i in islice(_lengths(len(b), bits), len(heads), None)])
-    return list(zip(range(d, d + len(choices) + 1), zip(*s_cols), zip(*b_cols)))
+    walk = [(d, s, sb)]
+    for hits in choices:
+        d += 1
+        s = tuple([s_r - (n - r) if hit else s_r + r for r, s_r, hit in zip(range(1, n), s, hits)])
+        # a list gives tuple() the exact length; a generator makes it shrink a
+        # larger tuple, which fills CPython's tuple free lists (~4 MB)
+        sb = tuple([
+            () if hit else tuple([max(u, v - (n - r)) for u, v in zip(b, b[1:])])
+            for r, b, hit in zip(range(1, n), sb, hits)
+        ])
+        walk.append((d, s, sb))
+    return walk
 
 
 def certified_ranks(start: ElmState, m: int) -> frozenset[int]:
@@ -201,7 +175,7 @@ def seed_state_lemma36(c: Curve, n: int) -> ElmState:
     if n not in (2, 3):
         raise RankUnsupported("seed defined for ranks 2 and 3")
     inv = BundleInvariants(n, n, (0,) * (n - 1))
-    lines = tuple([(i + 1) * (n - 1) - 1 for i in range(c.genus)])  # exact length, see step
+    lines = tuple([(i + 1) * (n - 1) - 1 for i in range(c.genus)])  # exact length, see trajectory
     return ElmState(inv, (lines,) + ((),) * (n - 2))
 
 

@@ -37,10 +37,11 @@ class _Record:
 
     A property read is a Python call, dearer than a slot read, so the
     engine's hot readers unpack ``rec._values`` once instead: every function
-    of ``bounds`` and ``krawtchouk``, ``cli``'s ``bound`` line and ``table``
-    rows, ``elmtrans.trajectory``, ``BundleInvariants.semistable`` and
-    ``stable``, and the ``to_dict`` methods.  Every other reader uses the
-    public fields.
+    of ``bounds`` and ``krawtchouk``, ``cli``'s ``bound`` line, ``elmtrans``
+    lines and ``examples --family`` report, and the ``to_dict`` methods.
+    ``elmtrans.trajectory`` and ``BundleInvariants.semistable`` and
+    ``stable`` unpack it too, though no command runs them.  Every other
+    reader uses the public fields.
     """
 
     __slots__ = ("_values",)

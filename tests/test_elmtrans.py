@@ -136,17 +136,15 @@ class TestTrajectory:
         data=st.data(),
     )
     def test_walk_is_iterated_step(self, start, hit_rate, data):
+        # ``step`` is one step of ``trajectory``'s own loop, so the walk is
+        # also checked against ``literal_step``, the rule written apart
         n = start.inv.rank
         choices = [
             tuple(data.draw(st.floats(0, 1)) < hit_rate for _ in range(n - 1))
-            for _ in range(data.draw(st.integers(0, 12)))
+            for _ in range(data.draw(st.integers(0, 30)))
         ]
-        states = [start]
-        for hits in choices:
-            states.append(step(states[-1], hits))
-        walk = trajectory(start, choices)
-        assert walk == [(x.inv.degree, x.inv.s, x.sb_dim_upper) for x in states]
-        for d, s, _ in walk:
+        self._walks_agree(start, choices)
+        for d, s, _ in trajectory(start, choices):
             # the by-construction argument: every walked state passes the
             # checks that step's BundleInvariants would run
             assert BundleInvariants(n, d, s).s == s
@@ -215,9 +213,9 @@ class TestTrajectory:
         return [sb for _, _, sb in walk]
 
     def test_flat_tuple_runs_past_its_length_then_hits_then_misses(self):
-        # a flat column's rest is cut in closed form: each miss before the
-        # first hit drops the last entry, past the length the tuple stays (),
-        # and the hit and every step after it give ()
+        # on a flat tuple each miss before the first hit drops the last
+        # entry, past the length the tuple stays (), and the hit and every
+        # step after it give ()
         start = ElmState(BundleInvariants(2, 2, (0,)), ((0, 1, 2),))
         choices = [(False,)] * 5 + [(True,)] + [(False,)] * 2
         assert self._walks_agree(start, choices) == [
@@ -239,7 +237,7 @@ class TestTrajectory:
         ]
 
     def test_hit_on_a_tuple_that_is_not_flat(self):
-        # a hit needs no flatness: the rest of the column is () at once
+        # a hit gives () whatever the tuple's rises, and so does every later step
         start = ElmState(BundleInvariants(3, 3, (0, 0)), ((0, 5, 5), (0, 4)))
         assert self._walks_agree(start, [(True, True), (False, False)]) == [
             ((0, 5, 5), (0, 4)), ((), ()), ((), ()),
@@ -295,6 +293,16 @@ class TestTrajectory:
         start = seed_state_lemma36(Curve(3), 2)
         assert trajectory(start, []) == [(2, (0,), ((0, 1, 2),))]
 
+    def test_rank1_walk_raises_only_the_degree(self):
+        # a rank-1 state has no s_r and no bound tuple; each step of its walk
+        # is the empty choice and raises the degree by 1
+        start = ElmState(BundleInvariants(1, 3), ())
+        assert trajectory(start, [(), (), ()]) == [(3, (), ()), (4, (), ()), (5, (), ()), (6, (), ())]
+        assert trajectory(start, []) == [(3, (), ())]
+        assert step(start, ()) == ElmState(BundleInvariants(1, 4), (), 1)
+        with pytest.raises(ValueError, match="need 0 choices for rank 1"):
+            step(start, (False,))
+
 
 class TestSeeds:
     def test_rank3_seed_values(self):
@@ -323,8 +331,10 @@ class TestSeeds:
 
 class TestCliSeeds:
     """``clifford3 elmtrans`` walks only the seeds of ``cli._seed`` and reads
-    their bounds as flat: each step's bounds are the seed's first entries,
-    as many as ``elmtrans._lengths`` gives, with no rule's maxima run."""
+    their bounds as flat: each step's s from ``elmtrans._s_column`` and its
+    bounds as the seed's first entries, as many as ``elmtrans._lengths``
+    gives, with no rule's maxima run.  Both closed forms are checked here
+    against ``trajectory``."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_walkable_seed_is_flat(self, n):
@@ -335,12 +345,37 @@ class TestCliSeeds:
             assert {v - u for u, v in zip(lines, lines[1:])} == {n - 1}
             assert rest == [()] * (n - 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=drawn_states(),
+        hit_rate=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+        data=st.data(),
+    )
+    def test_closed_forms_are_the_walk(self, start, hit_rate, data):
+        # ``_s_column`` gives each rank's s_r and ``_lengths`` its tuple's
+        # length at every state of the walk, from any start
+        n = start.inv.rank
+        bits = "".join(
+            "1" if data.draw(st.floats(0, 1)) < hit_rate else "0"
+            for _ in range(data.draw(st.integers(0, 30)) * (n - 1))
+        )
+        choices = [tuple(map(int, bits[k : k + n - 1])) for k in range(0, len(bits), n - 1)]
+        walk = trajectory(start, choices)
+        for r in range(1, n):
+            ranks_bits = bits[r - 1 :: n - 1]
+            assert list(elmtrans._s_column(n, r, start.inv.s[r - 1], ranks_bits)) == [
+                s[r - 1] for _, s, _ in walk
+            ]
+            assert list(elmtrans._lengths(len(start.sb_dim_upper[r - 1]), ranks_bits)) == [
+                len(sb[r - 1]) for _, _, sb in walk
+            ]
+
     @pytest.mark.parametrize("rank, bits", [
         (2, "0001000"),
         # rank 1 misses 4 of its 5 bounds away, then hits; rank 2 misses, then hits
         (3, "0001000110000100"),
     ])
-    def test_cli_walk_checks_no_flatness(self, monkeypatch, rank, bits):
+    def test_cli_walk_bytes_are_trajectory_rows(self, rank, bits):
         steps = len(bits) // (rank - 1)
         start = seed_state_lemma36(Curve(5), rank)
         choices = [tuple(map(int, bits[k : k + rank - 1])) for k in range(0, len(bits), rank - 1)]
@@ -351,19 +386,11 @@ class TestCliSeeds:
             }) + "\n"
             for j, (d, s, sb) in enumerate(trajectory(start, choices))
         )
-
-        def no_check(*_):
-            raise AssertionError("the CLI walk checked a tuple for flatness")
-
-        monkeypatch.setattr(elmtrans, "_flat", no_check)
         out = StringIO()
         with redirect_stdout(out):
             argv = ["elmtrans", "--rank", str(rank), "--genus", "5", "--steps", str(steps)]
             assert cli.main(argv + ["--choices", bits]) == 0
         assert out.getvalue() == expected
-        # the patch is live: ``trajectory`` from the same seed does check
-        with pytest.raises(AssertionError):
-            trajectory(start, choices)
 
 
 class TestCertifiedRanks:
