@@ -39,9 +39,8 @@ class _Record:
     engine's hot readers unpack ``rec._values`` once instead: every function
     of ``bounds`` and ``krawtchouk``, ``cli``'s ``bound`` line, ``elmtrans``
     lines and ``examples --family`` report, and the ``to_dict`` methods.
-    ``elmtrans.trajectory`` and ``BundleInvariants.semistable`` and
-    ``stable`` unpack it too, though no command runs them.  Every other
-    reader uses the public fields.
+    ``elmtrans.trajectory`` unpacks it too, though no command runs it.
+    Every other reader uses the public fields.
     """
 
     __slots__ = ("_values",)
@@ -145,14 +144,6 @@ class BundleInvariants(_Record):
         elif rank == 2 and (s[0] - degree) % rank:
             raise _congruence_violation(rank, degree, 1, s[0])
         _store(self, (rank, degree, s))
-
-    def semistable(self) -> bool:
-        _, _, s = self._values
-        return all(v >= 0 for v in s)
-
-    def stable(self) -> bool:
-        _, _, s = self._values
-        return all(v > 0 for v in s)
 
 
 def serre_dual(c: Curve, inv: BundleInvariants) -> BundleInvariants:

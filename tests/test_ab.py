@@ -45,6 +45,25 @@ def test_a_move_inside_the_bound_passes():
     assert summary["ops_per_s"]["change_pct"] == pytest.approx(-10.0)
 
 
+@pytest.mark.parametrize("pairs, holds", [(5, False), (9, False), (10, True)])
+def test_a_gain_holds_only_on_ten_pairs(pairs, holds):
+    summary = ab.summarize(_section({"ops_per_s": 1100.0}, pairs=pairs))
+    assert summary["ops_per_s"]["change_better_pairs"] == pairs
+    assert summary["ops_per_s"]["gain_holds"] is holds
+
+
+def test_a_gain_inside_the_parent_iqr_or_won_in_8_of_10_does_not_hold():
+    parent = [1000.0 + 20 * k for k in range(10)]  # IQR 90
+    section = {"runs": {"parent": [_run({**BASE, "ops_per_s": v}) for v in parent],
+                        "change": [_run({**BASE, "ops_per_s": v + 50}) for v in parent]}}
+    row = ab.summarize(section)["ops_per_s"]
+    assert row["change_better_pairs"] == 10 and row["gain_holds"] is False
+    change = [v + 200 for v in parent[:8]] + [v - 1 for v in parent[8:]]
+    section["runs"]["change"] = [_run({**BASE, "ops_per_s": v}) for v in change]
+    row = ab.summarize(section)["ops_per_s"]
+    assert row["change_better_pairs"] == 8 and row["gain_holds"] is False
+
+
 def test_a_wrong_value_or_a_larger_failed_share_fails():
     assert ab.summarize(_section({}, correct=False))["worse"] == ["correct"]
     assert ab.summarize(_section({}, failed=1))["worse"] == ["failed share"]

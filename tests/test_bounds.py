@@ -194,7 +194,11 @@ class TestRank3Query:
         inv = BundleInvariants(3, 4, (1, 8))
         assert suggested_min_s1f(inv) == 5  # (2*8 - 1)/3 = 5, parity of 3
         # s2 < 0 <= s1: the twisted dual's, (35, (-1, 4)): (2*4 + 1)/3 = 3, parity of 23
-        assert suggested_min_s1f(BundleInvariants(3, 19, (4, -1))) == 3
+        inv = BundleInvariants(3, 19, (4, -1))
+        assert suggested_min_s1f(inv) == 3
+        assert bound(Curve(10), inv, s1f=suggested_min_s1f(inv)).value == 11
+        with pytest.raises(CongruenceViolation):
+            Rank3Query(Curve(10), inv, s1f=2)
 
 
 class TestRank3SemistableBound:
@@ -506,7 +510,9 @@ class TestProp21Bound:
         # where Riemann-Roch, not Clifford, gives its h0
         q = rank3_query(2, 11, -10, -5, s1f=0)
         assert h0_prop21_bound(q) == BoundResult(10, "RANK3-QUOTIENT", assumptions=("s1f=0",))
-        assert h0_rank3_unstable_bound(q).value == 10
+        u = h0_rank3_unstable_bound(q)
+        assert u.value == 10
+        assert u.assumptions == ("s1f=0", "line:RR-EXACT", "quotient:RANK2-CLIFFORD")
 
 
 def _former_quotient_bound(q):

@@ -49,12 +49,6 @@ class TestValidate:
         with pytest.raises(RankUnsupported):
             BundleInvariants(3, 0, (0,))
 
-    def test_semistable_and_stable(self):
-        assert BundleInvariants(3, 5, (2, 1)).stable()
-        assert BundleInvariants(3, 6, (0, 0)).semistable()
-        assert not BundleInvariants(3, 6, (0, 0)).stable()
-        assert not BundleInvariants(3, 4, (-2, 2)).semistable()
-
 
 # every class of invalid input to the two validated records: the call, the
 # exception type, its ``r`` (None where the type has none) and its message

@@ -18,7 +18,10 @@ pair and every run under ``runs.parent`` and ``runs.change``.  ``summary``
 gets, for each metric of the runs, both medians, the change in percent, the
 quartiles and the parent's interquartile range, the pairs the change won
 and, for an end-to-end metric, whether its median stays within the bound
-that BENCHMARK.json gives it.  ``verdict`` of the section is "fail" when a
+that BENCHMARK.json gives it and whether a gain holds (``gain_holds``): at
+least ten pairs, the change better in at least nine tenths of them, and
+its median better than the parent's by more than the parent's
+interquartile range.  ``verdict`` of the section is "fail" when a
 metric is past its bound, a run is not correct, or the change fails a
 larger share of operations; otherwise "pass".  The exit status is 1 on
 "fail", else 0.
@@ -110,6 +113,9 @@ def summarize(section: dict) -> dict:
                 row["within_bound"] = cm >= pm * (1 - bound)
             else:
                 row["within_bound"] = cm <= pm * (1 + bound)
+            gain = cm - pm if direction == "higher" else pm - cm
+            row["gain_holds"] = (len(p) >= 10 and won * 10 >= 9 * len(p)
+                                 and gain > row["parent_iqr"])
         out[name] = row
     out["all_correct"] = all(r["correct"] for r in parent + change)
     out["failed"] = sorted({r["failed"] for r in parent + change})
