@@ -76,11 +76,11 @@ from .krawtchouk import KrawtchoukQuery, krawtchouk
 # Largest accepted inputs, with the slowest command each allows, timed as
 # one ``main`` call in a fresh process with the output kept in memory, the
 # larger of two fastest-of-5 figures (shared 2-core x86_64, Python 3.11.7): a
-# coefficient at N = 4096 in 0.78 s (r = n = N, the full alternating sum,
-# whose single runs spread over 0.9-1.3 s in earlier timings on such a host;
-# at N = 2n it is one binomial), a rank-2 ``--delta`` bound at genus 1,365
-# (degree 2729, s1 = 1: a coefficient of 1,366 terms) in 0.081 s, a
-# 10,000-step trajectory at genus 1,000 in 0.014 s at rank 2 with every
+# coefficient at N = 4096 in 0.32 s (n = N/2 - 1 and r = N/2, a window of
+# 2,048 terms; n = N/2 + 1 and r near N/2 read 0.28-0.31 s; at r = n = N the
+# window is one term, and N = 2n is one binomial), a rank-2 ``--delta`` bound
+# at genus 1,365 (degree 2729, s1 = 1: a coefficient of 1,365 terms) in
+# 0.10 s, a 10,000-step trajectory at genus 1,000 in 0.014 s at rank 2 with every
 # choice a miss (7.5 MB of output, 29 MB peak RSS) and in 0.008 s at rank 3
 # with random choices, a 100,000-row table in 0.035 s (every row a distinct
 # RANK3-MAIN value), the suite to genus 100 in 0.62 s.

@@ -9,8 +9,8 @@ of a rank-2 bundle of degree deg with s1 = t; ``bounds`` states its domain.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
+from operator import add, sub
 
 from .errors import CongruenceViolation, IndexNegative, OracleRangeExceeded
 from .invariants import _Record, _store
@@ -35,9 +35,11 @@ class KrawtchoukQuery(_Record):
 def krawtchouk(q: KrawtchoukQuery) -> int:
     """Closed-form evaluation: sum_j (-1)^j C(n,j) C(N-n, r-j).
 
-    The sum is the definition.  At N = 2n the generating function is
-    (1-z^2)^n, so the coefficient is 0 for odd r and (-1)^(r/2) C(n, r/2)
-    for even r: one binomial instead of min(n, r) + 1 products.
+    The sum is the definition.  It runs over j in [max(0, r - (N-n)),
+    min(n, r)], because C(N-n, r-j) is 0 below that window and C(n, j) above
+    it; at n = N that is the one term j = r.  At N = 2n the generating
+    function is (1-z^2)^n, so the coefficient is 0 for odd r and
+    (-1)^(r/2) C(n, r/2) for even r: one binomial.
     """
     r, n, N = q._values
     if N == 2 * n:
@@ -47,39 +49,28 @@ def krawtchouk(q: KrawtchoukQuery) -> int:
         return -c if r % 4 else c
     return sum(
         (-1) ** j * comb(n, j) * comb(N - n, r - j)
-        for j in range(min(n, r) + 1)
+        for j in range(max(0, r - (N - n)), min(n, r) + 1)
     )
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-@lru_cache(maxsize=None)
-def _expand(n: int, N: int) -> tuple[int, ...]:
-    poly = [1]
-    for _ in range(n):
-        poly = _poly_mul(poly, [1, -1])
-    for _ in range(N - n):
-        poly = _poly_mul(poly, [1, 1])
-    return tuple(poly)
 
 
 def krawtchouk_oracle(q: KrawtchoukQuery) -> int:
     """Same coefficient by literal expansion of the two factors.
 
-    Uses no binomial identities, so it serves as an independent check on
-    :func:`krawtchouk`.  Capped at N <= 64 (the expansions are cached).
+    Multiplies 1 by (1-z) n times and by (1+z) N-n times, keeping only the
+    coefficients of z^0..z^r.  Uses no binomial identities, so it serves as
+    an independent check on :func:`krawtchouk`.  Capped at N <= 64; nothing
+    is cached.
     """
     r, n, N = q._values
     if N > ORACLE_MAX_N:
         raise OracleRangeExceeded(f"oracle capped at N <= {ORACLE_MAX_N}")
-    poly = _expand(n, N)
-    return poly[r] if r < len(poly) else 0
+    if r > N:  # past the degree
+        return 0
+    poly = [1] + [0] * r
+    for op in [sub] * n + [add] * (N - n):
+        # (1 -+ z) p has p[i] -+ p[i-1] at z^i
+        poly[1:] = map(op, poly[1:], poly)
+    return poly[r]
 
 
 def delta_vanishes(g: int, deg: int, t: int) -> bool:

@@ -140,6 +140,9 @@ ROWS = [
     row("elmtrans --rank 2 --genus 1000 --steps 1000", lines=1001),
     row("krawtchouk 2048 2048 4096", out=_sha256(f"{comb(2048, 1024)}\n")),
     row("krawtchouk 2047 2048 4096", out=_sha256("0\n")),
+    # n = N at the cap: the one term j = r of the sum, (-1)^r C(N, r)
+    row("krawtchouk 4096 4096 4096", out=_sha256("1\n")),
+    row("krawtchouk 4095 4096 4096", out=_sha256("-4096\n")),
     # a row for each error code a command can give (README's table of codes); the
     # CongruenceViolation and HypothesisFailed rows are the Serre-dual ones above
     row("bound --genus 3 --rank 1 --degree 4 --hyperelliptic", 2, err=('"code": "UsageError"',)),

@@ -25,6 +25,39 @@ def _alternating_sums_at_half(max_n):
         yield n, sums
 
 
+@pytest.fixture
+def comb_calls(monkeypatch):
+    """The arguments of every ``comb`` call the engine makes."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    # the package exports the function under the module's name
+    monkeypatch.setattr(importlib.import_module("clifford3.krawtchouk"), "comb", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pascal_sums():
+    """{(r, n, N): sum_j (-1)^j C(n,j) C(N-n, r-j)} for every N <= 64 and
+    r <= N + 2, each summed from j = 0, its zero terms included.  The
+    binomials come from Pascal's rule, so ``math.comb`` plays no part
+    (test-only)."""
+    rows = [[1]]
+    for _ in range(64):
+        rows.append([a + b for a, b in zip([0, *rows[-1]], [*rows[-1], 0])])
+
+    def binom(a, b):
+        return rows[a][b] if b <= a else 0
+
+    return {
+        (r, n, N): sum((-1) ** j * binom(n, j) * binom(N - n, r - j) for j in range(min(n, r) + 1))
+        for N in range(65) for n in range(N + 1) for r in range(N + 3)
+    }
+
+
 class TestClosedForm:
     def test_constant_term_is_one(self):
         for N in range(8):
@@ -78,21 +111,29 @@ class TestClosedForm:
             for r, want in enumerate(sums):
                 assert krawtchouk(KrawtchoukQuery(r, n, 2 * n)) == want, (r, n)
 
-    def test_half_of_N_takes_at_most_one_binomial(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return comb(a, b)
-
-        # the package exports the function under the module's name
-        module = importlib.import_module("clifford3.krawtchouk")
-        monkeypatch.setattr(module, "comb", counted)
+    def test_half_of_N_takes_at_most_one_binomial(self, comb_calls):
         for n in (0, 1, 2, 7, 64, 300):
             for r in range(2 * n + 2):
-                calls.clear()
+                comb_calls.clear()
                 krawtchouk(KrawtchoukQuery(r, n, 2 * n))
-                assert len(calls) <= 1, (r, n, calls)
+                assert len(comb_calls) <= 1, (r, n, comb_calls)
+
+    def test_matches_the_sum_from_j_zero(self, pascal_sums):
+        for (r, n, N), want in pascal_sums.items():
+            assert krawtchouk(KrawtchoukQuery(r, n, N)) == want, (r, n, N)
+
+    def test_sums_only_its_window(self, comb_calls):
+        # the terms with j outside [max(0, r - (N-n)), min(n, r)] are zero, and each
+        # term of the window takes two binomials: K_4096(4096, 4096) is one term.  The
+        # grid stops at r = N, past which N = 2n still takes its one binomial
+        cases = [(r, n, N) for N in range(65) for n in range(N + 1) for r in range(N + 1)]
+        cases += [(4096, 4096, 4096), (4095, 4096, 4096), (2048, 4096, 4096),
+                  (300, 512, 624), (100, 512, 1000)]
+        for r, n, N in cases:
+            comb_calls.clear()
+            krawtchouk(KrawtchoukQuery(r, n, N))
+            window = min(n, r) - max(0, r - (N - n)) + 1
+            assert len(comb_calls) <= 2 * window, (r, n, N, len(comb_calls))
 
     def test_rejects_bad_query(self):
         with pytest.raises(ValueError):
@@ -108,6 +149,10 @@ class TestOracle:
                 for r in range(N + 1):
                     q = KrawtchoukQuery(r, n, N)
                     assert krawtchouk(q) == krawtchouk_oracle(q)
+
+    def test_matches_the_sum_from_j_zero(self, pascal_sums):
+        for (r, n, N), want in pascal_sums.items():
+            assert krawtchouk_oracle(KrawtchoukQuery(r, n, N)) == want, (r, n, N)
 
     def test_top_coefficient(self):
         assert krawtchouk_oracle(KrawtchoukQuery(4, 2, 4)) == 1

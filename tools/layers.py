@@ -25,9 +25,12 @@ layers are:
   on ``examples --suite --max-genus 30``, whose repeats after the first
   read the suite text of the worker's process;
 * krawtchouk: ``krawtchouk`` on K_300(500, 1000), an N = 2n input (one
-  binomial), and on K_100(512, 1000), a general input from the refined
-  workload's range (g = 512, s1 = 24; the full alternating sum).  The cap
-  case K_4096(4096, 4096), about 1 s a call, is left out;
+  binomial), on K_100(512, 1000), a general input from the refined
+  workload's range (g = 512, s1 = 24; all 101 terms of the alternating sum
+  are in its window), and on K_300(512, 624), from the same range (g = 512,
+  s1f = 400), whose window j in [188, 300] sums 113 of the 301 terms from
+  j = 0.  The slowest cap inputs, n = N/2 +- 1 with r near N/2 at N = 4096,
+  about 0.3 s a call, are left out;
 * front end: ``parse_args``, and ``cli.main`` with stdout in a fresh
   ``StringIO``, on ``bound --genus 25 --rank 3 --degree 70 --s1 10 --s2
   20`` (the middle point), ``bound --rank 1 --genus 26 --degree 3``,
@@ -87,6 +90,7 @@ bound1 = "bound --rank 1 --genus 26 --degree 3".split()
 family_a = "examples --family a --genus 16 --n 2 --k 0".split()
 bound_dual = "bound --genus 10 --rank 3 --degree 19 --s1 4 --s2 -1 --s1f 3 --f-semistable".split()
 k_half, k_general = KrawtchoukQuery(300, 500, 1000), KrawtchoukQuery(100, 512, 1000)
+k_window = KrawtchoukQuery(300, 512, 624)
 """
 # (layer, input): the statement timed
 INPUTS = {
@@ -105,6 +109,7 @@ INPUTS = {
     ("sweeps", "suite max genus 30"): "with redirect_stdout(StringIO()): main(suite30)",
     ("krawtchouk", "K_300(500, 1000) N=2n"): "krawtchouk(k_half)",
     ("krawtchouk", "K_100(512, 1000)"): "krawtchouk(k_general)",
+    ("krawtchouk", "K_300(512, 624)"): "krawtchouk(k_window)",
     ("front end", "parse_args bound rank 3"): "parse_args(bound3)",
     ("front end", "parse_args bound rank 1"): "parse_args(bound1)",
     ("front end", "parse_args family a"): "parse_args(family_a)",
